@@ -508,7 +508,11 @@ class _Parser:
                     sign = -1
                 k = sign * int(self.take_number())
             return cyc_embed_root(n, k)
-        return CycNumber.from_fraction(Fraction(self.take_number()))
+        tok = self.take_number()
+        try:
+            return CycNumber.from_fraction(Fraction(tok))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {tok!r}") from None
 
 
 def parse_cyc(text: str) -> CycNumber:

@@ -50,14 +50,10 @@ from .simpletypes import (
     WhittakerFunction,
     is_dual_pair,
     l_factor,
+    support_decompose,
 )
 
 _DEFAULT_SCAL = CycScalars()
-
-
-def d_matrix(x, n: int) -> PadicMatrix:
-    """diag(x, 1, ..., 1)."""
-    return PadicMatrix.diagonal([x] + [1] * (n - 1))
 
 
 def _units_mod(p: int, m: int):
@@ -65,12 +61,8 @@ def _units_mod(p: int, m: int):
 
 
 def _embed_gl2(g: PadicMatrix) -> PadicMatrix:
-    rows = [
-        [g.entry(0, 0), g.entry(0, 1), 0],
-        [g.entry(1, 0), g.entry(1, 1), 0],
-        [0, 0, 1],
-    ]
-    return PadicMatrix(rows)
+    (a, b), (c, d) = g.num
+    return PadicMatrix.from_ints([[a, b, 0], [c, d, 0], [0, 0, g.den]], g.den)
 
 
 class RSPair:
@@ -103,7 +95,16 @@ class RSPair:
         return self.n // self.e
 
     def pair_value(self, g: PadicMatrix):
-        return self.W1.value(g, self.window) * self.W2.value(g, self.window)
+        """W_1(g) W_2(g) from one support decomposition.
+
+        Both test vectors are supported on N <w_E> J, which depends only on
+        the family, p, n and the lattice chain; is_dual_pair has checked
+        that the two types share these.
+        """
+        dec = support_decompose(self.type1, g, self.window)
+        if dec is None:
+            return self.scal.zero()
+        return self.W1.value_at(dec) * self.W2.value_at(dec)
 
 
 def b_coefficient(pair: RSPair, cell: PadicMatrix, k: int):
@@ -112,7 +113,7 @@ def b_coefficient(pair: RSPair, cell: PadicMatrix, k: int):
     total = scal.zero()
     if pair.n == 2:
         for a in _units_mod(p, m):
-            g = d_matrix(Fraction(a) * Fraction(p) ** k, 2) * cell
+            g = cell.scale_row(0, a * p**k if k >= 0 else Fraction(a, p**-k))
             total = total + pair.pair_value(g)
         return total * scal.from_fraction(Fraction(1, p ** (m - 1)))
     # GL_3: N_3\P_3 = N_2\GL_2 embedded in the upper block, with its
@@ -124,10 +125,10 @@ def b_coefficient(pair: RSPair, cell: PadicMatrix, k: int):
         v2 = k - v1
         if abs(v2) > w:
             continue
-        dv = PadicMatrix.diagonal([Fraction(p) ** v1, Fraction(p) ** v2])
+        x1, x2 = Fraction(p) ** v1, Fraction(p) ** v2
         weight = scal.from_fraction(ng_cell_volume(p, 2, m, (v1, v2)))
         for inner in nk_cell_reps(p, m):
-            g = _embed_gl2(dv * inner) * cell
+            g = _embed_gl2(inner.scale_row(0, x1).scale_row(1, x2)) * cell
             total = total + pair.pair_value(g) * weight
     return total
 
@@ -227,10 +228,10 @@ def c_k_bruteforce(pair: RSPair, k: int, window: int = 4):
             continue
         if v2 < 0:
             continue  # Phi(e_2 g) = 0 unless the bottom row is integral
-        dv = PadicMatrix.diagonal([Fraction(p) ** v1, Fraction(p) ** v2])
+        x1, x2 = Fraction(p) ** v1, Fraction(p) ** v2
         vol = scal.from_fraction(ng_cell_volume(p, 2, m, (v1, v2)))
         for kbar in reps:
-            g = dv * kbar
+            g = kbar.scale_row(0, x1).scale_row(1, x2)
             total = total + pair.pair_value(g) * vol
     return total * scal.from_fraction(Fraction(p - 1))
 
@@ -312,7 +313,7 @@ def _mirabolic_factorization_ok(pair: RSPair, cell_log) -> bool:
             full = jp
         else:
             jp = PadicMatrix([[c, d], [0, c]])
-            target = d_matrix(p, 2) * rec.rep
+            target = rec.rep.scale_row(0, p)
             full = w * jp
         if not pair.type1.in_J(jp):
             return False

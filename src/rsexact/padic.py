@@ -1,11 +1,14 @@
 """Exact p-adic linear algebra over Q (viewed inside Q_p) and the measure
 bookkeeping for GL_n.
 
-Matrices carry Fraction entries; valuations are read off denominators and
-numerators, so every decomposition here is exact.  iwasawa_NAK produces
-g = n * a * k with n upper unitriangular, a = diag(p^{v_i}) and k in
-GL_n(Z_p) by column reduction over the valuation ring; iwasawa_PZK reshapes
-that into mirabolic x center x maximal compact.
+A matrix is stored as integer numerators over one positive common
+denominator, in lowest terms, so equal matrices have equal storage.
+Products, determinants and inverses are integer arithmetic followed by a
+single gcd; valuations and residues are read off the integers, so every
+decomposition here is exact.  iwasawa_NAK produces g = n * a * k with n
+upper unitriangular, a = diag(p^{v_i}) and k in GL_n(Z_p) by column
+reduction over the valuation ring; iwasawa_PZK reshapes that into
+mirabolic x center x maximal compact.
 
 The volume table fixes the normalizations vol(K^1) = 1 for G and likewise
 for P, Z, N and the (P cap K)\\K quotient; these are the measures every
@@ -18,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .cyclo import CycScalars
 from .errors import DepthExceeded, UnsupportedDescriptor
@@ -26,28 +30,21 @@ from .matgroups import FiniteMatrix, order_gl
 _DEFAULT_SCAL = CycScalars()
 
 
+def vp_int(n: int, p: int) -> int:
+    """Exponent of p in a nonzero integer."""
+    v = 0
+    while not n % p:
+        n //= p
+        v += 1
+    return v
+
+
 def val_p(x, p: int):
     """p-adic valuation of a rational; +infinity for zero."""
     x = Fraction(x)
     if not x:
         return math.inf
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-
-
-def unit_part(x, p: int) -> Fraction:
-    """x / p^{val(x)}, the p-unit part of a nonzero rational."""
-    x = Fraction(x)
-    v = val_p(x, p)
-    return x / Fraction(p) ** v
+    return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
 
 def int_mod(x, p: int, m: int) -> int:
@@ -76,17 +73,68 @@ def theta_eval(p: int, x, cap: int, scal=None):
     return scal.root_of_unity(p ** (m + 1), k)
 
 
-class PadicMatrix:
-    """Immutable matrix with Fraction entries, n <= 3."""
+def _det_int(r) -> int:
+    if len(r) == 1:
+        return r[0][0]
+    if len(r) == 2:
+        return r[0][0] * r[1][1] - r[0][1] * r[1][0]
+    if len(r) == 3:
+        return (
+            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
+        )
+    raise ValueError("only n <= 3 supported")
 
-    __slots__ = ("rows",)
+
+def _adjugate_int(r):
+    """The adjugate of an integer matrix, n <= 3: adj(r) * r = det(r) * Id."""
+    if len(r) == 1:
+        return [[1]]
+    if len(r) == 2:
+        return [[r[1][1], -r[0][1]], [-r[1][0], r[0][0]]]
+
+    def cof(i, j):
+        rows = [r[a] for a in range(3) if a != i]
+        cols = [b for b in range(3) if b != j]
+        m = rows[0][cols[0]] * rows[1][cols[1]] - rows[0][cols[1]] * rows[1][cols[0]]
+        return m if (i + j) % 2 == 0 else -m
+
+    return [[cof(j, i) for j in range(3)] for i in range(3)]
+
+
+class PadicMatrix:
+    """Immutable rational matrix, n <= 3: integer numerators `num` over one
+    common denominator `den > 0`, with gcd(den, every numerator) = 1."""
+
+    __slots__ = ("num", "den")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(Fraction(e) for e in row) for row in rows)
+        rows = [[e if isinstance(e, int) else Fraction(e) for e in row] for row in rows]
+        den = math.lcm(*(e.denominator for row in rows for e in row))
+        self.num = tuple(
+            tuple(e.numerator * (den // e.denominator) for e in row) for row in rows
+        )
+        self.den = den
+
+    @classmethod
+    def from_ints(cls, num, den: int = 1) -> "PadicMatrix":
+        """The matrix num / den for integer rows `num` and a nonzero integer
+        `den`, reduced to lowest terms with one gcd."""
+        g = math.gcd(den, *itertools.chain.from_iterable(num))
+        if den < 0:
+            g = -g
+        self = object.__new__(cls)
+        if g == 1:
+            self.num = tuple(map(tuple, num))
+        else:
+            self.num = tuple(tuple(e // g for e in row) for row in num)
+        self.den = den // g
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "PadicMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_ints([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, entries) -> "PadicMatrix":
@@ -95,31 +143,41 @@ class PadicMatrix:
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.num)
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as Fractions."""
+        return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.num)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
+        return Fraction(self.num[i][j], self.den)
+
+    def entry_val(self, i: int, j: int, p: int):
+        """Valuation of entry (i, j); +infinity for zero."""
+        e = self.num[i][j]
+        return vp_int(e, p) - vp_int(self.den, p) if e else math.inf
 
     def __eq__(self, other):
         if not isinstance(other, PadicMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.num, self.den))
 
     def __mul__(self, other):
         if isinstance(other, PadicMatrix):
-            n = self.n
-            cols = tuple(zip(*other.rows))
-            return PadicMatrix(
-                [
-                    [sum(self.rows[i][k] * cols[j][k] for k in range(n)) for j in range(n)]
-                    for i in range(n)
-                ]
+            cols = tuple(zip(*other.num))
+            return PadicMatrix.from_ints(
+                [[sum(map(mul, row, col)) for col in cols] for row in self.num],
+                self.den * other.den,
             )
         if isinstance(other, (int, Fraction)):
-            return PadicMatrix([[e * other for e in row] for row in self.rows])
+            return PadicMatrix.from_ints(
+                [[e * other.numerator for e in row] for row in self.num],
+                self.den * other.denominator,
+            )
         return NotImplemented
 
     def __rmul__(self, other):
@@ -127,55 +185,45 @@ class PadicMatrix:
             return self * other
         return NotImplemented
 
-    def trace(self) -> Fraction:
-        return sum(self.rows[i][i] for i in range(self.n))
+    def scale_row(self, i: int, x) -> "PadicMatrix":
+        """diag(1, .., x, .., 1) * self: row i multiplied by x, an int or a
+        Fraction."""
+        xn, xd = x.numerator, x.denominator
+        return PadicMatrix.from_ints(
+            [
+                [e * xn for e in row] if r == i else row if xd == 1 else [e * xd for e in row]
+                for r, row in enumerate(self.num)
+            ],
+            self.den * xd,
+        )
 
     def det(self) -> Fraction:
-        r = self.rows
-        if self.n == 1:
-            return r[0][0]
-        if self.n == 2:
-            return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        if self.n == 3:
-            return (
-                r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-            )
-        raise ValueError("only n <= 3 supported")
+        return Fraction(_det_int(self.num), self.den**self.n)
 
     def inverse(self) -> "PadicMatrix":
-        d = self.det()
+        # (num / den)^{-1} = den * adj(num) / det(num)
+        d = _det_int(self.num)
         if not d:
             raise ZeroDivisionError("singular matrix")
-        r = self.rows
-        if self.n == 1:
-            return PadicMatrix([[1 / d]])
-        if self.n == 2:
-            return PadicMatrix(
-                [[r[1][1] / d, -r[0][1] / d], [-r[1][0] / d, r[0][0] / d]]
-            )
-
-        def cof(i, j):
-            rows = [r[a] for a in range(3) if a != i]
-            cols = [b for b in range(3) if b != j]
-            m = rows[0][cols[0]] * rows[1][cols[1]] - rows[0][cols[1]] * rows[1][cols[0]]
-            return m if (i + j) % 2 == 0 else -m
-
-        return PadicMatrix([[cof(j, i) / d for j in range(3)] for i in range(3)])
+        den = self.den
+        return PadicMatrix.from_ints(
+            [[e * den for e in row] for row in _adjugate_int(self.num)], d
+        )
 
     def is_integral(self, p: int) -> bool:
-        return all(e.denominator % p for row in self.rows for e in row)
+        # in lowest terms, some entry carries the full p-part of den
+        return self.den % p != 0
 
     def in_K(self, p: int) -> bool:
-        return self.is_integral(p) and val_p(self.det(), p) == 0
+        return self.is_integral(p) and _det_int(self.num) % p != 0
 
     def mod_p(self, field) -> FiniteMatrix:
         """Reduction mod p of a p-integral matrix into GL_n(F_p) land."""
         p = field.p
-        return FiniteMatrix(
-            field, [[int_mod(e, p, 1) for e in row] for row in self.rows]
-        )
+        if not self.is_integral(p):
+            raise ValueError(f"{self!r} is not p-integral")
+        inv = pow(self.den, -1, p)
+        return FiniteMatrix(field, [[e * inv % p for e in row] for row in self.num])
 
     def __repr__(self):
         body = "; ".join(",".join(str(e) for e in row) for row in self.rows)
@@ -195,47 +243,61 @@ def upper_unipotent(entries: dict, n: int) -> PadicMatrix:
 def iwasawa_NAK(g: PadicMatrix, p: int):
     """Exact decomposition g = n * a * k, a = diag(p^{v_i}), k in GL_n(Z_p).
 
-    Column reduction over Z_p: in each row (bottom up) the entry of least
-    valuation among the still-free columns is moved to the diagonal, the
-    other entries are cleared by integral column operations, and the column
-    is scaled by the inverse unit.  Returns (n, vals, k).
+    Column reduction over Z_p, in place on integers: in each row (bottom
+    up) the entry of least valuation among the still-free columns is moved
+    to the diagonal, the other entries are cleared by integral column
+    operations (column j -= (w_ij / w_ii) column i) and the column is
+    scaled by the inverse unit of the pivot; k takes the inverse row
+    operations.  Throughout, work = w / dw and k = kk / dk with
+    work * k = g, and multiplying through by the pivot's unit numerator u
+    keeps all entries integral.  Both factors are checked before
+    returning.  Returns (n, vals, k).
     """
-    nn = g.n
-    if not g.det():
+    if not _det_int(g.num):
         raise ValueError("matrix is singular")
-    work = [list(r) for r in g.rows]
-    kacc = PadicMatrix.identity(nn)
-
-    def colop(e_mat):
-        nonlocal kacc
-        for i in range(nn):
-            row = work[i]
-            new = [sum(row[k] * e_mat.rows[k][j] for k in range(nn)) for j in range(nn)]
-            work[i] = new
-        kacc = kacc * e_mat
-
+    nn = g.n
+    w = [list(r) for r in g.num]
+    dw = g.den
+    kk = [[int(i == j) for j in range(nn)] for i in range(nn)]
+    dk = 1
+    vden = vp_int(g.den, p)
+    pden = p**vden
+    vals = [0] * nn
     for i in range(nn - 1, -1, -1):
-        vals = [val_p(work[i][j], p) for j in range(i + 1)]
-        vmin = min(vals)
-        jstar = max(j for j in range(i + 1) if vals[j] == vmin)
+        row = w[i]
+        vs = [vp_int(row[j], p) if row[j] else math.inf for j in range(i + 1)]
+        vmin = min(vs)
+        jstar = max(j for j in range(i + 1) if vs[j] == vmin)
         if jstar != i:
-            perm = [[1 if (a == b and a not in (i, jstar)) or (a, b) in ((i, jstar), (jstar, i)) else 0 for b in range(nn)] for a in range(nn)]
-            colop(PadicMatrix(perm))
-        pivot = work[i][i]
-        clear = [[Fraction(1 if a == b else 0) for b in range(nn)] for a in range(nn)]
+            for r in w:
+                r[i], r[jstar] = r[jstar], r[i]
+            kk[i], kk[jstar] = kk[jstar], kk[i]
+        pv = p**vmin
+        u = w[i][i] // pv
+        coef = [w[i][j] // pv for j in range(i)]  # w_ij / w_ii = coef_j / u
+        du = dw // pden  # unit part of dw; the pivot's unit part is u / du
+        for r in w:
+            ci = r[i]
+            for j in range(i):
+                r[j] = u * r[j] - coef[j] * ci
+            r[i] = du * ci
+            for j in range(i + 1, nn):
+                r[j] *= u
+        dw *= u
+        new_i = [u * x for x in kk[i]]
         for j in range(i):
-            clear[i][j] = -work[i][j] / pivot
-        colop(PadicMatrix(clear))
-        u = unit_part(pivot, p)
-        scale = [[Fraction(1 if a == b else 0) for b in range(nn)] for a in range(nn)]
-        scale[i][i] = 1 / u
-        colop(PadicMatrix(scale))
-
-    vals = tuple(int(val_p(work[i][i], p)) for i in range(nn))
-    tri = PadicMatrix(work)
+            new_i = [x + coef[j] * y for x, y in zip(new_i, kk[j])]
+        kk = [new_i if r == i else [x * du for x in kk[r]] for r in range(nn)]
+        dk *= du
+        vals[i] = vmin - vden
+    vals = tuple(vals)
+    # n = work * a^{-1}: column j of w / dw divided by p^{vals[j]}
+    e = max(0, *vals)
+    n_mat = PadicMatrix.from_ints(
+        [[x * p ** (e - v) for x, v in zip(row, vals)] for row in w], dw * p**e
+    )
+    k = PadicMatrix.from_ints(kk, dk)
     a = PadicMatrix.diagonal([Fraction(p) ** v for v in vals])
-    n_mat = tri * a.inverse()
-    k = kacc.inverse()
     assert k.in_K(p)
     assert n_mat * a * k == g
     return n_mat, vals, k

@@ -43,9 +43,9 @@ from .padic import (
     iwasawa_NAK,
     ramified_chain,
     theta_eval,
-    unit_part,
     upper_unipotent,
     val_p,
+    vp_int,
 )
 from .ratfun import EulerFactor, Laurent
 
@@ -92,35 +92,33 @@ class SimpleTypeData:
         p = self.p
         if self.family == DEPTH_ZERO:
             return g.in_K(p)
-        return (
-            g.is_integral(p)
-            and val_p(g.entry(0, 1), p) >= 1
-            and val_p(g.det(), p) == 0
-        )
+        # integral with a unit denominator, so residues are read off g.num
+        return g.in_K(p) and g.num[0][1] % p == 0
 
     def in_J(self, g: PadicMatrix) -> bool:
         if self.family == DEPTH_ZERO:
             return g.in_K(self.p)
         if not self.in_order_units(g):
             return False
-        diff = g.entry(0, 0) - g.entry(1, 1)
-        return val_p(diff, self.p) >= 1
+        return (g.num[0][0] - g.num[1][1]) % self.p == 0
 
     def in_J1(self, g: PadicMatrix) -> bool:
         p = self.p
-        y = PadicMatrix(
+        # y = g - 1 has numerators g.num - den * Id over the same den
+        y = PadicMatrix.from_ints(
             [
-                [g.entry(i, j) - (1 if i == j else 0) for j in range(self.n)]
-                for i in range(self.n)
-            ]
+                [e - g.den if i == j else e for j, e in enumerate(row)]
+                for i, row in enumerate(g.num)
+            ],
+            g.den,
         )
         if self.family == DEPTH_ZERO:
-            return all(val_p(y.entry(i, j), p) >= 1 for i in range(self.n) for j in range(self.n))
+            return all(y.entry_val(i, j, p) >= 1 for i in range(self.n) for j in range(self.n))
         return (
-            val_p(y.entry(0, 0), p) >= 1
-            and val_p(y.entry(0, 1), p) >= 1
-            and val_p(y.entry(1, 0), p) >= 0
-            and val_p(y.entry(1, 1), p) >= 1
+            y.entry_val(0, 0, p) >= 1
+            and y.entry_val(0, 1, p) >= 1
+            and y.entry_val(1, 0, p) >= 0
+            and y.entry_val(1, 1, p) >= 1
         )
 
     # -- characters ------------------------------------------------------
@@ -137,17 +135,13 @@ class SimpleTypeData:
         if not self.in_J(j):
             raise NotInJ(f"{j!r} is not in J")
         p = self.p
-        r = int_mod(j.entry(0, 0), p, 1)
+        (a, b), (c, _) = j.num
+        r = a * pow(j.den, -1, p) % p
         zeta = pow(r, p * p, p**3)  # Teichmueller-style unit lift
         zinv = pow(zeta, -1, p**3)
-        h = j * Fraction(zinv)
-        y = PadicMatrix(
-            [
-                [h.entry(i, k) - (1 if i == k else 0) for k in range(2)]
-                for i in range(2)
-            ]
-        )
-        arg = Fraction(self.orientation) * self.beta_trace(y)
+        # y = zinv * j - 1 has off-diagonal entries zinv * (b, c) / den, so
+        # tr(w_E^{-1} y) = zinv * (p * c + b) / (p * den)
+        arg = Fraction(self.orientation * zinv * (p * c + b), p * j.den)
         return self.sigma.value(gf(p).constant(r), scal) * theta_eval(p, arg, self.cap, scal)
 
     def kernel(self, j0: PadicMatrix, scal=None, dual: bool = False):
@@ -359,46 +353,50 @@ def support_decompose(data: SimpleTypeData, g: PadicMatrix, window: int | None =
     """
     p = data.p
     if data.family == DEPTH_ZERO:
-        if g.is_integral(p) and val_p(g.det(), p) == 0:
+        if g.in_K(p):
             return 0, PadicMatrix.identity(data.n), g
         n_mat, vals, k = iwasawa_NAK(g, p)
         if any(v != vals[0] for v in vals):
             return None
         _window_gate(n_mat, p, window)
         return vals[0], n_mat, k
-    # ramified family: i is the valuation of det g since det w_E = -p
-    det = g.det()
+    # ramified family: i is the valuation of det g since det w_E = -p.
+    # Write g = [[a, b], [c, d]] / den and s, r = divmod(val(ad - bc), 2).
+    # Then g' = g / p^{floor(i / 2)} = [[a, b], [c, d]] / e with e = u * p^s,
+    # u the unit part of den, so every valuation and residue of g' below is
+    # read off the integers.
+    (a, b), (c, d) = g.num
+    det = a * d - b * c
     if not det:
         return None
-    i = val_p(det, p)
-    j, r = divmod(i, 2)
-    gp = g * Fraction(1, p) ** j
+    vdet = vp_int(det, p)
+    vden = vp_int(g.den, p)
+    s, r = divmod(vdet, 2)
+    ps = p**s
+    e = g.den // p**vden * ps
     if r == 0:
-        if not (
-            val_p(gp.entry(1, 0), p) >= 0
-            and val_p(gp.entry(1, 1), p) == 0
-        ):
+        # g'_21 integral, g'_22 a unit, det g' = g'_22^2 mod p
+        if c % ps or not d or d % ps or not d % (ps * p):
             return None
-        if (int_mod(gp.det(), p, 1) - int_mod(gp.entry(1, 1) ** 2, p, 1)) % p:
+        if (det - d * d) % (ps * ps * p):
             return None
-        x = gp.entry(0, 1) / gp.entry(1, 1)
-        j0 = upper_unipotent({(0, 1): -x}, 2) * gp
+        # x = b / d and j_0 = n(-x) g' = [[det / d, 0], [c, d]] / e
+        x_num, x_den = b, d
+        j0 = PadicMatrix.from_ints([[det, 0], [c * d, d * d]], d * e)
     else:
-        if not (
-            val_p(gp.entry(1, 0), p) == 0
-            and val_p(gp.entry(1, 1), p) >= 1
-        ):
+        # g'_21 a unit, g'_22 in p, det g' / p = -g'_21^2 mod p
+        if not c or c % ps or not c % (ps * p) or d % (ps * p):
             return None
-        if (int_mod(gp.det() / p, p, 1) + int_mod(gp.entry(1, 0) ** 2, p, 1)) % p:
+        if (det + p * c * c) % (ps * ps * p * p):
             return None
-        x = gp.entry(0, 0) / gp.entry(1, 0)
-        winv = data.chain.uniformizer().inverse()
-        j0 = winv * (upper_unipotent({(0, 1): -x}, 2) * gp)
+        # x = a / c and j_0 = w_E^{-1} n(-x) g' = [[c, d], [0, -det / (p c)]] / e
+        x_num, x_den = a, c
+        j0 = PadicMatrix.from_ints([[p * c * c, p * c * d], [0, -det]], p * c * e)
     if not data.in_J(j0):
         return None
-    n_mat = upper_unipotent({(0, 1): x}, 2)
+    n_mat = PadicMatrix.from_ints([[x_den, x_num], [0, x_den]], x_den)
     _window_gate(n_mat, p, window)
-    return i, n_mat, j0
+    return vdet - 2 * vden, n_mat, j0
 
 
 def _window_gate(n_mat: PadicMatrix, p: int, window: int | None) -> None:
@@ -407,10 +405,9 @@ def _window_gate(n_mat: PadicMatrix, p: int, window: int | None) -> None:
     n = n_mat.n
     for i in range(n):
         for j in range(i + 1, n):
-            e = n_mat.entry(i, j)
-            if e and val_p(e, p) < -window:
+            if n_mat.entry_val(i, j, p) < -window:
                 raise WindowExceeded(
-                    f"N-part entry {e} has valuation below -{window}"
+                    f"N-part entry {n_mat.entry(i, j)} has valuation below -{window}"
                 )
 
 
@@ -448,6 +445,10 @@ class WhittakerFunction:
         dec = support_decompose(self.data, g, window)
         if dec is None:
             return self.scal.zero()
+        return self.value_at(dec)
+
+    def value_at(self, dec):
+        """W at the point with support decomposition dec = (i, n, j_0)."""
         i, n_mat, j0 = dec
         psi = psi_t_eval(self.data, n_mat, self.scal, sign=self._sign)
         return psi * self._A_eff_s**i * self.data.kernel(j0, self.scal, dual=self.dual)

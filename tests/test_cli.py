@@ -74,6 +74,13 @@ class TestRunConfig:
         code, _, _ = run_cli(capsys, "explode")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--A", "--A2", "--twist"])
+    def test_zero_denominator_is_config_error(self, capsys, flag):
+        code, _, err = run_cli(capsys, "verify", "--q", "2", "--theta", "1", flag, "1/0")
+        assert code == 2
+        assert "configuration error" in err
+        assert "Traceback" not in err
+
 
 # ---------------------------------------------------------------------------
 # verify

@@ -11,12 +11,13 @@ brute-force oracle, which sums over canonical N\\G cells with the explicit
 measure bookkeeping.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from rsexact.cyclo import CycScalars, cyc_embed_root
-from rsexact.errors import FamilyMismatch, UnsupportedPhi
+from rsexact.errors import DepthExceeded, FamilyMismatch, UnsupportedPhi
 from rsexact.integral import (
     RSPair,
     Z_factor,
@@ -29,8 +30,10 @@ from rsexact.integral import (
     verify_main_theorem,
     z_omega,
 )
-from rsexact.padic import PadicMatrix
+from rsexact.lmodular import pair_conductor
+from rsexact.padic import PadicMatrix, pk_cell_reps
 from rsexact.ratfun import Laurent, RationalFunction, series_coefficients
+from rsexact.residue import ResidueScalars
 from rsexact.simpletypes import DEPTH_ZERO, RAMIFIED, make_type
 
 SCAL = CycScalars()
@@ -296,3 +299,58 @@ class TestGL3:
         assert not rep.applicable
         assert rep.T.is_zero()
         assert rep.passed
+
+
+class TestSharedDecomposition:
+    """pair_value decomposes each point once and feeds both test vectors;
+    on random points it must agree with evaluating W_1 and W_2 separately."""
+
+    @staticmethod
+    def _points(pair, rng, count=60):
+        """Random matrices plus random engine points (cell reps scaled by
+        a unit times a p-power), so that both branches are exercised."""
+        p, n = pair.p, pair.n
+        reps = [rep for _, rep in pk_cell_reps(p, n, pair.level)]
+        points = []
+        while len(points) < count:
+            g = PadicMatrix([
+                [Fraction(rng.randrange(-9, 10), p ** rng.randrange(0, 3)) for _ in range(n)]
+                for _ in range(n)
+            ])
+            if g.det():
+                points.append(g)
+            a = rng.choice([u for u in range(1, p**pair.level) if u % p])
+            x = Fraction(a) * Fraction(p) ** rng.randrange(-2, 3)
+            points.append(rng.choice(reps).scale_row(0, x))
+        return points
+
+    @pytest.mark.parametrize("name", ["depth-zero", "twisted", "non-dual", "gl3", "residue"])
+    def test_pair_value_is_product_of_values(self, name):
+        if name == "depth-zero":
+            pair = dz_pair(3, 1, 5)
+        elif name == "twisted":
+            pair = dz_pair(3, 1, 5, twist=cyc_embed_root(4, 1))
+        elif name == "non-dual":
+            pair = ram_pair(3, 1, 0)
+        elif name == "gl3":
+            pair = RSPair(make_type(DEPTH_ZERO, 2, n=3, theta=1),
+                          make_type(DEPTH_ZERO, 2, n=3, theta=6))
+        else:
+            t1, t2 = make_type(DEPTH_ZERO, 3, theta=1), make_type(DEPTH_ZERO, 3, theta=5)
+            # random points reach psi_t values in zeta_9, beyond the engine's
+            # conductor 24, so the residue ring is built for 3 * 24
+            res = ResidueScalars(5, 3 * pair_conductor(t1, t2), 0)
+            pair = RSPair(t1, t2, scal=res)
+        rng = random.Random(2015)
+        zero = pair.scal.zero()
+        nonzero = 0
+        for g in self._points(pair, rng):
+            try:
+                expected = pair.W1.value(g) * pair.W2.value(g)
+            except DepthExceeded:  # psi_t needs roots of unity beyond the cap
+                with pytest.raises(DepthExceeded):
+                    pair.pair_value(g)
+                continue
+            assert pair.pair_value(g) == expected, g
+            nonzero += expected != zero
+        assert nonzero > 0

@@ -24,7 +24,6 @@ from rsexact.padic import (
     ramified_chain,
     theta_eval,
     unimodular_rows,
-    unit_part,
     upper_unipotent,
     val_p,
     volume,
@@ -39,11 +38,6 @@ def test_val_p_basics():
     assert val_p(Fraction(2, 9), 3) == -2
     assert val_p(Fraction(6, 5), 3) == 1
     assert val_p(7, 3) == 0
-
-
-def test_unit_part():
-    assert unit_part(Fraction(18, 5), 3) == Fraction(2, 5)
-    assert unit_part(Fraction(1, 3), 3) == 1
 
 
 def test_int_mod():
