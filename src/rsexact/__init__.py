@@ -21,7 +21,6 @@ from .errors import (
     NotInU,
     NotInJ,
     WindowExceeded,
-    UnsupportedPhi,
     FamilyMismatch,
     EllEqualsP,
     NonBanal,

@@ -45,10 +45,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from sympy import isprime
-
 from .cuspchar import bessel_convolution_check, finite_bessel
-from .cyclo import CycNumber, parse_cyc
+from .cyclo import CycNumber, is_prime, parse_cyc
 from .errors import NonBanal, NotIntegralAtEll, RSExactError
 from .finitefield import AddChar, gf
 from .integral import (
@@ -161,7 +159,7 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     if cfg.family not in (DEPTH_ZERO, RAMIFIED):
         raise ValueError(f"unknown family {cfg.family!r}")
-    if not isprime(cfg.p):
+    if not is_prime(cfg.p):
         raise ValueError(f"residue characteristic {cfg.p} is not prime")
     if cfg.n not in (2, 3):
         raise ValueError("only n in {2, 3} is supported")

@@ -10,12 +10,17 @@ the N-th cyclotomic polynomial is produced only at serialization boundaries.
 
 The printable grammar is sums of terms ``a/b * zeta(N)^k``; ``parse`` and
 ``str`` round-trip.
+
+The integer helpers the package shares live here too: the prime-power
+splitting of N, a deterministic primality test and the integer cyclotomic
+polynomials.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 _PP_CACHE: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
@@ -52,11 +57,58 @@ def _prime_powers(n: int):
     return _PP_CACHE[n]
 
 
-def totient(n: int) -> int:
-    out = 1
-    for _, _, phi_pa, _ in _prime_powers(n):
-        out *= phi_pa
-    return out
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # least strong pseudoprime to all of _MR_BASES
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact below _MR_LIMIT (about 3.3e24);
+    larger n raise ValueError rather than get a probabilistic answer."""
+    if n < 2:
+        return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large for the deterministic primality test")
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Ascending integer coefficients of the n-th cyclotomic polynomial, from
+    Phi_1 = x - 1, Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for a prime p not
+    dividing m, and Phi_n(x) = Phi_rad(n)(x^(n / rad(n)))."""
+    f = (-1, 1)
+    rad = 1
+    for p, _, _, _ in _prime_powers(n):
+        num = [0] * ((len(f) - 1) * p + 1)
+        num[::p] = f
+        # exact division by the monic f
+        quo = [0] * (len(num) - len(f) + 1)
+        for i in range(len(quo) - 1, -1, -1):
+            c = quo[i] = num[i + len(f) - 1]
+            for j, y in enumerate(f):
+                num[i + j] -= c * y
+        f = tuple(quo)
+        rad *= p
+    out = [0] * ((len(f) - 1) * (n // rad) + 1)
+    out[:: n // rad] = f
+    return tuple(out)
 
 
 def _crt_mults(n: int):
@@ -79,12 +131,9 @@ def _power_rows(n: int):
         return _ROWS_CACHE[n]
     except KeyError:
         pass
-    from sympy import Poly, cyclotomic_poly, symbols
-
-    x = symbols("x")
-    coeffs = Poly(cyclotomic_poly(n, x), x).all_coeffs()  # leading first, monic
-    deg = len(coeffs) - 1
-    rep = [Fraction(-int(coeffs[deg - j])) for j in range(deg)]
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    rep = [Fraction(-c) for c in phi[:deg]]
     rows = [[_ONE if i == j else _ZERO for i in range(deg)] for j in range(deg)]
     for k in range(deg, n):
         prev = rows[k - 1]

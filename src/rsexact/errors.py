@@ -58,10 +58,6 @@ class WindowExceeded(RSExactError):
     """Support decomposition needs a unipotent part beyond the search window."""
 
 
-class UnsupportedPhi(RSExactError):
-    """Only the unit-ball indicator Schwartz function is implemented."""
-
-
 class FamilyMismatch(RSExactError):
     """The two types belong to different construction families."""
 

@@ -4,8 +4,9 @@ Hand-rolled rather than wrapped from a CAS because the group layers need
 things CAS field objects make awkward: deterministic element enumeration,
 hashable elements usable as dict keys, discrete logarithms against a fixed
 generator, and canonical embeddings F_{p^a} -> F_{p^b} with inverse lookup
-for traces and norms.  Fields here are tiny (at most a few thousand
-elements), so tables are cheap.
+for traces.  The fields the group layers enumerate are tiny (at most a few
+thousand elements), so tables are cheap; the residue fields of the mod-ell
+reduction can be larger and use only the arithmetic.
 
 Also defines the two character types the construction needs: multiplicative
 characters x -> zeta_{p^d-1}^{t * dlog(x)} and additive characters
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 
-from .cyclo import CycScalars
+from .cyclo import CycScalars, _prime_powers, is_prime
 
 _DEFAULT_SCAL = CycScalars()
 
@@ -51,9 +52,8 @@ def _pmul(a, b, p):
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
+                out[i + j] += x * y
+    return _trim([c % p for c in out])
 
 
 def _pdivmod(a, b, p):
@@ -63,14 +63,13 @@ def _pdivmod(a, b, p):
     db = len(b) - 1
     inv_lead = pow(b[-1], -1, p)
     quo = [0] * max(0, len(a) - db)
-    while len(_trim(rem)) - 1 >= db and any(rem):
-        rem = list(_trim(rem))
-        da = len(rem) - 1
-        c = rem[-1] * inv_lead % p
-        quo[da - db] = c
-        for j, y in enumerate(b):
-            rem[da - db + j] = (rem[da - db + j] - c * y) % p
-    return _trim(quo), _trim(rem)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + db] * inv_lead % p
+        if c:
+            quo[i] = c
+            for j, y in enumerate(b):
+                rem[i + j] -= c * y
+    return _trim(quo), _trim([c % p for c in rem[:db]])
 
 
 def _pmod(a, m, p):
@@ -86,35 +85,15 @@ def _pgcd(a, b, p):
     return a
 
 
-def _frob_power(poly, k, modpoly, p):
-    """poly**(p**k) modulo modpoly."""
-    out = poly
-    for _ in range(k):
-        acc = ()
-        base = out
-        e = p
-        while e:
-            if e & 1:
-                acc = _pmul(acc, base, p) if acc else base
-            e >>= 1
-            if e:
-                base = _pmod(_pmul(base, base, p), modpoly, p)
-        out = _pmod(acc, modpoly, p)
-    return out
-
-
-def _prime_divisors(n):
-    out = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
+def _ppow(a, e, m, p):
+    """a**e modulo m."""
+    out, base = (1,), _pmod(a, m, p)
+    while e:
+        if e & 1:
+            out = _pmod(_pmul(out, base, p), m, p)
+        e >>= 1
+        if e:
+            base = _pmod(_pmul(base, base, p), m, p)
     return out
 
 
@@ -124,25 +103,21 @@ def _is_irreducible(f, p):
         return False
     x = (0, 1)
     # x^(p^d) == x mod f, and x^(p^(d/r)) - x coprime to f for prime r | d
-    if _pmod(_padd(_frob_power(x, d, f, p), tuple(-c % p for c in x), p), f, p):
+    if _pmod(_padd(_ppow(x, p**d, f, p), tuple(-c % p for c in x), p), f, p):
         return False
-    for r in _prime_divisors(d):
-        h = _padd(_frob_power(x, d // r, f, p), tuple(-c % p for c in x), p)
+    for r, _, _, _ in _prime_powers(d):
+        h = _padd(_ppow(x, p ** (d // r), f, p), tuple(-c % p for c in x), p)
         if len(_pgcd(h, f, p)) > 1:
             return False
     return True
-
-
-def _check_prime(p):
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise ValueError(f"{p} is not prime")
 
 
 class GF:
     """The field with p**degree elements, as F_p[w]/(poly)."""
 
     def __init__(self, p, degree, poly=None):
-        _check_prime(p)
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         if degree < 1:
             raise ValueError("degree must be >= 1")
         self.p = p
@@ -193,8 +168,8 @@ class GF:
         return self.constant(1)
 
     def gen(self):
-        """The class of w (only interesting for degree > 1)."""
-        return self.element((0, 1))
+        """The class of w."""
+        return self.element(_pmod((0, 1), self.poly, self.p))
 
     def __iter__(self):
         for c in itertools.product(range(self.p), repeat=self.degree):
@@ -212,10 +187,10 @@ class GF:
         if self._dlog is not None:
             return
         n = self.order - 1
-        primes = _prime_divisors(n)
+        primes = [r for r, _, _, _ in _prime_powers(n)]
         g = None
         for x in self.units():
-            if all(x ** (n // r) != self.one() for r in primes) or n == 1:
+            if all(x ** (n // r) != self.one() for r in primes):
                 g = x
                 break
         powers = [self.one()]
@@ -288,6 +263,9 @@ class FFElement:
 
     def __hash__(self):
         return hash((self.field.p, self.field.poly, self.c))
+
+    def is_zero(self):
+        return not any(self.c)
 
     def __bool__(self):
         return any(self.c)
@@ -374,19 +352,19 @@ class FFElement:
         return out
 
     def __str__(self):
+        """Ascending in the class w of the variable: 1 + 2*w + w^2."""
         if not self:
             return "0"
         parts = []
-        for i in range(self.field.degree - 1, -1, -1):
-            a = self.c[i]
+        for i, a in enumerate(self.c):
             if not a:
                 continue
             if i == 0:
                 parts.append(str(a))
             else:
-                head = "" if a == 1 else str(a)
-                parts.append(f"{head}w" if i == 1 else f"{head}w^{i}")
-        return "+".join(parts)
+                w = "w" if i == 1 else f"w^{i}"
+                parts.append(w if a == 1 else f"{a}*{w}")
+        return " + ".join(parts)
 
     def __repr__(self):
         return f"<{self.field!r}: {self}>"
@@ -429,19 +407,6 @@ def rel_trace(x: FFElement, sub: GF) -> FFElement:
     y = x
     for _ in range(rel):
         acc = acc + y
-        y = y**q
-    return images[acc]
-
-
-def rel_norm(x: FFElement, sub: GF) -> FFElement:
-    big = x.field
-    _, images = big._subfield_data(sub)
-    rel = big.degree // sub.degree
-    q = sub.order
-    acc = big.one()
-    y = x
-    for _ in range(rel):
-        acc = acc * y
         y = y**q
     return images[acc]
 

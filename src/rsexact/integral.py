@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycScalars
-from .errors import UnsupportedPhi
 from .padic import (
     MeasureContext,
     PadicMatrix,
@@ -172,18 +171,6 @@ def integrate_over_K(pair: RSPair):
         log.append(CellRecord(row=row, rep=rep, slices=slices, poly=poly))
         total = total + poly.scale(nu)
     return total, log
-
-
-def Z_factor(q: int, n: int, scal=None, phi: str = "standard") -> RationalFunction:
-    """The center integral (q - 1)/(1 - X^n) for the standard lattice
-    indicator and trivial central character; any other Phi descriptor is
-    unsupported."""
-    scal = scal or _DEFAULT_SCAL
-    if phi != "standard":
-        raise UnsupportedPhi(f"no closed form for Phi descriptor {phi!r}")
-    num = Laurent.from_const(scal, scal.from_fraction(Fraction(q - 1)))
-    den = Laurent(scal, {0: scal.one(), n: scal.zero() - scal.one()})
-    return RationalFunction(num, den)
 
 
 def z_omega(pair: RSPair) -> RationalFunction:

@@ -27,9 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from sympy import isprime
-
-from .cyclo import CycNumber
+from .cyclo import CycNumber, is_prime
 from .errors import EllEqualsP, NonBanal, NotMonomialMultiple
 from .integral import RSPair, integrate_over_K, rankin_selberg_I
 from .ratfun import EulerFactor, Laurent, RationalFunction, euler_normalize
@@ -50,7 +48,7 @@ def is_banal(ell: int, q: int, n: int, e: int) -> bool:
 
 def require_banal(type1: SimpleTypeData, ell: int) -> None:
     """Gate keeping for reduction: ell prime, different from p, banal."""
-    if ell < 2 or not isprime(ell):
+    if not is_prime(ell):
         raise ValueError(f"ell={ell} is not prime")
     if ell == type1.p:
         raise EllEqualsP(

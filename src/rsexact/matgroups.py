@@ -1,7 +1,6 @@
 """Matrices over small finite fields and the group enumerations behind the
 finite-level construction: GL_n(F_q) for n <= 3, unipotent subgroups,
-mirabolic coset representatives, and conjugacy classification by eigenvalue
-pattern.
+and conjugacy classification by eigenvalue pattern.
 
 Eigenvalues are located by scanning the field (and its quadratic/cubic
 extension) for roots of the characteristic polynomial, which avoids any
@@ -305,31 +304,6 @@ def classify_conjugacy(g: FiniteMatrix):
                 return ("u3", z)
         return ("other", None)
     raise ValueError("only n in {2, 3} supported")
-
-
-def nonzero_vectors(field: GF, n: int):
-    zero = (field.zero(),) * n
-    for v in itertools.product(list(field), repeat=n):
-        if v != zero:
-            yield v
-
-
-def mirabolic_coset_reps(field: GF, n: int):
-    """Coset representatives for (mirabolic)\\GL_n, one per nonzero last row.
-
-    The mirabolic subgroup is the stabilizer of the last standard basis
-    vector acting on row vectors, so cosets biject with nonzero rows; each
-    representative keeps standard basis rows elsewhere and has det = +-r_j.
-    """
-    out = []
-    for r in nonzero_vectors(field, n):
-        j = next(i for i in range(n) if r[i])
-        rows = [
-            [1 if k == i else 0 for k in range(n)] for i in range(n) if i != j
-        ]
-        rows.append(list(r))
-        out.append(FiniteMatrix(field, rows))
-    return out
 
 
 _NORBIT_CACHE: dict = {}

@@ -29,10 +29,6 @@ class Laurent:
     def zero(cls, scal) -> "Laurent":
         return cls(scal, {})
 
-    @classmethod
-    def x_power(cls, scal, k: int, coeff=None) -> "Laurent":
-        return cls(scal, {k: scal.one() if coeff is None else coeff})
-
     def is_zero(self) -> bool:
         return not self._c
 
@@ -100,36 +96,11 @@ class Laurent:
                         del out[k]
         return Laurent(self.scal, out)
 
-    def evaluate(self, x):
-        """Value at x (x must be invertible if negative degrees occur)."""
-        total = self.scal.zero()
-        xinv = None
-        for k, v in self._c.items():
-            if k >= 0:
-                total = total + v * _scalar_pow(x, k, self.scal)
-            else:
-                if xinv is None:
-                    xinv = x.inverse()
-                total = total + v * _scalar_pow(xinv, -k, self.scal)
-        return total
-
     def __str__(self) -> str:
         return format_poly(self)
 
     def __repr__(self) -> str:
         return f"<Laurent {self}>"
-
-
-def _scalar_pow(x, n: int, scal):
-    out = scal.one()
-    base = x
-    while n:
-        if n & 1:
-            out = out * base
-        n >>= 1
-        if n:
-            base = base * base
-    return out
 
 
 def format_poly(poly: Laurent) -> str:

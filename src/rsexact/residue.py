@@ -1,251 +1,67 @@
-"""Exact arithmetic in residue fields F_ell[x]/(f0) of cyclotomic integers.
+"""Residue fields F_ell[x]/(f0) of cyclotomic integers, as scalars.
 
 For ell coprime to N, the N-th cyclotomic polynomial factors mod ell into
-distinct irreducible factors, all of degree equal to the multiplicative
+distinct irreducible factors, all of degree d equal to the multiplicative
 order of ell mod N.  Choosing one factor f0 fixes a ring morphism
 
   Z[zeta_N]_(ell)  ->  F_ell[x]/(f0),   zeta_N -> omega := class of x,
 
-i.e. a choice of prime above ell.  ResidueScalars wraps that target field
-in the same scalar-provider protocol the cyclotomic scalars implement
-(zero/one/from_fraction/root_of_unity/embed_cyc plus a cache key), so the
-whole integral engine can be rerun verbatim over the residue field.
+i.e. a choice of prime above ell.  The target field is the finitefield
+``gf(ell, d, f0)`` and its elements are ``FFElement``s.  ResidueScalars
+wraps it in the same scalar-provider protocol the cyclotomic scalars
+implement (zero/one/from_fraction/root_of_unity/embed_cyc plus a cache
+key), so the whole integral engine can be rerun verbatim over the residue
+field.
 
-The factor list is ordered deterministically by the coefficient tuples of
-the monic factors, so a factor index pins down the same prime in every run.
+The factors come from the equal-degree splitting of Cantor and Zassenhaus
+(Math. Comp. 36, 1981) with a fixed-seed generator.  They are ordered by
+their ascending coefficient tuples, so a factor index pins down the same
+prime in every run.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from sympy import Poly, Symbol, cyclotomic_poly
-
-from .cyclo import CycNumber
+from .cyclo import CycNumber, cyclotomic_poly, is_prime
 from .errors import NotIntegralAtEll
-
-_X = Symbol("x")
+from .finitefield import FFElement, _padd, _pdivmod, _pgcd, _ppow, gf
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_factors(ell: int, N: int) -> tuple:
     """Monic irreducible factors of Phi_N mod ell, as ascending coefficient
     tuples (c_0, ..., c_d) with c_d = 1, sorted by tuple."""
-    if N < 1 or ell < 2:
-        raise ValueError("need N >= 1 and a prime ell >= 2")
+    if N < 1 or ell == 2 or not is_prime(ell):
+        raise ValueError("need N >= 1 and an odd prime ell")
     if gcd(ell, N) != 1:
         raise ValueError(f"ell={ell} must be coprime to the conductor N={N}")
-    poly = Poly(cyclotomic_poly(N, _X), _X, modulus=ell)
-    _, factors = poly.factor_list()
+    d, t = 1, ell % N
+    while t != 1 % N:
+        d, t = d + 1, t * ell % N
+    rng = random.Random(0)
+    half = (ell**d - 1) // 2
     out = []
-    for fac, mult in factors:
-        if mult != 1:
-            raise ValueError("cyclotomic polynomial not separable mod ell")
-        coeffs = [c % ell for c in reversed(fac.all_coeffs())]
-        out.append(tuple(coeffs))
+    todo = [tuple(c % ell for c in cyclotomic_poly(N))]
+    while todo:
+        f = todo.pop()
+        if len(f) - 1 == d:
+            out.append(f)
+            continue
+        # in each factor's residue field a**half is 1 or -1 (or 0), about
+        # evenly and independently for a random a, so the gcd of
+        # a**half - 1 with f is proper unless every factor agrees
+        a = tuple(rng.randrange(ell) for _ in range(len(f) - 1))
+        g = _pgcd(_padd(_ppow(a, half, f, ell), (ell - 1,), ell), f, ell)
+        if 1 < len(g) < len(f):
+            todo += [g, _pdivmod(f, g, ell)[0]]
+        else:
+            todo.append(f)
     out.sort()
     return tuple(out)
-
-
-class ResidueElement:
-    """An element of F_ell[x]/(f0), stored as an ascending coefficient
-    tuple of length deg(f0)."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: "_ResidueRing", coeffs):
-        self.ring = ring
-        self.coeffs = tuple(c % ring.ell for c in coeffs)
-        if len(self.coeffs) != ring.degree:
-            raise ValueError("coefficient tuple has the wrong length")
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def _check(self, other: "ResidueElement"):
-        if self.ring.key != other.ring.key:
-            raise ValueError("elements live in different residue rings")
-
-    def __eq__(self, other):
-        if not isinstance(other, ResidueElement):
-            return NotImplemented
-        return self.ring.key == other.ring.key and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.ring.key, self.coeffs))
-
-    def __add__(self, other):
-        if not isinstance(other, ResidueElement):
-            return NotImplemented
-        self._check(other)
-        return ResidueElement(
-            self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, ResidueElement):
-            return NotImplemented
-        self._check(other)
-        return ResidueElement(
-            self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self):
-        return ResidueElement(self.ring, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, ResidueElement):
-            return NotImplemented
-        self._check(other)
-        return ResidueElement(self.ring, self.ring.mul(self.coeffs, other.coeffs))
-
-    def inverse(self) -> "ResidueElement":
-        return ResidueElement(self.ring, self.ring.inv(self.coeffs))
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("w" if c == 1 else f"{c}*w")
-            else:
-                parts.append(f"w^{i}" if c == 1 else f"{c}*w^{i}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"<ResidueElement {self} mod {self.ring.ell}>"
-
-
-class _ResidueRing:
-    """F_ell[x]/(f0) with f0 the factor_index-th factor of Phi_N mod ell."""
-
-    def __init__(self, ell: int, N: int, factor_index: int):
-        factors = cyclotomic_factors(ell, N)
-        if not 0 <= factor_index < len(factors):
-            raise ValueError(
-                f"factor index {factor_index} out of range: Phi_{N} has "
-                f"{len(factors)} factors mod {ell}"
-            )
-        self.ell = ell
-        self.N = N
-        self.factor_index = factor_index
-        self.f0 = factors[factor_index]
-        self.degree = len(self.f0) - 1
-        self.key = (ell, N, factor_index)
-        # reduction table: x^(degree + j) mod f0 for the product degrees
-        self._red = []
-        top = [(-c) % ell for c in self.f0[:-1]]  # x^degree
-        cur = top
-        for _ in range(self.degree - 1):
-            self._red.append(tuple(cur))
-            shifted = [0] + cur[:-1]
-            head = cur[-1]
-            cur = [(s + head * t) % ell for s, t in zip(shifted, top)]
-        self._red.append(tuple(cur))
-
-    def zero(self) -> ResidueElement:
-        return ResidueElement(self, [0] * self.degree)
-
-    def one(self) -> ResidueElement:
-        return ResidueElement(self, [1] + [0] * (self.degree - 1))
-
-    def constant(self, c: int) -> ResidueElement:
-        return ResidueElement(self, [c] + [0] * (self.degree - 1))
-
-    def mul(self, a, b):
-        ell, d = self.ell, self.degree
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % ell
-        out = prod[:d]
-        for j in range(d, 2 * d - 1):
-            cj = prod[j]
-            if not cj:
-                continue
-            red = self._red[j - d]
-            out = [(o + cj * r) % ell for o, r in zip(out, red)]
-        return out
-
-    def inv(self, a):
-        """Inverse mod f0 by the extended Euclidean algorithm over F_ell."""
-        if not any(a):
-            raise ZeroDivisionError("residue element is zero")
-        ell = self.ell
-
-        def trim(p):
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        r0, r1 = trim(list(self.f0)), trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            # divide r0 by r1
-            lead_inv = pow(r1[-1], -1, ell)
-            q = [0] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-            rem = list(r0)
-            while len(rem) >= len(r1) and trim(rem):
-                shift = len(rem) - len(r1)
-                c = (rem[-1] * lead_inv) % ell
-                if c:
-                    q[shift] = c
-                    for i, ci in enumerate(r1):
-                        rem[shift + i] = (rem[shift + i] - c * ci) % ell
-                trim(rem)
-                if len(rem) < len(r1):
-                    break
-            # s_next = s0 - q * s1
-            qs = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if not qi:
-                    continue
-                for j, sj in enumerate(s1):
-                    qs[i + j] = (qs[i + j] + qi * sj) % ell
-            s_next = [
-                ((s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)) % ell
-                for i in range(max(len(s0), len(qs), 1))
-            ]
-            r0, r1 = r1, trim(rem)
-            s0, s1 = s1, trim(s_next)
-        if len(r0) != 1:
-            raise ZeroDivisionError("element is a zero divisor (ring not a field?)")
-        c_inv = pow(r0[0], -1, ell)
-        out = [(c_inv * (s0[i] if i < len(s0) else 0)) % ell
-               for i in range(self.degree)]
-        return out
-
-
-@lru_cache(maxsize=None)
-def _ring(ell: int, N: int, factor_index: int) -> _ResidueRing:
-    return _ResidueRing(ell, N, factor_index)
 
 
 class ResidueScalars:
@@ -253,43 +69,42 @@ class ResidueScalars:
     provider, so the integral engine can be rerun over the residue field."""
 
     def __init__(self, ell: int, N: int, factor_index: int = 0):
-        self.ring = _ring(ell, N, factor_index)
+        factors = cyclotomic_factors(ell, N)
+        if not 0 <= factor_index < len(factors):
+            raise ValueError(
+                f"factor index {factor_index} out of range: Phi_{N} has "
+                f"{len(factors)} factors mod {ell}"
+            )
+        f0 = factors[factor_index]
+        self.field = gf(ell, len(f0) - 1, f0)
         self.ell = ell
         self.N = N
         self.factor_index = factor_index
         self.cache_key = f"res-{ell}-{N}-{factor_index}"
-        self._omega_pows: dict[int, ResidueElement] = {}
+        self._omega_pows: dict[int, FFElement] = {}
 
-    def zero(self) -> ResidueElement:
-        return self.ring.zero()
+    def zero(self) -> FFElement:
+        return self.field.zero()
 
-    def one(self) -> ResidueElement:
-        return self.ring.one()
+    def one(self) -> FFElement:
+        return self.field.one()
 
-    def from_fraction(self, value) -> ResidueElement:
+    def from_fraction(self, value) -> FFElement:
         f = Fraction(value)
         if f.denominator % self.ell == 0:
             raise NotIntegralAtEll(
                 f"denominator of {f} is divisible by ell={self.ell}"
             )
-        c = (f.numerator * pow(f.denominator, -1, self.ell)) % self.ell
-        return self.ring.constant(c)
+        return self.field.constant(f.numerator * pow(f.denominator, -1, self.ell))
 
-    def _omega_power(self, e: int) -> ResidueElement:
+    def _omega_power(self, e: int) -> FFElement:
         e %= self.N
         cached = self._omega_pows.get(e)
         if cached is None:
-            if self.ring.degree == 1:
-                base = self.ring.constant((-self.ring.f0[0]) % self.ell)
-            else:
-                base = ResidueElement(
-                    self.ring, [0, 1] + [0] * (self.ring.degree - 2)
-                )
-            cached = base**e
-            self._omega_pows[e] = cached
+            cached = self._omega_pows[e] = self.field.gen() ** e
         return cached
 
-    def root_of_unity(self, modulus: int, k: int) -> ResidueElement:
+    def root_of_unity(self, modulus: int, k: int) -> FFElement:
         """The image of zeta_modulus^k, for modulus dividing N."""
         if modulus < 1 or self.N % modulus:
             raise ValueError(
@@ -297,18 +112,9 @@ class ResidueScalars:
             )
         return self._omega_power((k % modulus) * (self.N // modulus))
 
-    def embed_cyc(self, value: CycNumber) -> ResidueElement:
+    def embed_cyc(self, value: CycNumber) -> FFElement:
         """Reduce a cyclotomic number along the chosen prime above ell."""
         total = self.zero()
         for e, c in value.raw_items(self.N).items():
             total = total + self.from_fraction(c) * self._omega_power(e)
         return total
-
-
-def reduce_mod_ell(value: CycNumber, ell: int, N: int | None = None,
-                   factor_index: int = 0) -> ResidueElement:
-    """Reduce one cyclotomic number mod the factor_index-th prime above ell
-    in Q(zeta_N); N defaults to the conductor of the value."""
-    if N is None:
-        N = value.modulus
-    return ResidueScalars(ell, N, factor_index).embed_cyc(value)

@@ -177,10 +177,6 @@ class SimpleTypeData:
             return self.theta.value(big, scal)
         return self.sigma.value(gf(self.p).constant(r), scal)
 
-    def central_uniformizer_value(self):
-        """Central character at p, i.e. at w_E^e."""
-        return self.A**self.e
-
     # -- canonical dual parameters --------------------------------------
 
     def dual_params(self) -> dict:

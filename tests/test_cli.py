@@ -6,9 +6,14 @@ them.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rsexact
 from rsexact.cli import RunConfig, main
 
 
@@ -265,6 +270,15 @@ class TestReduceCommand:
             capsys, "reduce", "--q", "2", "--theta", "1", "--ell", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("ell", ["91", "3317044064679887385961981"])
+    def test_composite_or_untestable_ell_is_config_error(self, capsys, ell):
+        # 91 = 7 * 13; the second is beyond the deterministic primality test
+        code, _, err = run_cli(
+            capsys, "reduce", "--q", "2", "--theta", "1", "--ell", ell)
+        assert code == 2
+        assert err.startswith("configuration error:")
+        assert "Traceback" not in err
+
     def test_missing_ell_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "reduce", "--q", "2", "--theta", "1")
         assert code == 2
@@ -358,3 +372,15 @@ class TestGL3Gate:
             capsys, "verify", "--family", "ramified", "--p", "3", "--n", "3",
             "--gl3", "--sigma", "1")
         assert code == 2
+
+
+def test_cli_import_does_not_load_sympy():
+    # the package has no runtime dependency; a fresh interpreter proves it
+    src = str(Path(rsexact.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rsexact.cli; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert proc.stdout.strip() == "False"

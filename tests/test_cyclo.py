@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsexact.cyclo import CycNumber, CycScalars, cyc_embed_root, parse_cyc, totient
+from rsexact.cyclo import (
+    CycNumber,
+    CycScalars,
+    cyc_embed_root,
+    cyclotomic_poly,
+    is_prime,
+    parse_cyc,
+)
 
 
 def test_embed_root_trivial_values():
@@ -121,7 +128,7 @@ def test_demote():
 def test_power_basis_shapes():
     for n in (1, 2, 3, 4, 5, 6, 8, 12):
         vec = cyc_embed_root(n, 1).power_basis()
-        assert len(vec) == totient(n)
+        assert len(vec) == sum(gcd(k, n) == 1 for k in range(n))
     assert cyc_embed_root(6, 1).power_basis() == [Fraction(0), Fraction(1)]
     # zeta_4^2 reduces to -1 in the power basis
     assert cyc_embed_root(4, 2).power_basis() == [Fraction(-1), Fraction(0)]
@@ -140,7 +147,8 @@ def test_json_round_trip():
         x = _random_cyc(rng)
         obj = x.to_json()
         assert set(obj) == {"modulus", "coords"}
-        assert len(obj["coords"]) == totient(obj["modulus"])
+        n = obj["modulus"]
+        assert len(obj["coords"]) == sum(gcd(k, n) == 1 for k in range(n))
         assert CycNumber.from_json(obj) == x
 
 
@@ -232,3 +240,41 @@ def test_scalar_context():
     assert scal.root_of_unity(12, 14) == scal.root_of_unity(6, 1)
     x = cyc_embed_root(5, 2)
     assert scal.embed_cyc(x) is x
+
+
+def _int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_poly_divisor_product():
+    # prod over d | n of Phi_d is x^n - 1
+    for n in range(1, 200):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = _int_poly_mul(prod, cyclotomic_poly(d))
+        assert prod == [-1] + [0] * (n - 1) + [1]
+    assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+    # the first cyclotomic polynomial with a coefficient outside {-1, 0, 1}
+    assert cyclotomic_poly(105)[7] == -2
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 20000):
+        expected = n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+        assert is_prime(n) == expected, n
+
+
+def test_is_prime_pseudoprimes_and_large_values():
+    # Carmichael numbers, the strong pseudoprime to bases 2, 3, 5, 7, and
+    # the one to every prime base up to 37
+    for n in (561, 41041, 3215031751, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1)
+    assert not is_prime(2**61 + 1)
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)

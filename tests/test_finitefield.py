@@ -9,7 +9,6 @@ from rsexact.finitefield import (
     abs_trace,
     embed_element,
     gf,
-    rel_norm,
     rel_trace,
 )
 
@@ -98,13 +97,11 @@ def test_trace_and_norm_known_values():
     assert abs_trace(w) == 1
     assert abs_trace(F4.one()) == 0
     assert rel_trace(w, F2) == F2.one()
-    assert rel_norm(w, F2) == F2.one()  # w * w^2 = w^3 = 1
     F3 = gf(3)
     F9 = gf(3, 2)
     for x in F3:
         y = embed_element(x, F9)
         assert rel_trace(y, F3) == x + x
-        assert rel_norm(y, F3) == x * x
 
 
 def test_trace_surjective_and_balanced():
@@ -195,3 +192,18 @@ def test_add_char_inverse():
         assert psi(x) * inv(x) == 1
     assert AddChar(F5, 0).is_trivial()
     assert not psi.is_trivial()
+
+
+def test_element_str_is_ascending_in_w():
+    F = gf(5, 3)
+    assert str(F.element((1, 2, 1))) == "1 + 2*w + w^2"
+    assert str(F.element((0, 0, 3))) == "3*w^2"
+    assert str(F.element((4,))) == "4"
+    assert str(F.zero()) == "0"
+
+
+def test_gen_is_class_of_variable():
+    # in F_7[x]/(x + 4) the class of x is -4 = 3
+    assert gf(7, 1, (4, 1)).gen() == 3
+    F = gf(3, 2)
+    assert F.gen() == F.element((0, 1))

@@ -17,10 +17,9 @@ from fractions import Fraction
 import pytest
 
 from rsexact.cyclo import CycScalars, cyc_embed_root
-from rsexact.errors import DepthExceeded, FamilyMismatch, UnsupportedPhi
+from rsexact.errors import DepthExceeded, FamilyMismatch
 from rsexact.integral import (
     RSPair,
-    Z_factor,
     b_coefficient,
     c_k_bruteforce,
     integrate_over_K,
@@ -131,14 +130,6 @@ class TestRamifiedEngine:
 
 
 class TestCenterFactor:
-    def test_bare_Z_factor(self):
-        assert Z_factor(3, 2, SCAL) == const_over(Fraction(2), {0: one, 2: minus})
-        assert Z_factor(2, 3, SCAL) == const_over(Fraction(1), {0: one, 3: minus})
-
-    def test_unsupported_phi(self):
-        with pytest.raises(UnsupportedPhi):
-            Z_factor(3, 2, SCAL, phi="gaussian")
-
     def test_z_omega_dual_pair(self):
         f = z_omega(dz_pair(3, 1, 5))
         assert f == const_over(Fraction(2), {0: one, 2: minus})

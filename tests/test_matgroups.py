@@ -12,7 +12,6 @@ from rsexact.matgroups import (
     enumerate_group,
     enumerate_unitriangular,
     matrix_rank,
-    mirabolic_coset_reps,
     n_coset_reps,
     n_orbit_rep,
     order_gl,
@@ -119,27 +118,6 @@ def test_classify_central_matches_scalar():
     for z in F.units():
         g = FiniteMatrix.identity(F, 2) * z
         assert classify_conjugacy(g) == ("central", z)
-
-
-@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
-def test_mirabolic_coset_reps(q, n):
-    F = gf(q)
-    reps = mirabolic_coset_reps(F, n)
-    assert len(reps) == q**n - 1
-    rows = {r.rows[-1] for r in reps}
-    assert len(rows) == q**n - 1
-    for r in reps:
-        assert r.det()
-
-
-def test_mirabolic_cosets_cover_group():
-    # every g shares its last row with exactly one representative
-    F = gf(3)
-    reps = {r.rows[-1]: r for r in mirabolic_coset_reps(F, 2)}
-    for g in enumerate_group(F, 2):
-        p = g * reps[g.rows[-1]].inverse()
-        # p stabilizes the last row, i.e. lies in the mirabolic subgroup
-        assert p.rows[-1] == (F.zero(), F.one())
 
 
 def test_n_orbit_rep_invariance():

@@ -35,14 +35,6 @@ def test_laurent_basic_ops():
     assert a.coeff(17) == 0
 
 
-def test_laurent_evaluate():
-    a = L({0: 1, 1: 2, 2: 1})  # (1+X)^2
-    x = CycNumber.from_fraction(3)
-    assert a.evaluate(x) == 16
-    b = L({-1: 1, 1: 1})
-    assert b.evaluate(CycNumber.from_fraction(2)) == Fraction(5, 2)
-
-
 def test_rational_function_canonical_form():
     # 6 / (2 - 2 X^2) reduces to 3 / (1 - X^2)
     f = RationalFunction(L({0: 6}), L({0: 2, 2: -2}))

@@ -5,12 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from rsexact.cyclo import CycNumber, CycScalars, cyc_embed_root
+from rsexact.cyclo import CycScalars, cyc_embed_root, cyclotomic_poly, is_prime
 from rsexact.errors import NotIntegralAtEll
+from rsexact.finitefield import _is_irreducible, _pmul
 from rsexact.padic import theta_eval
 from rsexact.ratfun import Laurent, RationalFunction, series_coefficients
-from rsexact.residue import ResidueScalars, cyclotomic_factors, reduce_mod_ell
+from rsexact.residue import ResidueScalars, cyclotomic_factors
 
 CYC = CycScalars()
 
@@ -39,6 +42,43 @@ class TestFactorTable:
 
     def test_deterministic_across_calls(self):
         assert cyclotomic_factors(7, 3) == cyclotomic_factors(7, 3)
+
+    # recorded from sympy's factor_list for the conductors the benchmark's
+    # reduce jobs reach; --ideal k names the k-th tuple
+    @pytest.mark.parametrize("ell,N,factors", [
+        (5, 24, ((2, 1, 1), (2, 4, 1), (3, 2, 1), (3, 3, 1))),
+        (7, 24, ((2, 2, 1), (2, 5, 1), (4, 1, 1), (4, 6, 1))),
+        (31, 24, ((5, 14, 1), (5, 17, 1), (25, 9, 1), (25, 22, 1))),
+        (7, 120, ((2, 1, 3, 6, 1), (2, 3, 3, 2, 1), (2, 4, 3, 5, 1),
+                  (2, 6, 3, 1, 1), (4, 1, 5, 5, 1), (4, 3, 5, 4, 1),
+                  (4, 4, 5, 3, 1), (4, 6, 5, 2, 1))),
+        (367, 120, ((83, 5, 84, 270, 1), (83, 74, 84, 48, 1),
+                    (83, 293, 84, 319, 1), (83, 362, 84, 97, 1),
+                    (283, 5, 284, 23, 1), (283, 74, 284, 314, 1),
+                    (283, 293, 284, 53, 1), (283, 362, 284, 344, 1))),
+        (7, 18, ((2, 0, 0, 1), (4, 0, 0, 1))),
+    ])
+    def test_pinned_factor_lists(self, ell, N, factors):
+        assert cyclotomic_factors(ell, N) == factors
+
+    @settings(max_examples=25, deadline=None)
+    @given(ell=st.sampled_from([p for p in range(3, 400) if is_prime(p)]),
+           N=st.integers(1, 129))
+    def test_factors_multiply_to_phi(self, ell, N):
+        assume(N % ell)
+        factors = cyclotomic_factors(ell, N)
+        d = next(k for k in range(1, N + 1) if pow(ell, k, N) == 1 % N)
+        prod = (1,)
+        for f in factors:
+            assert f[-1] == 1 and len(f) - 1 == d
+            assert _is_irreducible(f, ell)
+            prod = _pmul(prod, f, ell)
+        assert prod == tuple(c % ell for c in cyclotomic_poly(N))
+        assert list(factors) == sorted(factors)
+
+    def test_even_ell_rejected(self):
+        with pytest.raises(ValueError):
+            cyclotomic_factors(2, 3)
 
 
 class TestScalars:
@@ -105,10 +145,6 @@ class TestEmbedding:
         assert s.embed_cyc(CYC.one() + cyc_embed_root(3, 1)) == \
             s.embed_cyc(-(cyc_embed_root(3, 2)))
 
-    def test_reduce_mod_ell_default_conductor(self):
-        v = reduce_mod_ell(cyc_embed_root(4, 1), 5)
-        assert v * v == ResidueScalars(5, 4, 0).from_fraction(-1)
-
     def test_embed_requires_compatible_conductor(self):
         s = ResidueScalars(7, 3, 0)
         with pytest.raises(ValueError):
@@ -128,10 +164,9 @@ class TestFieldArithmetic:
     def test_random_field_laws(self):
         rng = random.Random(99)
         s = ResidueScalars(5, 9, 0)
-        d = s.ring.degree
+        d = s.field.degree
         def rand():
-            from rsexact.residue import ResidueElement
-            return ResidueElement(s.ring, [rng.randrange(5) for _ in range(d)])
+            return s.field.element([rng.randrange(5) for _ in range(d)])
         for _ in range(20):
             a, b, c = rand(), rand(), rand()
             assert a * (b + c) == a * b + a * c

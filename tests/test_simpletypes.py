@@ -104,7 +104,6 @@ def test_type_shapes():
     r = make_type(RAMIFIED, 3, sigma=1)
     assert (r.e, r.n_over_e, r.cap, r.level) == (2, 1, 2, 2)
     assert r.vol_J1 == 3
-    assert r.central_uniformizer_value() == r.A ** 2
 
 
 # -- membership ----------------------------------------------------------
