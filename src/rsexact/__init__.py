@@ -20,7 +20,6 @@ from .errors import (
     NondegeneracyFailure,
     NotInU,
     NotInJ,
-    WindowExceeded,
     FamilyMismatch,
     EllEqualsP,
     NonBanal,

@@ -46,20 +46,19 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .cuspchar import bessel_convolution_check, finite_bessel
-from .cyclo import CycNumber, is_prime, parse_cyc
+from .cyclo import is_prime, parse_cyc
 from .errors import NonBanal, NotIntegralAtEll, RSExactError
 from .finitefield import AddChar, gf
 from .integral import (
     RSPair,
     _j1_coset_reps,
-    c_k_bruteforce,
-    rankin_selberg_I,
+    oracle_check,
+    oracle_rows_json,
     verify_main_theorem,
 )
 from .lmodular import verify_corollary
 from .matgroups import FiniteMatrix, enumerate_group
 from .padic import PadicMatrix
-from .ratfun import series_coefficients
 from .simpletypes import DEPTH_ZERO, RAMIFIED, SimpleTypeData, make_type
 
 ORACLE_KMAX = 6
@@ -87,9 +86,9 @@ exit codes:
 class RunConfig:
     """Plain-data record of one CLI invocation.
 
-    Every field is JSON-serializable, so a config can be emitted, stored,
-    and parsed back losslessly; identical configs produce byte-identical
-    reports.
+    Every field is JSON-serializable, and every report carries the config
+    under "config", so RunConfig(**report["config"]) rebuilds it; identical
+    configs produce byte-identical reports.
     """
 
     command: str
@@ -115,13 +114,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    def emit(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def parse(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
 
 
 def _normalize_scalar(text: str | None) -> str | None:
@@ -337,35 +329,14 @@ def cmd_bessel_table(cfg: RunConfig):
 # -- verify ---------------------------------------------------------------
 
 
-def _oracle_worker(payload) -> str:
-    """Compute one window-truncated oracle coefficient in a subprocess."""
-    cfg = RunConfig.parse(payload[0])
-    k = payload[1]
-    t1, t2, twist = _make_types(cfg)
-    pair = RSPair(t1, t2, twist=twist)
+def _parallel_oracle_rows(cfg: RunConfig, pair: RSPair, I):
+    """Oracle rows of the pair, with the coefficients spread over
+    cfg.jobs processes when that is more than one."""
     window = cfg.window if cfg.window is not None else DEFAULT_WINDOW
-    return str(c_k_bruteforce(pair, k, window))
-
-
-def _parallel_oracle_rows(cfg: RunConfig, pair: RSPair):
-    series = series_coefficients(rankin_selberg_I(pair), ORACLE_KMAX)
-    payloads = [(cfg.emit(), k) for k in range(ORACLE_KMAX + 1)]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            oracle_strs = list(pool.map(_oracle_worker, payloads))
-    else:
-        oracle_strs = [_oracle_worker(payload) for payload in payloads]
-    rows = []
-    for k, text in enumerate(oracle_strs):
-        rows.append(
-            {
-                "k": k,
-                "engine": str(series[k]),
-                "oracle": text,
-                "match": parse_cyc(text) == series[k],
-            }
-        )
-    return rows
+    if cfg.jobs == 1:
+        return oracle_check(pair, ORACLE_KMAX, window, I=I)
+    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        return oracle_check(pair, ORACLE_KMAX, window, I=I, mapper=pool.map)
 
 
 def _oracle_requested(cfg: RunConfig) -> bool:
@@ -378,20 +349,9 @@ def _oracle_requested(cfg: RunConfig) -> bool:
 
 def cmd_verify(cfg: RunConfig):
     t1, t2, twist = _make_types(cfg)
-    with_oracle = _oracle_requested(cfg)
-    if with_oracle and cfg.jobs > 1:
-        report = verify_main_theorem(t1, t2, twist=twist, with_oracle=False)
-        report.oracle = _parallel_oracle_rows(cfg, report.pair)
-    else:
-        window = cfg.window if cfg.window is not None else DEFAULT_WINDOW
-        report = verify_main_theorem(
-            t1,
-            t2,
-            twist=twist,
-            with_oracle=with_oracle,
-            oracle_kmax=ORACLE_KMAX,
-            oracle_window=window,
-        )
+    report = verify_main_theorem(t1, t2, twist=twist)
+    if report.applicable and _oracle_requested(cfg):
+        report.oracle = _parallel_oracle_rows(cfg, report.pair, report.I)
     if cfg.format == "csv":
         text = _render_csv(report.csv_rows(SHELLS))
     else:
@@ -430,7 +390,7 @@ def cmd_reduce(cfg: RunConfig):
 def cmd_oracle_check(cfg: RunConfig):
     t1, t2, twist = _make_types(cfg)
     pair = RSPair(t1, t2, twist=twist)
-    rows = _parallel_oracle_rows(cfg, pair)
+    rows = oracle_rows_json(_parallel_oracle_rows(cfg, pair, None))
     all_match = all(r["match"] for r in rows)
     if cfg.format == "csv":
         table = [("k", "engine", "oracle", "match")] + [

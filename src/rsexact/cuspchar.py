@@ -38,10 +38,8 @@ class CuspidalCharacter:
 
     __slots__ = ("theta", "n", "base_field", "big_field")
 
-    def __init__(self, theta: MultChar, n: int | None = None):
+    def __init__(self, theta: MultChar):
         d = theta.field.degree
-        if n is not None and n != d:
-            raise ValueError(f"character lives on a degree-{d} extension, not {n}")
         if d not in (2, 3):
             raise ValueError("only GL_2 and GL_3 are supported")
         if not theta.is_regular():
@@ -109,8 +107,8 @@ class CuspidalCharacter:
         return f"<CuspidalCharacter n={self.n} q={self.q} t={self.theta.t}>"
 
 
-def cuspidal_character(theta: MultChar, n: int | None = None) -> CuspidalCharacter:
-    return CuspidalCharacter(theta, n)
+def cuspidal_character(theta: MultChar) -> CuspidalCharacter:
+    return CuspidalCharacter(theta)
 
 
 def psi_of_unipotent(psi: AddChar, u: FiniteMatrix, scal=None):

@@ -54,10 +54,6 @@ class NotInJ(RSExactError):
     """Matrix lies outside the compact-mod-center group of the type."""
 
 
-class WindowExceeded(RSExactError):
-    """Support decomposition needs a unipotent part beyond the search window."""
-
-
 class FamilyMismatch(RSExactError):
     """The two types belong to different construction families."""
 

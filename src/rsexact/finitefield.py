@@ -3,10 +3,10 @@
 Hand-rolled rather than wrapped from a CAS because the group layers need
 things CAS field objects make awkward: deterministic element enumeration,
 hashable elements usable as dict keys, discrete logarithms against a fixed
-generator, and canonical embeddings F_{p^a} -> F_{p^b} with inverse lookup
-for traces.  The fields the group layers enumerate are tiny (at most a few
-thousand elements), so tables are cheap; the residue fields of the mod-ell
-reduction can be larger and use only the arithmetic.
+generator, and canonical embeddings F_{p^a} -> F_{p^b}.  The fields the
+group layers enumerate are tiny (at most a few thousand elements), so
+tables are cheap; the residue fields of the mod-ell reduction can be larger
+and use only the arithmetic.
 
 Also defines the two character types the construction needs: multiplicative
 characters x -> zeta_{p^d-1}^{t * dlog(x)} and additive characters
@@ -131,7 +131,7 @@ class GF:
         self.poly = poly
         self._dlog = None
         self._powers = None
-        self._sub_data = {}
+        self._sub_roots = {}
 
     @staticmethod
     def _find_poly(p, degree):
@@ -152,6 +152,11 @@ class GF:
 
     def __repr__(self):
         return f"GF({self.p}^{self.degree})"
+
+    def __reduce__(self):
+        # rebuilt by the constructor: the default would restore the dlog
+        # table, whose element keys hash through a field not yet restored
+        return gf, (self.p, self.degree, self.poly)
 
     def element(self, coeffs):
         c = tuple(coeffs)[: self.degree]
@@ -205,15 +210,14 @@ class GF:
         self._ensure_dlog()
         return self._dlog[x]
 
-    def _subfield_data(self, sub: "GF"):
-        """(embedding root, image -> subfield element lookup)."""
+    def _subfield_root(self, sub: "GF"):
+        """The root of sub's defining polynomial that embeds sub into self."""
         key = sub._key()
-        data = self._sub_data.get(key)
-        if data is not None:
-            return data
+        root = self._sub_roots.get(key)
+        if root is not None:
+            return root
         if sub.p != self.p or self.degree % sub.degree:
             raise ValueError(f"{sub!r} does not embed into {self!r}")
-        root = None
         for x in self:
             acc = self.zero()
             xp = self.one()
@@ -224,17 +228,8 @@ class GF:
             if not acc:
                 root = x
                 break
-        images = {}
-        for s in sub:
-            acc = self.zero()
-            rp = self.one()
-            for c in s.c:
-                if c:
-                    acc = acc + self.constant(c) * rp
-                rp = rp * root
-            images[acc] = s
-        self._sub_data[key] = (root, images)
-        return self._sub_data[key]
+        self._sub_roots[key] = root
+        return root
 
 
 class FFElement:
@@ -387,7 +382,7 @@ def embed_element(x: FFElement, target: GF) -> FFElement:
     """Image of x under the canonical embedding of its field into target."""
     if x.field._key() == target._key():
         return FFElement(target, x.c)
-    root, _ = target._subfield_data(x.field)
+    root = target._subfield_root(x.field)
     acc = target.zero()
     rp = target.one()
     for c in x.c:
@@ -395,20 +390,6 @@ def embed_element(x: FFElement, target: GF) -> FFElement:
             acc = acc + target.constant(c) * rp
         rp = rp * root
     return acc
-
-
-def rel_trace(x: FFElement, sub: GF) -> FFElement:
-    """Trace of x down to the subfield, returned as a subfield element."""
-    big = x.field
-    _, images = big._subfield_data(sub)
-    rel = big.degree // sub.degree
-    q = sub.order
-    acc = big.zero()
-    y = x
-    for _ in range(rel):
-        acc = acc + y
-        y = y**q
-    return images[acc]
 
 
 def abs_trace(x: FFElement) -> int:

@@ -29,6 +29,7 @@ down mu, and the cell-mass identity behind the level constant u.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,14 +70,13 @@ class RSPair:
     psi_t^{-1} model of type2, optionally twisted) with shared measure data."""
 
     def __init__(self, type1: SimpleTypeData, type2: SimpleTypeData, *,
-                 twist=None, scal=None, window: int | None = None):
+                 twist=None, scal=None):
         self.scal = scal or _DEFAULT_SCAL
         self.type1 = type1
         self.type2 = type2
         self.W1 = WhittakerFunction(type1, scal=self.scal)
         self.W2 = WhittakerFunction(type2, dual=True, twist=twist, scal=self.scal)
         self.twist = self.W2.twist
-        self.window = window
         self.applicable = is_dual_pair(type1, type2)
         self.p = type1.p
         self.n = type1.n
@@ -94,41 +94,54 @@ class RSPair:
         return self.n // self.e
 
     def pair_value(self, g: PadicMatrix):
-        """W_1(g) W_2(g) from one support decomposition.
+        """W_1(g) W_2(g) from one support decomposition, or None off the
+        support, so that a sum over points skips it instead of adding zero.
 
         Both test vectors are supported on N <w_E> J, which depends only on
         the family, p, n and the lattice chain; is_dual_pair has checked
         that the two types share these.
         """
-        dec = support_decompose(self.type1, g, self.window)
+        dec = support_decompose(self.type1, g)
         if dec is None:
-            return self.scal.zero()
+            return None
         return self.W1.value_at(dec) * self.W2.value_at(dec)
+
+
+def _support_sum(pair: RSPair, points):
+    """The sum of W_1 W_2 over the points, skipping those off the support."""
+    total = pair.scal.zero()
+    for g in points:
+        value = pair.pair_value(g)
+        if value is not None:
+            total = total + value
+    return total
 
 
 def b_coefficient(pair: RSPair, cell: PadicMatrix, k: int):
     """The unit-shell coefficient b_k of the inner mirabolic integral."""
     scal, p, m = pair.scal, pair.p, pair.level
-    total = scal.zero()
     if pair.n == 2:
-        for a in _units_mod(p, m):
-            g = cell.scale_row(0, a * p**k if k >= 0 else Fraction(a, p**-k))
-            total = total + pair.pair_value(g)
+        total = _support_sum(pair, (
+            cell.scale_row(0, a * p**k if k >= 0 else Fraction(a, p**-k))
+            for a in _units_mod(p, m)
+        ))
         return total * scal.from_fraction(Fraction(1, p ** (m - 1)))
     # GL_3: N_3\P_3 = N_2\GL_2 embedded in the upper block, with its
     # canonical cell volumes; the slice of determinant valuation k collects
     # v = (v_1, v_2) with v_1 + v_2 = k.  A window of 2 is exhaustive: any
     # v != (0, 0) leaves the support of the pair.
     w = 2
+    total = scal.zero()
     for v1 in range(-w, w + 1):
         v2 = k - v1
         if abs(v2) > w:
             continue
         x1, x2 = Fraction(p) ** v1, Fraction(p) ** v2
         weight = scal.from_fraction(ng_cell_volume(p, 2, m, (v1, v2)))
-        for inner in nk_cell_reps(p, m):
-            g = _embed_gl2(inner.scale_row(0, x1).scale_row(1, x2)) * cell
-            total = total + pair.pair_value(g) * weight
+        total = total + weight * _support_sum(pair, (
+            _embed_gl2(inner.scale_row(0, x1).scale_row(1, x2)) * cell
+            for inner in nk_cell_reps(p, m)
+        ))
     return total
 
 
@@ -217,22 +230,32 @@ def c_k_bruteforce(pair: RSPair, k: int, window: int = 4):
             continue  # Phi(e_2 g) = 0 unless the bottom row is integral
         x1, x2 = Fraction(p) ** v1, Fraction(p) ** v2
         vol = scal.from_fraction(ng_cell_volume(p, 2, m, (v1, v2)))
-        for kbar in reps:
-            g = kbar.scale_row(0, x1).scale_row(1, x2)
-            total = total + pair.pair_value(g) * vol
+        total = total + vol * _support_sum(
+            pair, (kbar.scale_row(0, x1).scale_row(1, x2) for kbar in reps))
     return total * scal.from_fraction(Fraction(p - 1))
 
 
-def oracle_check(pair: RSPair, kmax: int = 6, window: int = 4):
-    """Compare oracle coefficients with the engine's series expansion."""
-    I = rankin_selberg_I(pair)
+def oracle_check(pair: RSPair, kmax: int = 6, window: int = 4, *,
+                 I: RationalFunction | None = None, mapper=map):
+    """Compare oracle coefficients with the engine's series expansion.
+
+    `I` is the engine's integral when the caller already has it.  The
+    coefficients k = 0..kmax are computed by `mapper(f, ks)`, so a process
+    pool's map spreads them over its workers.
+    """
+    if I is None:
+        I = rankin_selberg_I(pair)
     series = series_coefficients(I, kmax)
-    rows = []
-    for k in range(kmax + 1):
-        oracle = c_k_bruteforce(pair, k, window)
-        rows.append({"k": k, "engine": series[k], "oracle": oracle,
-                     "match": series[k] == oracle})
-    return rows
+    oracle = mapper(functools.partial(c_k_bruteforce, pair, window=window),
+                    range(kmax + 1))
+    return [{"k": k, "engine": engine, "oracle": value, "match": engine == value}
+            for k, (engine, value) in enumerate(zip(series, oracle))]
+
+
+def oracle_rows_json(rows) -> list:
+    """Oracle rows with their values printed."""
+    return [{"k": r["k"], "engine": str(r["engine"]), "oracle": str(r["oracle"]),
+             "match": r["match"]} for r in rows]
 
 
 # -- diagnostics ----------------------------------------------------------
@@ -527,11 +550,7 @@ class VerificationReport:
                          twist=self.pair.twist, scal=self.pair.scal)
             )
         if self.oracle is not None:
-            out["oracle"] = [
-                {"k": r["k"], "engine": str(r["engine"]),
-                 "oracle": str(r["oracle"]), "match": r["match"]}
-                for r in self.oracle
-            ]
+            out["oracle"] = oracle_rows_json(self.oracle)
         out["cells"] = [
             {
                 "row": [int(x) for x in rec.row],
@@ -555,11 +574,10 @@ class VerificationReport:
 
 
 def verify_main_theorem(type1: SimpleTypeData, type2: SimpleTypeData, *,
-                        twist=None, scal=None, window: int | None = None,
-                        with_oracle: bool = False, oracle_kmax: int = 6,
-                        oracle_window: int = 4) -> VerificationReport:
-    """Run the engine and the full diagnostic battery on one pair."""
-    pair = RSPair(type1, type2, twist=twist, scal=scal, window=window)
+                        twist=None, scal=None) -> VerificationReport:
+    """Run the engine and the full diagnostic battery on one pair; the
+    caller attaches oracle rows (oracle_check) when it wants them."""
+    pair = RSPair(type1, type2, twist=twist, scal=scal)
     T, cell_log = integrate_over_K(pair)
     I = rankin_selberg_I(pair, T)
     if not pair.applicable:
@@ -588,11 +606,8 @@ def verify_main_theorem(type1: SimpleTypeData, type2: SimpleTypeData, *,
         and shells["mu_is_q_power"],
         "cell_mass": mass["constant_u"],
     }
-    oracle = None
-    if with_oracle:
-        oracle = oracle_check(pair, kmax=oracle_kmax, window=oracle_window)
     return VerificationReport(
         pair=pair, applicable=True, I=I, T=T, cell_log=cell_log,
         expected=expected, mu=mu, u=mass["u"], lambda_vol=averages["lambda_vol"],
-        checks=checks, oracle=oracle,
+        checks=checks,
     )

@@ -102,13 +102,10 @@ def reduce_rational(f: RationalFunction, res: ResidueScalars) -> RationalFunctio
     return RationalFunction(reduce_laurent(f.num, res), reduce_laurent(f.den, res))
 
 
-def reduce_euler_factor(L: EulerFactor, ell: int, N: int | None = None,
+def reduce_euler_factor(L: EulerFactor, ell: int, N: int,
                         factor_index: int = 0) -> EulerFactor:
-    """Reduce an inverse Euler factor coefficientwise mod the chosen prime."""
-    if N is None:
-        N = 1
-        for _, v in L.poly.items():
-            N = lcm(N, v.modulus)
+    """Reduce an inverse Euler factor coefficientwise mod the chosen prime
+    above ell of Q(zeta_N)."""
     res = ResidueScalars(ell, N, factor_index)
     return EulerFactor(reduce_laurent(L.poly, res))
 

@@ -17,6 +17,39 @@ from .finitefield import FFElement, GF, embed_element, gf
 _ENUM_LIMIT = 10**8
 
 
+def small_det(r):
+    """Determinant of an n x n matrix, n <= 3, given by its rows over any
+    commutative ring (ints, FFElements)."""
+    if len(r) == 1:
+        return r[0][0]
+    if len(r) == 2:
+        return r[0][0] * r[1][1] - r[0][1] * r[1][0]
+    if len(r) == 3:
+        return (
+            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
+        )
+    raise ValueError("only n <= 3 supported")
+
+
+def small_adjugate(r):
+    """The adjugate of an n x n matrix, n <= 3, over any commutative ring:
+    adj(r) * r = det(r) * Id."""
+    if len(r) == 1:
+        return [[1]]
+    if len(r) == 2:
+        return [[r[1][1], -r[0][1]], [-r[1][0], r[0][0]]]
+    if len(r) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = r
+        return [
+            [e * i - f * h, c * h - b * i, b * f - c * e],
+            [f * g - d * i, a * i - c * g, c * d - a * f],
+            [d * h - e * g, b * g - a * h, a * e - b * d],
+        ]
+    raise ValueError("only n <= 3 supported")
+
+
 class FiniteMatrix:
     """Immutable n x n matrix over a GF field, hashable."""
 
@@ -97,42 +130,15 @@ class FiniteMatrix:
         )
 
     def det(self) -> FFElement:
-        r = self.rows
-        if self.n == 1:
-            return r[0][0]
-        if self.n == 2:
-            return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        if self.n == 3:
-            return (
-                r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-            )
-        raise ValueError("only n <= 3 supported")
+        return small_det(self.rows)
 
     def inverse(self) -> "FiniteMatrix":
         d = self.det()
         if not d:
             raise ZeroDivisionError("singular matrix")
         di = d.inverse()
-        r = self.rows
-        if self.n == 1:
-            return FiniteMatrix(self.field, [[di]])
-        if self.n == 2:
-            return FiniteMatrix(
-                self.field,
-                [[r[1][1] * di, -r[0][1] * di], [-r[1][0] * di, r[0][0] * di]],
-            )
-        # adjugate for n == 3
-        def cof(i, j):
-            rows = [r[a] for a in range(3) if a != i]
-            cols = [0, 1, 2]
-            cols.remove(j)
-            m = rows[0][cols[0]] * rows[1][cols[1]] - rows[0][cols[1]] * rows[1][cols[0]]
-            return m if (i + j) % 2 == 0 else -m
-
         return FiniteMatrix(
-            self.field, [[cof(j, i) * di for j in range(3)] for i in range(3)]
+            self.field, [[e * di for e in row] for row in small_adjugate(self.rows)]
         )
 
     def is_scalar(self) -> bool:
@@ -271,11 +277,11 @@ def classify_conjugacy(g: FiniteMatrix):
         r = g.rows
         t1 = g.trace()
         t3 = g.det()
-        t2 = (
-            (r[0][0] * r[1][1] - r[0][1] * r[1][0])
-            + (r[0][0] * r[2][2] - r[0][2] * r[2][0])
-            + (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-        )
+        # the trace of the adjugate, summed from the principal 2 x 2 minors
+        # alone: the whole adjugate takes three times the products
+        m01, m02, m12 = (small_det(((r[i][i], r[i][j]), (r[j][i], r[j][j])))
+                         for i, j in ((0, 1), (0, 2), (1, 2)))
+        t2 = m01 + m02 + m12
         coeffs = [-t3, t2, -t1, F.one()]
         roots = _roots_in(F, coeffs)
         if not roots:

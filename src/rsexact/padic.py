@@ -25,7 +25,7 @@ from operator import mul
 
 from .cyclo import CycScalars
 from .errors import DepthExceeded, UnsupportedDescriptor
-from .matgroups import FiniteMatrix, order_gl
+from .matgroups import FiniteMatrix, order_gl, small_adjugate, small_det
 
 _DEFAULT_SCAL = CycScalars()
 
@@ -71,36 +71,6 @@ def theta_eval(p: int, x, cap: int, scal=None):
         raise DepthExceeded(f"theta argument needs zeta_{p}^{m + 1} but cap is {cap}")
     k = int_mod(x * p**m, p, m + 1)
     return scal.root_of_unity(p ** (m + 1), k)
-
-
-def _det_int(r) -> int:
-    if len(r) == 1:
-        return r[0][0]
-    if len(r) == 2:
-        return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-    if len(r) == 3:
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
-    raise ValueError("only n <= 3 supported")
-
-
-def _adjugate_int(r):
-    """The adjugate of an integer matrix, n <= 3: adj(r) * r = det(r) * Id."""
-    if len(r) == 1:
-        return [[1]]
-    if len(r) == 2:
-        return [[r[1][1], -r[0][1]], [-r[1][0], r[0][0]]]
-
-    def cof(i, j):
-        rows = [r[a] for a in range(3) if a != i]
-        cols = [b for b in range(3) if b != j]
-        m = rows[0][cols[0]] * rows[1][cols[1]] - rows[0][cols[1]] * rows[1][cols[0]]
-        return m if (i + j) % 2 == 0 else -m
-
-    return [[cof(j, i) for j in range(3)] for i in range(3)]
 
 
 class PadicMatrix:
@@ -198,16 +168,16 @@ class PadicMatrix:
         )
 
     def det(self) -> Fraction:
-        return Fraction(_det_int(self.num), self.den**self.n)
+        return Fraction(small_det(self.num), self.den**self.n)
 
     def inverse(self) -> "PadicMatrix":
         # (num / den)^{-1} = den * adj(num) / det(num)
-        d = _det_int(self.num)
+        d = small_det(self.num)
         if not d:
             raise ZeroDivisionError("singular matrix")
         den = self.den
         return PadicMatrix.from_ints(
-            [[e * den for e in row] for row in _adjugate_int(self.num)], d
+            [[e * den for e in row] for row in small_adjugate(self.num)], d
         )
 
     def is_integral(self, p: int) -> bool:
@@ -215,7 +185,7 @@ class PadicMatrix:
         return self.den % p != 0
 
     def in_K(self, p: int) -> bool:
-        return self.is_integral(p) and _det_int(self.num) % p != 0
+        return self.is_integral(p) and small_det(self.num) % p != 0
 
     def mod_p(self, field) -> FiniteMatrix:
         """Reduction mod p of a p-integral matrix into GL_n(F_p) land."""
@@ -253,7 +223,7 @@ def iwasawa_NAK(g: PadicMatrix, p: int):
     keeps all entries integral.  Both factors are checked before
     returning.  Returns (n, vals, k).
     """
-    if not _det_int(g.num):
+    if not small_det(g.num):
         raise ValueError("matrix is singular")
     nn = g.n
     w = [list(r) for r in g.num]
@@ -322,23 +292,16 @@ def iwasawa_PZK(g: PadicMatrix, p: int):
 
 @dataclass(frozen=True)
 class LatticeChain:
-    """Periodic lattice chain data normalized by a_n(0)=0, a_n(-1)=-1.
+    """Lattice chain data normalized by a_n(0)=0, a_n(-1)=-1.
 
-    base_offsets[k][i] gives a_i(k) for 0 <= k < period; outside that window
-    a_i(k + period) = a_i(k) + 1.  `uniformizer` is the chain uniformizer in
-    the working basis (where L_0 = Z_p^n), and `t` the twisting powers
-    p^{a_i(0) - a_n(0)} entering the standard whittaker character.
+    `uniformizer` is the chain uniformizer in the working basis (where
+    L_0 = Z_p^n), and `t` the twisting powers p^{a_i(0) - a_n(0)} entering
+    the standard whittaker character.
     """
 
     n: int
-    period: int
-    base_offsets: tuple
     uniformizer_rows: tuple
     t_exponents: tuple
-
-    def offsets(self, k: int):
-        q, r = divmod(k, self.period)
-        return tuple(a + q for a in self.base_offsets[r])
 
     def uniformizer(self) -> PadicMatrix:
         return PadicMatrix(self.uniformizer_rows)
@@ -347,8 +310,6 @@ class LatticeChain:
 def depth_zero_chain(p: int, n: int) -> LatticeChain:
     return LatticeChain(
         n=n,
-        period=1,
-        base_offsets=((0,) * n,),
         uniformizer_rows=tuple(
             tuple(Fraction(p if i == j else 0) for j in range(n)) for i in range(n)
         ),
@@ -362,8 +323,6 @@ def ramified_chain(p: int) -> LatticeChain:
     # the uniformizer into [[0, p], [1, 0]] with square p * Id.
     return LatticeChain(
         n=2,
-        period=2,
-        base_offsets=((-1, 0), (0, 0)),
         uniformizer_rows=((Fraction(0), Fraction(p)), (Fraction(1), Fraction(0))),
         t_exponents=(-1, 0),
     )

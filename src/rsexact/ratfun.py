@@ -307,10 +307,6 @@ class EulerFactor:
     def degree(self) -> int:
         return self.poly.max_degree()
 
-    def rational(self) -> RationalFunction:
-        scal = self.poly.scal
-        return RationalFunction(Laurent.from_const(scal, scal.one()), self.poly)
-
     def __eq__(self, other):
         if not isinstance(other, EulerFactor):
             return NotImplemented

@@ -32,7 +32,6 @@ from .errors import (
     NondegeneracyFailure,
     NotInJ,
     NotInU,
-    WindowExceeded,
 )
 from .finitefield import AddChar, MultChar, embed_element, gf
 from .padic import (
@@ -341,11 +340,10 @@ def extended_psi_on_U(data: SimpleTypeData, g: PadicMatrix, scal=None):
 # -- support decomposition -----------------------------------------------
 
 
-def support_decompose(data: SimpleTypeData, g: PadicMatrix, window: int | None = None):
+def support_decompose(data: SimpleTypeData, g: PadicMatrix):
     """Write g = n * w_E^i * j_0 with j_0 in J, or return None off the support.
 
-    Exact in both families.  When `window` is given, an N-part entry of
-    valuation below -window raises WindowExceeded instead of succeeding.
+    Exact in both families; returns (i, n, j_0).
     """
     p = data.p
     if data.family == DEPTH_ZERO:
@@ -354,7 +352,6 @@ def support_decompose(data: SimpleTypeData, g: PadicMatrix, window: int | None =
         n_mat, vals, k = iwasawa_NAK(g, p)
         if any(v != vals[0] for v in vals):
             return None
-        _window_gate(n_mat, p, window)
         return vals[0], n_mat, k
     # ramified family: i is the valuation of det g since det w_E = -p.
     # Write g = [[a, b], [c, d]] / den and s, r = divmod(val(ad - bc), 2).
@@ -391,20 +388,7 @@ def support_decompose(data: SimpleTypeData, g: PadicMatrix, window: int | None =
     if not data.in_J(j0):
         return None
     n_mat = PadicMatrix.from_ints([[x_den, x_num], [0, x_den]], x_den)
-    _window_gate(n_mat, p, window)
     return vdet - 2 * vden, n_mat, j0
-
-
-def _window_gate(n_mat: PadicMatrix, p: int, window: int | None) -> None:
-    if window is None:
-        return
-    n = n_mat.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if n_mat.entry_val(i, j, p) < -window:
-                raise WindowExceeded(
-                    f"N-part entry {n_mat.entry(i, j)} has valuation below -{window}"
-                )
 
 
 # -- test vectors --------------------------------------------------------
@@ -437,8 +421,8 @@ class WhittakerFunction:
         self._A_eff_s = self.scal.embed_cyc(self.A_eff)
         self._sign = -1 if dual else 1
 
-    def value(self, g: PadicMatrix, window: int | None = None):
-        dec = support_decompose(self.data, g, window)
+    def value(self, g: PadicMatrix):
+        dec = support_decompose(self.data, g)
         if dec is None:
             return self.scal.zero()
         return self.value_at(dec)

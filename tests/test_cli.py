@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import rsexact
-from rsexact.cli import RunConfig, main
+from rsexact.cli import RunConfig, build_parser, config_from_args, main
 
 
 def run_cli(capsys, *argv):
@@ -28,19 +28,21 @@ def run_cli(capsys, *argv):
 
 
 class TestRunConfig:
-    def test_emit_parse_round_trip(self):
-        cfg = RunConfig(
-            command="verify", family="depth-zero", p=3, theta=1,
-            A2="zeta(4)", window=2, jobs=2, format="csv",
-        )
-        assert RunConfig.parse(cfg.emit()) == cfg
+    @staticmethod
+    def _report_round_trip(capsys, *argv):
+        cfg = config_from_args(build_parser().parse_args(list(argv)))
+        _, out, _ = run_cli(capsys, *argv)
+        assert RunConfig(**json.loads(out)["config"]) == cfg
 
-    def test_round_trip_ramified(self):
-        cfg = RunConfig(
-            command="reduce", family="ramified", p=3, sigma=1,
-            orientation=-1, ell=5, ideal=1,
-        )
-        assert RunConfig.parse(cfg.emit()) == cfg
+    def test_config_round_trips_through_report(self, capsys):
+        self._report_round_trip(
+            capsys, "verify", "--q", "3", "--theta", "1", "--A2", "zeta(4)",
+            "--window", "2", "--jobs", "2")
+
+    def test_round_trip_ramified(self, capsys):
+        self._report_round_trip(
+            capsys, "reduce", "--family", "ramified", "--p", "3", "--sigma", "1",
+            "--ell", "7", "--ideal", "1")
 
     def test_scalar_literals_canonicalized(self, capsys):
         # "zeta(4)^3" and "-zeta(4)" denote the same scalar; the echoed
@@ -123,6 +125,21 @@ class TestVerifyCommand:
         rows = data["oracle"]
         assert rows[0]["match"] is True
         assert not all(r["match"] for r in rows)
+
+    @pytest.mark.parametrize("pair, has_oracle", [
+        (["--theta", "1", "--theta2", "2"], False),
+        (["--theta", "1"], True),
+    ], ids=["non-dual", "dual"])
+    def test_jobs_only_change_the_echoed_config(self, capsys, pair, has_oracle):
+        reports = []
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(capsys, "verify", "--q", "3", *pair, "--jobs", jobs)
+            assert code == 0
+            data = json.loads(out)
+            assert data["config"].pop("jobs") == int(jobs)
+            reports.append(data)
+        assert reports[0] == reports[1]
+        assert ("oracle" in reports[0]) == has_oracle
 
     def test_explicit_dual_partner(self, capsys):
         code, out, _ = run_cli(
@@ -340,6 +357,12 @@ class TestOracleCheckCommand:
         rows1 = json.loads(out1)["rows"]
         rows2 = json.loads(out2)["rows"]
         assert rows1 == rows2
+
+    def test_rows_equal_the_verify_oracle_block(self, capsys):
+        flags = ["--q", "3", "--theta", "1", "--window", "3"]
+        _, out_rows, _ = run_cli(capsys, "oracle-check", *flags)
+        _, out_verify, _ = run_cli(capsys, "verify", *flags)
+        assert json.loads(out_rows)["rows"] == json.loads(out_verify)["oracle"]
 
     def test_gl3_not_supported(self, capsys):
         code, _, _ = run_cli(

@@ -11,6 +11,7 @@ brute-force oracle, which sums over canonical N\\G cells with the explicit
 measure bookkeeping.
 """
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from rsexact.lmodular import pair_conductor
 from rsexact.padic import PadicMatrix, pk_cell_reps
 from rsexact.ratfun import Laurent, RationalFunction, series_coefficients
 from rsexact.residue import ResidueScalars
-from rsexact.simpletypes import DEPTH_ZERO, RAMIFIED, make_type
+from rsexact.simpletypes import DEPTH_ZERO, RAMIFIED, make_type, support_decompose
 
 SCAL = CycScalars()
 
@@ -211,12 +212,12 @@ class TestVerificationReport:
         rep = verify_main_theorem(
             make_type(DEPTH_ZERO, 2, theta=1),
             make_type(DEPTH_ZERO, 2, theta=2),
-            with_oracle=True,
-            oracle_kmax=4,
         )
+        rep.oracle = oracle_check(rep.pair, kmax=4, I=rep.I)
         assert rep.passed
         assert all(rep.checks.values())
         assert rep.mu == 1 and rep.u == 1 and rep.lambda_vol == 1
+        assert [r["k"] for r in rep.oracle] == list(range(5))
         assert all(r["match"] for r in rep.oracle)
 
     def test_ramified_full_battery(self):
@@ -342,6 +343,55 @@ class TestSharedDecomposition:
                 with pytest.raises(DepthExceeded):
                     pair.pair_value(g)
                 continue
-            assert pair.pair_value(g) == expected, g
+            value = pair.pair_value(g)
+            # None marks a point off the support, where both vectors vanish
+            assert (value is None) == (support_decompose(pair.type1, g) is None), g
+            assert (zero if value is None else value) == expected, g
             nonzero += expected != zero
         assert nonzero > 0
+
+
+class TestPickledPair:
+    """A pair reaches oracle pool workers by pickle, after the engine has
+    filled its caches (Bessel memos, discrete-log tables)."""
+
+    @pytest.mark.parametrize("name", ["depth-zero", "ramified", "gl3"])
+    def test_round_trip_after_engine(self, name):
+        if name == "depth-zero":
+            pair = dz_pair(3, 1, 5)
+        elif name == "ramified":
+            pair = ram_pair(3, 1, 1)
+        else:
+            pair = RSPair(make_type(DEPTH_ZERO, 2, n=3, theta=1),
+                          make_type(DEPTH_ZERO, 2, n=3, theta=6))
+        _, log = integrate_over_K(pair)
+        copy = pickle.loads(pickle.dumps(pair))
+        points = [rec.rep for rec in log[:20]] + TestSharedDecomposition._points(
+            pair, random.Random(7), count=20)
+        for g in points:
+            try:
+                want = pair.pair_value(g)
+            except DepthExceeded:
+                continue
+            assert copy.pair_value(g) == want, g
+        if pair.n == 2:
+            for k in range(3):
+                assert c_k_bruteforce(copy, k, 3) == c_k_bruteforce(pair, k, 3)
+
+
+def test_oracle_check_reuses_engine_integral_and_mapper():
+    pair = dz_pair(2, 1, 2)
+    calls = []
+
+    def mapper(f, ks):
+        ks = list(ks)
+        calls.append(ks)
+        return [f(k) for k in ks]
+
+    I = rankin_selberg_I(pair)
+    rows = oracle_check(pair, kmax=3, I=I, mapper=mapper)
+    assert calls == [[0, 1, 2, 3]]
+    assert rows == oracle_check(pair, kmax=3)
+    # the rows compare against the integral they are given
+    wrong = oracle_check(pair, kmax=3, I=I + I)
+    assert not wrong[0]["match"]

@@ -99,14 +99,6 @@ class TestReduceEulerFactor:
         s = ResidueScalars(5, 6, 0)
         assert La == EulerFactor(Laurent(s, {0: s.one(), 2: -s.one()}))
 
-    def test_default_conductor_from_coefficients(self):
-        s1 = ram(3, 1, 1, A=cyc_embed_root(4, 1))
-        s2 = ram(3, 1, -1, A=cyc_embed_root(4, 1))
-        L = l_factor(s1, s2)  # 1 - (zeta_4^2) X = 1 + X
-        La = reduce_euler_factor(L, 5)
-        r = ResidueScalars(5, 4, 0)
-        assert La == EulerFactor(Laurent(r, {0: r.one(), 1: r.one()}))
-
 
 class TestCorollary:
     def test_depth_zero_q2_ell5(self):

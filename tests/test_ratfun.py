@@ -105,7 +105,6 @@ def test_euler_factor_validation():
         EulerFactor(L({-1: 1, 0: 1}))
     one = EulerFactor.one(SCAL)
     assert one.degree() == 0
-    assert one.rational() == RationalFunction.constant(SCAL, CycNumber.one())
 
 
 def test_series_geometric():

@@ -14,7 +14,6 @@ from rsexact.errors import (
     NotInJ,
     NotInU,
     NotRegular,
-    WindowExceeded,
 )
 from rsexact.finitefield import AddChar, gf
 from rsexact.padic import PadicMatrix, theta_eval, upper_unipotent, val_p
@@ -203,8 +202,6 @@ def test_depth_zero_support():
     i, nm, j0 = support_decompose(t, g)
     assert i == 1
     assert nm * PadicMatrix.diagonal([3, 3]) * j0 == g
-    with pytest.raises(WindowExceeded):
-        support_decompose(t, g, window=0)
 
 
 def test_depth_zero_support_gl3():
@@ -350,15 +347,13 @@ def test_ramified_whittaker_values():
         assert W.value(g * j) == W.value(g) * t.lam(j, SCAL)
 
 
-def test_whittaker_window_gate():
+def test_whittaker_value_fractional_n_part():
     t = make_type(RAMIFIED, 3, sigma=1)
     j0 = PadicMatrix([[1, 0], [1, 1]])
     g = upper_unipotent({(0, 1): Fraction(1, 3)}, 2) * j0
     W = WhittakerFunction(t)
     # psi_t(n(1/3)) = theta(1/9) = zeta_27
     assert W.value(g) == cyc_embed_root(27, 1) * t.lam(j0, SCAL)
-    with pytest.raises(WindowExceeded):
-        W.value(g, window=0)
 
 
 # -- extended character on N * J^1 ---------------------------------------

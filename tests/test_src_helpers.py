@@ -1,0 +1,85 @@
+"""Every function, class and method of the package has a caller in the
+package or is documented in README.md.
+
+A definition is used when its name occurs as an identifier somewhere in
+src/rsexact outside its own body; names in docstrings and comments do not
+count.  Dunder methods are called by the language and are skipped.  A
+helper kept only as an independent reference for the tests must be listed
+in REFERENCE_HELPERS with the reason it stays.
+"""
+
+import ast
+import io
+import re
+import tokenize
+from pathlib import Path
+
+import rsexact
+
+SRC = Path(rsexact.__file__).resolve().parent
+README = SRC.parents[1] / "README.md"
+
+REFERENCE_HELPERS = {
+    "cuspchar.character_invariants":
+        "the structural certificate of the cuspidal character tables",
+    "cuspchar.cuspidal_character":
+        "builds the characters the Bessel and acceptance tests certify",
+    "padic.iwasawa_PZK":
+        "the mirabolic-center-compact factorization the measure tests check",
+    "simpletypes.extended_psi_on_U":
+        "the character of N J^1 the Whittaker translation tests compare with",
+    "finitefield.GF.generator":
+        "the fixed generator behind dlog, checked against the unit group order",
+    "cyclo.CycNumber.from_json":
+        "the inverse of to_json, so reports can be read back",
+    "ratfun.RationalFunction.from_json":
+        "the inverse of to_json, so reports can be read back",
+}
+
+
+def _definitions():
+    """(module, qualified name, name, first line, last line) of every
+    module-level function and class and every method."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield path.stem, node.name, node.name, node.lineno, node.end_lineno
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        yield (path.stem, f"{node.name}.{sub.name}", sub.name,
+                               sub.lineno, sub.end_lineno)
+
+
+def _identifiers():
+    """module -> [(identifier, line)] over the code, not strings or comments."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        out[path.stem] = [(t.string, t.start[0]) for t in tokens if t.type == tokenize.NAME]
+    return out
+
+
+def test_no_definition_without_a_caller():
+    identifiers = _identifiers()
+    readme = README.read_text()
+    unused = []
+    for module, qualname, name, first, last in _definitions():
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if f"{module}.{qualname}" in REFERENCE_HELPERS:
+            continue
+        called = any(
+            ident == name and not (other == module and first <= line <= last)
+            for other, idents in identifiers.items()
+            for ident, line in idents
+        )
+        if not called and not re.search(rf"\b{re.escape(name)}\b", readme):
+            unused.append(f"{module}.{qualname}")
+    assert not unused, f"defined in src/rsexact, never called or documented: {unused}"
+
+
+def test_reference_helpers_exist():
+    defined = {f"{module}.{qualname}" for module, qualname, *_ in _definitions()}
+    assert set(REFERENCE_HELPERS) <= defined
