@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -124,28 +125,10 @@ def _normalize_scalar(text: str | None) -> str | None:
 
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=ns.command,
-        family=ns.family,
-        p=ns.p,
-        n=ns.n,
-        theta=ns.theta,
-        sigma=ns.sigma,
-        orientation=ns.orientation,
-        A=_normalize_scalar(ns.A),
-        theta2=ns.theta2,
-        sigma2=ns.sigma2,
-        orientation2=ns.orientation2,
-        A2=_normalize_scalar(ns.A2),
-        twist=_normalize_scalar(ns.twist),
-        ell=ns.ell,
-        ideal=ns.ideal,
-        window=ns.window,
-        jobs=ns.jobs,
-        gl3=ns.gl3,
-        out=ns.out,
-        format=ns.format,
-    )
+    values = {f.name: getattr(ns, f.name) for f in dataclasses.fields(RunConfig)}
+    for name in ("A", "A2", "twist"):
+        values[name] = _normalize_scalar(values[name])
+    return RunConfig(**values)
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -250,8 +233,6 @@ def _depth_zero_table(cfg: RunConfig, t1: SimpleTypeData):
     if len(G) ** 2 <= 2500:
         pairs = [(g1, g2) for g1 in G for g2 in G]
     else:
-        import random
-
         rng = random.Random(1009 * cfg.p + 17 * cfg.n)
         pairs = [(rng.choice(G), rng.choice(G)) for _ in range(200)]
     convolution_ok = all(bessel_convolution_check(J, J, g1, g2) for g1, g2 in pairs)
@@ -285,8 +266,6 @@ def _ramified_table(cfg: RunConfig, t1: SimpleTypeData):
     t2 = make_type(**t1.dual_params())
     identity_ok = t1.lam(PadicMatrix.identity(2)) == 1
     duality_ok = all(t2.lam(j) == t1.lam(j.inverse()) for j in reps)
-    import random
-
     rng = random.Random(1009 * p + 3)
     pairs = [(rng.choice(reps), rng.choice(reps)) for _ in range(100)]
     conv_ok = all(t1.lam(j1 * j2) == t1.lam(j1) * t1.lam(j2) for j1, j2 in pairs)
@@ -416,6 +395,13 @@ DISPATCH = {
     "oracle-check": cmd_oracle_check,
 }
 
+SUBCOMMAND_HELP = {
+    "bessel-table": "tabulate the kernel over the finite quotient",
+    "verify": "run and check the exact local integral",
+    "reduce": "compare the mod-ell rerun with the reduced closed form",
+    "oracle-check": "compare engine coefficients with the brute-force oracle",
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -463,22 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("bessel-table", parents=[common],
-                   help="tabulate the kernel over the finite quotient",
-                   epilog=_GRAMMAR_EPILOG,
-                   formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub.add_parser("verify", parents=[common],
-                   help="run and check the exact local integral",
-                   epilog=_GRAMMAR_EPILOG,
-                   formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub.add_parser("reduce", parents=[common],
-                   help="compare the mod-ell rerun with the reduced closed form",
-                   epilog=_GRAMMAR_EPILOG,
-                   formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub.add_parser("oracle-check", parents=[common],
-                   help="compare engine coefficients with the brute-force oracle",
-                   epilog=_GRAMMAR_EPILOG,
-                   formatter_class=argparse.RawDescriptionHelpFormatter)
+    for name, help_text in SUBCOMMAND_HELP.items():
+        sub.add_parser(name, parents=[common], help=help_text, epilog=_GRAMMAR_EPILOG,
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
     return parser
 
 

@@ -125,7 +125,7 @@ class BesselFunction:
     __slots__ = ("chi", "psi", "_memo")
 
     def __init__(self, chi: CuspidalCharacter, psi: AddChar):
-        if psi.field._key() != chi.base_field._key():
+        if psi.field is not chi.base_field:
             raise ValueError("psi must live on the base field F_q")
         if psi.is_trivial():
             raise ValueError("psi must be nontrivial")

@@ -20,23 +20,16 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd, lcm
-
-_PP_CACHE: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
-_CRT_CACHE: dict[int, tuple[int, ...]] = {}
-_ROWS_CACHE: dict[int, list[list[Fraction]]] = {}
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+@cache
 def _prime_powers(n: int):
     """Tuples (p, p**a, phi(p**a), p**(a-1)) for each prime p dividing n."""
-    try:
-        return _PP_CACHE[n]
-    except KeyError:
-        pass
     out = []
     m = n
     p = 2
@@ -53,8 +46,7 @@ def _prime_powers(n: int):
             pa *= p
         out.append((p, pa, pa - pa // p, pa // p))
         p += 1
-    _PP_CACHE[n] = tuple(out)
-    return _PP_CACHE[n]
+    return tuple(out)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -88,7 +80,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@cache
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Ascending integer coefficients of the n-th cyclotomic polynomial, from
     Phi_1 = x - 1, Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for a prime p not
@@ -111,26 +103,19 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@cache
 def _crt_mults(n: int):
     """Multipliers M_i with k = sum(e_i * M_i) mod n for residues e_i mod p_i^a_i."""
-    try:
-        return _CRT_CACHE[n]
-    except KeyError:
-        pass
     ms = []
     for _, pa, _, _ in _prime_powers(n):
         rest = n // pa
         ms.append(rest * pow(rest, -1, pa) % n)
-    _CRT_CACHE[n] = tuple(ms)
-    return _CRT_CACHE[n]
+    return tuple(ms)
 
 
+@cache
 def _power_rows(n: int):
     """Row k is the coefficient vector of x**k modulo the n-th cyclotomic polynomial."""
-    try:
-        return _ROWS_CACHE[n]
-    except KeyError:
-        pass
     phi = cyclotomic_poly(n)
     deg = len(phi) - 1
     rep = [Fraction(-c) for c in phi[:deg]]
@@ -145,7 +130,6 @@ def _power_rows(n: int):
             for j in range(deg):
                 row[j] += carry * rep[j]
         rows.append(row)
-    _ROWS_CACHE[n] = rows
     return rows
 
 
@@ -571,7 +555,6 @@ def parse_cyc(text: str) -> CycNumber:
 class CycScalars:
     """Characteristic-zero scalar context: plain cyclotomic numbers."""
 
-    kind = "cyclotomic"
     cache_key = "cyc"
 
     def one(self) -> CycNumber:

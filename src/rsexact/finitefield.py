@@ -12,11 +12,17 @@ Also defines the two character types the construction needs: multiplicative
 characters x -> zeta_{p^d-1}^{t * dlog(x)} and additive characters
 x -> zeta_p^{Tr(a x)}; both hand back roots of unity through a scalar
 context so the same code drives cyclotomic and residue-field evaluation.
+
+There is one field object per (p, degree, poly): ``gf`` interns every field
+it builds, and unpickling goes back through ``gf``, so fields compare by
+identity and elements of one field check ``is`` on their fields.  ``GF`` is
+built only through ``gf``.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .cyclo import CycScalars, _prime_powers, is_prime
 
@@ -113,7 +119,7 @@ def _is_irreducible(f, p):
 
 
 class GF:
-    """The field with p**degree elements, as F_p[w]/(poly)."""
+    """The field with p**degree elements, as F_p[w]/(poly); build it with gf."""
 
     def __init__(self, p, degree, poly=None):
         if not is_prime(p):
@@ -129,8 +135,6 @@ class GF:
         if len(poly) != degree + 1 or poly[-1] != 1 or not _is_irreducible(poly, p):
             raise ValueError("defining polynomial must be monic irreducible of the right degree")
         self.poly = poly
-        self._dlog = None
-        self._powers = None
         self._sub_roots = {}
 
     @staticmethod
@@ -141,21 +145,12 @@ class GF:
                 return f
         raise AssertionError("no irreducible polynomial found")
 
-    def _key(self):
-        return (self.p, self.degree, self.poly)
-
-    def __eq__(self, other):
-        return isinstance(other, GF) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
         return f"GF({self.p}^{self.degree})"
 
     def __reduce__(self):
-        # rebuilt by the constructor: the default would restore the dlog
-        # table, whose element keys hash through a field not yet restored
+        # unpickled through the intern table, so the copy is the process's
+        # own field object, with its tables
         return gf, (self.p, self.degree, self.poly)
 
     def element(self, coeffs):
@@ -185,35 +180,31 @@ class GF:
 
     def generator(self):
         """First unit in enumeration order generating the whole unit group."""
-        self._ensure_dlog()
         return self._powers[1] if self.order > 2 else self.one()
 
-    def _ensure_dlog(self):
-        if self._dlog is not None:
-            return
+    @cached_property
+    def _powers(self):
+        """The powers g^0, ..., g^(order - 2) of the generator g."""
         n = self.order - 1
         primes = [r for r, _, _, _ in _prime_powers(n)]
-        g = None
-        for x in self.units():
-            if all(x ** (n // r) != self.one() for r in primes):
-                g = x
-                break
+        g = next(x for x in self.units() if all(x ** (n // r) != self.one() for r in primes))
         powers = [self.one()]
         for _ in range(n - 1):
             powers.append(powers[-1] * g)
-        self._powers = powers
-        self._dlog = {x: i for i, x in enumerate(powers)}
+        return powers
+
+    @cached_property
+    def _dlog(self):
+        return {x: i for i, x in enumerate(self._powers)}
 
     def dlog(self, x):
         if not x:
             raise ZeroDivisionError("dlog of zero")
-        self._ensure_dlog()
         return self._dlog[x]
 
     def _subfield_root(self, sub: "GF"):
         """The root of sub's defining polynomial that embeds sub into self."""
-        key = sub._key()
-        root = self._sub_roots.get(key)
+        root = self._sub_roots.get(sub)
         if root is not None:
             return root
         if sub.p != self.p or self.degree % sub.degree:
@@ -228,7 +219,7 @@ class GF:
             if not acc:
                 root = x
                 break
-        self._sub_roots[key] = root
+        self._sub_roots[sub] = root
         return root
 
 
@@ -243,7 +234,7 @@ class FFElement:
 
     def _coerce(self, other):
         if isinstance(other, FFElement):
-            if other.field._key() != self.field._key():
+            if other.field is not self.field:
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, int):
@@ -369,19 +360,26 @@ _GF_CACHE: dict = {}
 
 
 def gf(p, degree=1, poly=None):
-    """Cached field constructor; same arguments give the identical object."""
+    """The field with p**degree elements, as F_p[w]/(poly); the first
+    irreducible polynomial in enumeration order when poly is None.
+
+    Fields are interned: there is one object per (p, degree, poly), and a
+    default field is the same object as the field named by its resolved
+    polynomial.  So fields compare by identity, and ``GF`` is built only here.
+    """
     key = (p, degree, None if poly is None else tuple(poly))
-    try:
-        return _GF_CACHE[key]
-    except KeyError:
-        _GF_CACHE[key] = GF(p, degree, poly)
-        return _GF_CACHE[key]
+    field = _GF_CACHE.get(key)
+    if field is None:
+        field = GF(p, degree, poly)
+        field = _GF_CACHE.setdefault((p, degree, field.poly), field)
+        _GF_CACHE[key] = field
+    return field
 
 
 def embed_element(x: FFElement, target: GF) -> FFElement:
     """Image of x under the canonical embedding of its field into target."""
-    if x.field._key() == target._key():
-        return FFElement(target, x.c)
+    if x.field is target:
+        return x
     root = target._subfield_root(x.field)
     acc = target.zero()
     rp = target.one()
@@ -444,10 +442,11 @@ class MultChar:
     def __eq__(self, other):
         if not isinstance(other, MultChar):
             return NotImplemented
-        return self.field._key() == other.field._key() and self.t == other.t
+        return self.field is other.field and self.t == other.t
 
     def __hash__(self):
-        return hash((self.field._key(), self.t))
+        # value-based, so frozensets of characters iterate alike in every run
+        return hash((self.field.p, self.field.poly, self.t))
 
     def __repr__(self):
         return f"<MultChar t={self.t} on {self.field!r}>"
@@ -477,7 +476,7 @@ class AddChar:
     def __eq__(self, other):
         if not isinstance(other, AddChar):
             return NotImplemented
-        return self.field._key() == other.field._key() and self.a == other.a
+        return self.field is other.field and self.a == other.a
 
     def __repr__(self):
         return f"<AddChar a={self.a} on {self.field!r}>"

@@ -10,6 +10,7 @@ discriminant casework and works uniformly in characteristic 2.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 from .errors import TooLarge
 from .finitefield import FFElement, GF, embed_element, gf
@@ -91,7 +92,7 @@ class FiniteMatrix:
     def __eq__(self, other):
         if not isinstance(other, FiniteMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.field is other.field and self.rows == other.rows
 
     def __hash__(self):
         return hash(self.key())
@@ -184,15 +185,9 @@ def matrix_rank(g: FiniteMatrix) -> int:
     return rank
 
 
-_GROUP_CACHE: dict = {}
-
-
+@cache
 def enumerate_group(field: GF, n: int):
     """All of GL_n over the field, in deterministic order."""
-    key = (field._key(), n)
-    cached = _GROUP_CACHE.get(key)
-    if cached is not None:
-        return cached
     if field.order ** (n * n) > _ENUM_LIMIT:
         raise TooLarge(f"GL_{n}(F_{field.order}) enumeration exceeds the guard")
     elems = list(field)
@@ -201,19 +196,12 @@ def enumerate_group(field: GF, n: int):
         m = FiniteMatrix(field, [entries[i * n : (i + 1) * n] for i in range(n)])
         if m.det():
             out.append(m)
-    _GROUP_CACHE[key] = out
     return out
 
 
-_UNI_CACHE: dict = {}
-
-
+@cache
 def enumerate_unitriangular(field: GF, n: int):
     """Upper unitriangular matrices, deterministic order."""
-    key = (field._key(), n)
-    cached = _UNI_CACHE.get(key)
-    if cached is not None:
-        return cached
     pos = [(i, j) for i in range(n) for j in range(n) if i < j]
     out = []
     for vals in itertools.product(list(field), repeat=len(pos)):
@@ -223,19 +211,12 @@ def enumerate_unitriangular(field: GF, n: int):
         for (i, j), v in zip(pos, vals):
             filled[i][j] = v
         out.append(FiniteMatrix(field, filled))
-    _UNI_CACHE[key] = out
     return out
 
 
-_ROOTS_CACHE: dict = {}
-
-
-def _roots_in(field: GF, coeffs):
+@cache
+def _roots_in(field: GF, coeffs: tuple):
     """Roots in `field` of a monic polynomial given by low-to-high coeffs."""
-    key = (field._key(), tuple(c.c for c in coeffs))
-    cached = _ROOTS_CACHE.get(key)
-    if cached is not None:
-        return cached
     out = []
     for x in field:
         acc = field.zero()
@@ -245,7 +226,6 @@ def _roots_in(field: GF, coeffs):
             xp = xp * x
         if not acc:
             out.append(x)
-    _ROOTS_CACHE[key] = out
     return out
 
 
@@ -262,14 +242,14 @@ def classify_conjugacy(g: FiniteMatrix):
     if g.n == 2:
         tr = g.trace()
         det = g.det()
-        roots = _roots_in(F, [det, -tr, F.one()])
+        roots = _roots_in(F, (det, -tr, F.one()))
         if len(roots) == 2:
             return ("split", frozenset(roots))
         if len(roots) == 1:
             z = roots[0]
             return ("central", z) if g.is_scalar() else ("unipotent", z)
         big = gf(F.p, F.degree * 2)
-        coeffs = [embed_element(det, big), embed_element(-tr, big), big.one()]
+        coeffs = (embed_element(det, big), embed_element(-tr, big), big.one())
         ext_roots = _roots_in(big, coeffs)
         assert len(ext_roots) == 2
         return ("elliptic", frozenset(ext_roots))
@@ -282,11 +262,11 @@ def classify_conjugacy(g: FiniteMatrix):
         m01, m02, m12 = (small_det(((r[i][i], r[i][j]), (r[j][i], r[j][j])))
                          for i, j in ((0, 1), (0, 2), (1, 2)))
         t2 = m01 + m02 + m12
-        coeffs = [-t3, t2, -t1, F.one()]
+        coeffs = (-t3, t2, -t1, F.one())
         roots = _roots_in(F, coeffs)
         if not roots:
             big = gf(F.p, F.degree * 3)
-            ext = _roots_in(big, [embed_element(c, big) for c in coeffs[:-1]] + [big.one()])
+            ext = _roots_in(big, tuple(embed_element(c, big) for c in coeffs[:-1]) + (big.one(),))
             assert len(ext) == 3
             return ("elliptic", frozenset(ext))
         if len(roots) == 1:
@@ -312,29 +292,15 @@ def classify_conjugacy(g: FiniteMatrix):
     raise ValueError("only n in {2, 3} supported")
 
 
-_NORBIT_CACHE: dict = {}
-
-
+@cache
 def n_orbit_rep(g: FiniteMatrix) -> FiniteMatrix:
     """Lexicographically least element of (unitriangular N) * g."""
-    key = (g.field._key(), g.n, g.rows)
-    cached = _NORBIT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    best = min((u * g for u in enumerate_unitriangular(g.field, g.n)), key=FiniteMatrix.key)
-    _NORBIT_CACHE[key] = best
-    return best
+    return min((u * g for u in enumerate_unitriangular(g.field, g.n)), key=FiniteMatrix.key)
 
 
-_NCOSET_CACHE: dict = {}
-
-
+@cache
 def n_coset_reps(field: GF, k: int):
     """Orbit-minimum representatives for N_k\\GL_k over the field."""
-    ck = (field._key(), k)
-    cached = _NCOSET_CACHE.get(ck)
-    if cached is not None:
-        return cached
     seen = set()
     reps = []
     for g in enumerate_group(field, k):
@@ -343,7 +309,6 @@ def n_coset_reps(field: GF, k: int):
             seen.add(r)
             reps.append(r)
     reps.sort(key=FiniteMatrix.key)
-    _NCOSET_CACHE[ck] = reps
     return reps
 
 

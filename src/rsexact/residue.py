@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd
 
 from .cyclo import CycNumber, cyclotomic_poly, is_prime
@@ -31,7 +31,7 @@ from .errors import NotIntegralAtEll
 from .finitefield import FFElement, _padd, _pdivmod, _pgcd, _ppow, gf
 
 
-@lru_cache(maxsize=None)
+@cache
 def cyclotomic_factors(ell: int, N: int) -> tuple:
     """Monic irreducible factors of Phi_N mod ell, as ascending coefficient
     tuples (c_0, ..., c_d) with c_d = 1, sorted by tuple."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .cuspchar import BesselFunction, CuspidalCharacter, finite_bessel
 from .cyclo import CycNumber, CycScalars
@@ -151,21 +152,13 @@ class SimpleTypeData:
             return bessel.value(j0.mod_p(gf(self.p)), scal)
         return self.lam(j0, scal)
 
-    @property
+    @cached_property
     def _bessel(self) -> BesselFunction:
-        b = getattr(self, "_bessel_cache", None)
-        if b is None:
-            b = finite_bessel(self.chi, AddChar(gf(self.p), 1))
-            object.__setattr__(self, "_bessel_cache", b)
-        return b
+        return finite_bessel(self.chi, AddChar(gf(self.p), 1))
 
-    @property
+    @cached_property
     def _bessel_dual(self) -> BesselFunction:
-        b = getattr(self, "_bessel_dual_cache", None)
-        if b is None:
-            b = finite_bessel(self.chi, AddChar(gf(self.p), 1).inverse())
-            object.__setattr__(self, "_bessel_dual_cache", b)
-        return b
+        return finite_bessel(self.chi, AddChar(gf(self.p), 1).inverse())
 
     def central_unit_value(self, u, scal=None):
         """Central character at a unit u of Z_p."""

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -25,6 +26,34 @@ def test_rejects_bad_parameters():
         gf(2, 0)
     with pytest.raises(ValueError):
         gf(2, 2, poly=(1, 0, 1))  # x^2+1 = (x+1)^2 over F_2
+
+
+def test_default_field_is_interned_under_its_polynomial():
+    # default first, then the same field named by its polynomial
+    F = gf(5, 3)
+    assert gf(5, 3, F.poly) is F
+    assert gf(5, 3, list(F.poly)) is F
+
+
+def test_named_field_is_interned_as_the_default():
+    # polynomial first, then the default; (1, 0, 4, 1) is the first
+    # irreducible cubic over F_11 in scan order
+    F = gf(11, 3, (1, 0, 4, 1))
+    assert gf(11, 3) is F
+    assert F.poly == (1, 0, 4, 1)
+
+
+def test_unpickled_field_is_the_interned_field():
+    F = gf(7, 2)
+    assert pickle.loads(pickle.dumps(F)) is F
+    x = F.gen() + 3
+    assert pickle.loads(pickle.dumps(x)).field is F
+
+
+def test_unpickled_field_reuses_the_dlog_table():
+    F = gf(7, 2)
+    assert F.dlog(F.gen()) >= 0
+    assert pickle.loads(pickle.dumps(F))._dlog is F._dlog
 
 
 def test_enumeration_and_hashing():

@@ -131,6 +131,16 @@ def test_n_orbit_rep_invariance():
         assert n_orbit_rep(u * g) == n_orbit_rep(g)
 
 
+def test_matrices_over_different_fields_are_unequal():
+    # the identities over F_2 and F_3 hash alike but are different matrices
+    a = FiniteMatrix.identity(gf(2), 2)
+    b = FiniteMatrix.identity(gf(3), 2)
+    assert hash(a) == hash(b)
+    assert a != b
+    assert len({a, b}) == 2
+    assert n_orbit_rep(a) == a and n_orbit_rep(b) == b
+
+
 @pytest.mark.parametrize("q,k,count", [(2, 2, 3), (3, 2, 16), (5, 2, 96)])
 def test_n_coset_rep_counts(q, k, count):
     assert len(n_coset_reps(gf(q), k)) == count

@@ -83,3 +83,20 @@ def test_no_definition_without_a_caller():
 def test_reference_helpers_exist():
     defined = {f"{module}.{qualname}" for module, qualname, *_ in _definitions()}
     assert set(REFERENCE_HELPERS) <= defined
+
+
+def test_fields_are_built_only_by_gf():
+    """Fields compare by identity, so a GF built outside the intern table
+    would be a second, unequal copy of a field."""
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.stem == "finitefield":
+            (gf_def,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "gf")
+            allowed = {id(n) for n in ast.walk(gf_def)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and id(node) not in allowed
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "GF"):
+                stray.append(f"{path.stem}:{node.lineno}")
+    assert not stray, f"GF(...) called outside finitefield.gf: {stray}"
