@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 from .cuspchar import bessel_convolution_check, finite_bessel
 from .cyclo import is_prime, parse_cyc
-from .errors import NonBanal, NotIntegralAtEll, RSExactError
+from .errors import NonBanal, NotIntegralAtEll, RSExactError, TooLarge
 from .finitefield import AddChar, gf
 from .integral import (
     RSPair,
@@ -58,7 +58,7 @@ from .integral import (
     verify_main_theorem,
 )
 from .lmodular import verify_corollary
-from .matgroups import FiniteMatrix, enumerate_group
+from .matgroups import BESSEL_TERM_LIMIT, FiniteMatrix, enumerate_group, order_gl
 from .padic import PadicMatrix
 from .simpletypes import DEPTH_ZERO, RAMIFIED, SimpleTypeData, make_type
 
@@ -217,10 +217,16 @@ def _fail_note(names) -> None:
 
 
 def _matrix_ints(g: FiniteMatrix) -> list:
-    return [[e.c[0] for e in row] for row in g.rows]
+    return [list(row) for row in g.ints]
 
 
 def _depth_zero_table(cfg: RunConfig, t1: SimpleTypeData):
+    terms = order_gl(cfg.p, cfg.n) * cfg.p ** (cfg.n * (cfg.n - 1) // 2)
+    if terms > BESSEL_TERM_LIMIT:
+        raise TooLarge(
+            f"a GL_{cfg.n}(F_{cfg.p}) Bessel table needs about {terms:.1e} terms, "
+            f"more than the limit of {BESSEL_TERM_LIMIT:.0e}"
+        )
     field = gf(cfg.p)
     psi = AddChar(field, 1)
     J = finite_bessel(t1.chi, psi)

@@ -113,16 +113,14 @@ def cuspidal_character(theta: MultChar) -> CuspidalCharacter:
 
 def psi_of_unipotent(psi: AddChar, u: FiniteMatrix, scal=None):
     """psi applied to the sum of the superdiagonal entries of u."""
-    total = u.field.zero()
-    for i in range(u.n - 1):
-        total = total + u.entry(i, i + 1)
-    return psi.value(total, scal)
+    total = sum(u.ints[i][i + 1] for i in range(u.n - 1))
+    return psi.value(u.field.constant(total), scal)
 
 
 class BesselFunction:
     """J(g) = |N|^{-1} sum_u psi(u)^{-1} chi(g u), the finite Whittaker kernel."""
 
-    __slots__ = ("chi", "psi", "_memo")
+    __slots__ = ("chi", "psi", "_memo", "_terms")
 
     def __init__(self, chi: CuspidalCharacter, psi: AddChar):
         if psi.field is not chi.base_field:
@@ -132,6 +130,7 @@ class BesselFunction:
         self.chi = chi
         self.psi = psi
         self._memo = {}
+        self._terms = {}
 
     @property
     def field(self):
@@ -141,18 +140,29 @@ class BesselFunction:
     def n(self):
         return self.chi.n
 
+    def _term_table(self, scal):
+        """The pairs (u, psi(u)^-1) over the unitriangular u, built once
+        per scalar context."""
+        terms = self._terms.get(scal.cache_key)
+        if terms is None:
+            psi_inv = self.psi.inverse()
+            terms = self._terms[scal.cache_key] = [
+                (u, psi_of_unipotent(psi_inv, u, scal))
+                for u in enumerate_unitriangular(self.field, self.n)
+            ]
+        return terms
+
     def value(self, g: FiniteMatrix, scal=None):
         scal = scal or _DEFAULT_SCAL
-        key = (scal.cache_key, g.rows)
+        key = (scal.cache_key, g.ints)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        psi_inv = self.psi.inverse()
-        units = enumerate_unitriangular(self.field, self.n)
+        terms = self._term_table(scal)
         total = scal.zero()
-        for u in units:
-            total = total + psi_of_unipotent(psi_inv, u, scal) * self.chi.value(g * u, scal)
-        out = scal.from_fraction(Fraction(1, len(units))) * total
+        for u, psi_inv_u in terms:
+            total = total + psi_inv_u * self.chi.value(g * u, scal)
+        out = scal.from_fraction(Fraction(1, len(terms))) * total
         self._memo[key] = out
         return out
 

@@ -1,21 +1,32 @@
-"""Matrices over small finite fields and the group enumerations behind the
-finite-level construction: GL_n(F_q) for n <= 3, unipotent subgroups,
+"""Matrices over a prime field F_p and the group enumerations behind the
+finite-level construction: GL_n(F_p) for n <= 3, unipotent subgroups,
 and conjugacy classification by eigenvalue pattern.
 
+A FiniteMatrix holds its entries as ints mod a prime p, so products,
+determinants, inverses, ranks and the enumerations are integer arithmetic.
+FFElements appear only at the boundary: the constructor accepts them, and
+``rows``, ``entry``, ``det`` and the eigenvalue data of
+``classify_conjugacy`` hand them back.
+
 Eigenvalues are located by scanning the field (and its quadratic/cubic
-extension) for roots of the characteristic polynomial, which avoids any
-discriminant casework and works uniformly in characteristic 2.
+extension) for roots of the characteristic polynomial, once per
+polynomial, which avoids any discriminant casework and works uniformly in
+characteristic 2.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cache
+from math import comb
 
 from .errors import TooLarge
-from .finitefield import FFElement, GF, embed_element, gf
+from .finitefield import FFElement, GF, gf
 
 _ENUM_LIMIT = 10**8
+# Bessel terms, |GL_n(F_q)| * q^(n(n-1)/2), a full depth-zero table may cost
+BESSEL_TERM_LIMIT = 10**6
 
 
 def small_det(r):
@@ -51,72 +62,87 @@ def small_adjugate(r):
     raise ValueError("only n <= 3 supported")
 
 
-class FiniteMatrix:
-    """Immutable n x n matrix over a GF field, hashable."""
+def _prime(field: GF) -> int:
+    """The characteristic of a prime field; other fields are refused."""
+    if field.degree != 1:
+        raise ValueError(f"matrices need a prime field, not {field!r}")
+    return field.p
 
-    __slots__ = ("field", "rows")
+
+def _residue(e, field: GF) -> int:
+    if isinstance(e, FFElement):
+        if e.field is not field:
+            raise ValueError(f"{e!r} is not an element of {field!r}")
+        return e.c[0]
+    return e % field.p
+
+
+class FiniteMatrix:
+    """Immutable, hashable n x n matrix over a prime field gf(p).
+
+    ``ints`` holds the entries as rows of ints in [0, p); ``rows`` and
+    ``entry`` hand them back as FFElements.
+    """
+
+    __slots__ = ("field", "ints")
 
     def __init__(self, field: GF, rows):
-        coerced = []
-        for row in rows:
-            coerced.append(
-                tuple(
-                    e if isinstance(e, FFElement) else field.constant(e) for e in row
-                )
-            )
+        """Rows of ints (any residues) or of FFElements of `field`."""
+        _prime(field)
         self.field = field
-        self.rows = tuple(coerced)
+        self.ints = tuple(tuple(_residue(e, field) for e in row) for row in rows)
+
+    @classmethod
+    def _of(cls, field: GF, ints) -> "FiniteMatrix":
+        """The matrix with rows `ints`, already tuples reduced mod p."""
+        m = object.__new__(cls)
+        m.field = field
+        m.ints = ints
+        return m
 
     @classmethod
     def identity(cls, field: GF, n: int) -> "FiniteMatrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, field: GF, entries) -> "FiniteMatrix":
-        n = len(entries)
-        return cls(
-            field, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        return cls(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
+
+    @property
+    def rows(self):
+        F = self.field
+        return tuple(tuple(FFElement(F, (e,)) for e in row) for row in self.ints)
 
     def entry(self, i: int, j: int) -> FFElement:
-        return self.rows[i][j]
+        return FFElement(self.field, (self.ints[i][j],))
 
     def key(self):
-        """Deterministic sort key (flattened coefficient tuples)."""
-        return tuple(e.c for row in self.rows for e in row)
+        """Deterministic sort key: the int rows, whose order is that of the
+        flattened entries."""
+        return self.ints
 
     def __eq__(self, other):
         if not isinstance(other, FiniteMatrix):
             return NotImplemented
-        return self.field is other.field and self.rows == other.rows
+        return self.field is other.field and self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.ints)
 
     def __mul__(self, other):
+        p = self.field.p
         if isinstance(other, FiniteMatrix):
-            n = self.n
-            bcols = tuple(zip(*other.rows))
-            return FiniteMatrix(
-                self.field,
-                [
-                    [
-                        sum(
-                            (self.rows[i][k] * bcols[j][k] for k in range(n)),
-                            self.field.zero(),
-                        )
-                        for j in range(n)
-                    ]
-                    for i in range(n)
-                ],
-            )
+            if other.field is not self.field:
+                raise ValueError("matrices over different fields")
+            cols = tuple(zip(*other.ints))
+            mul = operator.mul
+            return FiniteMatrix._of(self.field, tuple(
+                tuple(sum(map(mul, row, col)) % p for col in cols) for row in self.ints
+            ))
         if isinstance(other, FFElement):
-            return FiniteMatrix(
-                self.field, [[e * other for e in row] for row in self.rows]
+            z = _residue(other, self.field)
+            return FiniteMatrix._of(
+                self.field, tuple(tuple(e * z % p for e in row) for row in self.ints)
             )
         return NotImplemented
 
@@ -125,34 +151,30 @@ class FiniteMatrix:
             return self * other
         return NotImplemented
 
-    def trace(self) -> FFElement:
-        return sum(
-            (self.rows[i][i] for i in range(self.n)), self.field.zero()
-        )
-
     def det(self) -> FFElement:
-        return small_det(self.rows)
+        return FFElement(self.field, (small_det(self.ints) % self.field.p,))
 
     def inverse(self) -> "FiniteMatrix":
-        d = self.det()
+        p = self.field.p
+        d = small_det(self.ints) % p
         if not d:
             raise ZeroDivisionError("singular matrix")
-        di = d.inverse()
-        return FiniteMatrix(
-            self.field, [[e * di for e in row] for row in small_adjugate(self.rows)]
+        di = pow(d, -1, p)
+        return FiniteMatrix._of(
+            self.field,
+            tuple(tuple(e * di % p for e in row) for row in small_adjugate(self.ints)),
         )
 
     def is_scalar(self) -> bool:
-        z = self.rows[0][0]
-        n = self.n
+        z = self.ints[0][0]
         return all(
-            self.rows[i][j] == (z if i == j else self.field.zero())
-            for i in range(n)
-            for j in range(n)
+            e == (z if i == j else 0)
+            for i, row in enumerate(self.ints)
+            for j, e in enumerate(row)
         )
 
     def __repr__(self):
-        body = "; ".join(",".join(str(e) for e in row) for row in self.rows)
+        body = "; ".join(",".join(str(e) for e in row) for row in self.ints)
         return f"[{body}]"
 
 
@@ -164,7 +186,8 @@ def order_gl(q: int, n: int) -> int:
 
 
 def matrix_rank(g: FiniteMatrix) -> int:
-    rows = [list(r) for r in g.rows]
+    p = g.field.p
+    rows = [list(r) for r in g.ints]
     n = g.n
     rank = 0
     col = 0
@@ -174,12 +197,12 @@ def matrix_rank(g: FiniteMatrix) -> int:
             col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [e * inv for e in rows[rank]]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [e * inv % p for e in rows[rank]]
         for i in range(n):
             if i != rank and rows[i][col]:
                 c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
         rank += 1
         col += 1
     return rank
@@ -190,43 +213,60 @@ def enumerate_group(field: GF, n: int):
     """All of GL_n over the field, in deterministic order."""
     if field.order ** (n * n) > _ENUM_LIMIT:
         raise TooLarge(f"GL_{n}(F_{field.order}) enumeration exceeds the guard")
-    elems = list(field)
+    p = _prime(field)
     out = []
-    for entries in itertools.product(elems, repeat=n * n):
-        m = FiniteMatrix(field, [entries[i * n : (i + 1) * n] for i in range(n)])
-        if m.det():
-            out.append(m)
+    for entries in itertools.product(range(p), repeat=n * n):
+        rows = tuple(entries[i * n : (i + 1) * n] for i in range(n))
+        if small_det(rows) % p:
+            out.append(FiniteMatrix._of(field, rows))
     return out
 
 
 @cache
 def enumerate_unitriangular(field: GF, n: int):
     """Upper unitriangular matrices, deterministic order."""
-    pos = [(i, j) for i in range(n) for j in range(n) if i < j]
+    p = _prime(field)
+    pos = [(i, j) for i in range(n) for j in range(i + 1, n)]
     out = []
-    for vals in itertools.product(list(field), repeat=len(pos)):
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        m = FiniteMatrix(field, rows)
-        filled = [list(r) for r in m.rows]
+    for vals in itertools.product(range(p), repeat=len(pos)):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
         for (i, j), v in zip(pos, vals):
-            filled[i][j] = v
-        out.append(FiniteMatrix(field, filled))
+            rows[i][j] = v
+        out.append(FiniteMatrix._of(field, tuple(map(tuple, rows))))
     return out
+
+
+def _horner(coeffs, x):
+    """The polynomial with coefficients `coeffs`, low to high, at x (an
+    int or an FFElement)."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 @cache
-def _roots_in(field: GF, coeffs: tuple):
-    """Roots in `field` of a monic polynomial given by low-to-high coeffs."""
-    out = []
-    for x in field:
-        acc = field.zero()
-        xp = field.one()
-        for c in coeffs:
-            acc = acc + c * xp
-            xp = xp * x
-        if not acc:
-            out.append(x)
-    return out
+def _eigenvalue_pattern(field: GF, coeffs: tuple):
+    """(kind, data) for the monic characteristic polynomial of an n x n
+    matrix over the prime field, given by its int coefficients mod p, low
+    to high: ("repeated", z) for (x - z)^n, ("split", roots) for two
+    distinct roots in the field (n = 2), ("elliptic", roots) for an
+    irreducible polynomial, its roots in the degree-n extension, and
+    ("other", None) for every remaining cubic."""
+    p = field.p
+    n = len(coeffs) - 1
+    roots = [x for x in range(p) if not _horner(coeffs, x) % p]
+    if not roots:
+        ext = [x for x in gf(p, n) if not _horner(coeffs, x)]
+        assert len(ext) == n
+        return ("elliptic", frozenset(ext))
+    z = roots[0]
+    power = tuple(comb(n, k) * (-z) ** (n - k) % p for k in range(n + 1))  # (x - z)^n
+    if len(roots) == 1 and coeffs == power:
+        return ("repeated", FFElement(field, (z,)))
+    if n == 2:
+        return ("split", frozenset(FFElement(field, (x,)) for x in roots))
+    return ("other", None)
 
 
 def classify_conjugacy(g: FiniteMatrix):
@@ -237,59 +277,35 @@ def classify_conjugacy(g: FiniteMatrix):
     n=3 kinds: ("central", z), ("u21", z), ("u3", z) for the two nontrivial
     unipotent shapes around the scalar z, ("elliptic", {x, x^q, x^q^2}),
     and ("other", None) for every remaining (split or mixed) class.
+
+    The pattern is read off the characteristic polynomial alone; only a
+    repeated eigenvalue z looks at g itself, through is_scalar (n = 2) or
+    the rank of g - z (n = 3).
     """
     F = g.field
-    if g.n == 2:
-        tr = g.trace()
-        det = g.det()
-        roots = _roots_in(F, (det, -tr, F.one()))
-        if len(roots) == 2:
-            return ("split", frozenset(roots))
-        if len(roots) == 1:
-            z = roots[0]
-            return ("central", z) if g.is_scalar() else ("unipotent", z)
-        big = gf(F.p, F.degree * 2)
-        coeffs = (embed_element(det, big), embed_element(-tr, big), big.one())
-        ext_roots = _roots_in(big, coeffs)
-        assert len(ext_roots) == 2
-        return ("elliptic", frozenset(ext_roots))
-    if g.n == 3:
-        r = g.rows
-        t1 = g.trace()
-        t3 = g.det()
+    p = F.p
+    r = g.ints
+    n = g.n
+    if n not in (2, 3):
+        raise ValueError("only n in {2, 3} supported")
+    t1 = sum(r[i][i] for i in range(n))
+    t3 = small_det(r)
+    if n == 2:
+        coeffs = (t3 % p, -t1 % p, 1)
+    else:
         # the trace of the adjugate, summed from the principal 2 x 2 minors
-        # alone: the whole adjugate takes three times the products
-        m01, m02, m12 = (small_det(((r[i][i], r[i][j]), (r[j][i], r[j][j])))
-                         for i, j in ((0, 1), (0, 2), (1, 2)))
-        t2 = m01 + m02 + m12
-        coeffs = (-t3, t2, -t1, F.one())
-        roots = _roots_in(F, coeffs)
-        if not roots:
-            big = gf(F.p, F.degree * 3)
-            ext = _roots_in(big, tuple(embed_element(c, big) for c in coeffs[:-1]) + (big.one(),))
-            assert len(ext) == 3
-            return ("elliptic", frozenset(ext))
-        if len(roots) == 1:
-            z = roots[0]
-            three = F.constant(3)
-            if t1 == three * z and t2 == three * z * z and t3 == z * z * z:
-                zi = FiniteMatrix.identity(F, 3) * z
-                rank = matrix_rank(
-                    FiniteMatrix(
-                        F,
-                        [
-                            [g.rows[i][j] - zi.rows[i][j] for j in range(3)]
-                            for i in range(3)
-                        ],
-                    )
-                )
-                if rank == 0:
-                    return ("central", z)
-                if rank == 1:
-                    return ("u21", z)
-                return ("u3", z)
-        return ("other", None)
-    raise ValueError("only n in {2, 3} supported")
+        t2 = sum(r[i][i] * r[j][j] - r[i][j] * r[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+        coeffs = (-t3 % p, t2 % p, -t1 % p, 1)
+    kind, data = _eigenvalue_pattern(F, coeffs)
+    if kind != "repeated":
+        return kind, data
+    if n == 2:
+        return ("central", data) if g.is_scalar() else ("unipotent", data)
+    z = data.c[0]
+    shifted = tuple(tuple((e - z * (i == j)) % p for j, e in enumerate(row))
+                    for i, row in enumerate(r))
+    # g - z is singular, so its rank is at most 2
+    return ("central", "u21", "u3")[matrix_rank(FiniteMatrix._of(F, shifted))], data
 
 
 @cache
@@ -320,29 +336,25 @@ def n_right_coset_canonical(g: FiniteMatrix) -> FiniteMatrix:
     0..j-1 (pivot = bottom-most unclaimed nonzero row) is returned.
     """
     n = g.n
-    cols = [list(col) for col in zip(*g.rows)]
+    p = g.field.p
+    cols = [list(col) for col in zip(*g.ints)]
     pivots: list[int] = []
     for j in range(n):
         for jj in range(j):
             pi = pivots[jj]
             if cols[j][pi]:
-                c = cols[j][pi] / cols[jj][pi]
-                cols[j] = [a - c * b for a, b in zip(cols[j], cols[jj])]
+                c = cols[j][pi] * pow(cols[jj][pi], -1, p)
+                cols[j] = [(a - c * b) % p for a, b in zip(cols[j], cols[jj])]
         pivot = next(i for i in range(n - 1, -1, -1) if i not in pivots and cols[j][i])
         pivots.append(pivot)
-    return FiniteMatrix(g.field, [[cols[j][i] for j in range(n)] for i in range(n)])
+    return FiniteMatrix._of(g.field, tuple(zip(*cols)))
 
 
 def embed_block(h: FiniteMatrix, n: int) -> FiniteMatrix:
     """Top-left embedding of a k x k matrix into GL_n, identity elsewhere."""
     k = h.n
-    F = h.field
-    rows = [[0] * n for _ in range(n)]
-    m = FiniteMatrix(F, rows)
-    filled = [list(r) for r in m.rows]
-    for i in range(k):
-        for j in range(k):
-            filled[i][j] = h.rows[i][j]
-    for i in range(k, n):
-        filled[i][i] = F.one()
-    return FiniteMatrix(F, filled)
+    rows = tuple(
+        h.ints[i] + (0,) * (n - k) if i < k else tuple(int(i == j) for j in range(n))
+        for i in range(n)
+    )
+    return FiniteMatrix._of(h.field, rows)

@@ -193,7 +193,7 @@ class PadicMatrix:
         if not self.is_integral(p):
             raise ValueError(f"{self!r} is not p-integral")
         inv = pow(self.den, -1, p)
-        return FiniteMatrix(field, [[e * inv % p for e in row] for row in self.num])
+        return FiniteMatrix(field, [[e * inv for e in row] for row in self.num])
 
     def __repr__(self):
         body = "; ".join(",".join(str(e) for e in row) for row in self.rows)

@@ -262,6 +262,22 @@ class TestBesselTableCommand:
         assert data["checks"]["identity"] is True
         assert data["checks"]["duality"] is True
 
+    def test_unbounded_table_is_refused_up_front(self):
+        # |GL_3(F_5)| * 5^3 is about 1.9e8 Bessel terms; the table is
+        # refused before anything is enumerated
+        src = str(Path(rsexact.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rsexact.cli", "bessel-table", "--q", "5", "--n", "3",
+             "--gl3", "--theta", "1"],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("configuration error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
 
 # ---------------------------------------------------------------------------
 # reduce

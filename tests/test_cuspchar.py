@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from rsexact import cuspchar
 from rsexact.cyclo import CycNumber, cyc_embed_root
 from rsexact.cuspchar import (
     bessel_convolution_check,
@@ -16,6 +17,8 @@ from rsexact.cuspchar import (
 from rsexact.errors import NotRegular
 from rsexact.finitefield import AddChar, MultChar, gf
 from rsexact.matgroups import FiniteMatrix, enumerate_group, enumerate_unitriangular
+from rsexact.padic import PadicMatrix
+from rsexact.residue import ResidueScalars
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +230,41 @@ def test_bessel_equivariance_n3():
         for u in N:
             assert J(u * g) == psi_of_unipotent(psi, u) * J(g)
             assert J(g * u) == J(g) * psi_of_unipotent(psi, u)
+
+
+def test_bessel_memo_and_term_table_per_scalar_context(monkeypatch):
+    # GL_2(F_3): Theta has order 8 and psi order 3, so zeta_24 covers both
+    F3 = gf(3)
+    J = finite_bessel(cuspidal_character(MultChar(gf(3, 2), 1)), AddChar(F3, 1))
+    res = ResidueScalars(5, 24, 0)
+    psi_calls = []
+
+    def counted(*args):
+        psi_calls.append(args[1])
+        return psi_of_unipotent(*args)
+
+    monkeypatch.setattr(cuspchar, "psi_of_unipotent", counted)
+    G = enumerate_group(F3, 2)
+    for i, g in enumerate(G):
+        if i % 2:
+            exact, reduced = J.value(g), J.value(g, res)
+        else:
+            reduced, exact = J.value(g, res), J.value(g)
+        assert reduced == res.embed_cyc(exact)
+        assert J.value(g, res) is reduced and J.value(g) is exact
+    assert len(J._memo) == 2 * len(G)
+    # psi(u)^-1 is computed once per unitriangular u and scalar context
+    assert len(psi_calls) == 2 * len(enumerate_unitriangular(F3, 2))
+
+
+def test_bessel_memo_shared_by_reduced_and_int_matrices():
+    F3 = gf(3)
+    J = finite_bessel(cuspidal_character(MultChar(gf(3, 2), 1)), AddChar(F3, 1))
+    reduced = PadicMatrix([[Fraction(1, 2), -1], [3, 7]]).mod_p(F3)
+    value = J.value(reduced)
+    assert len(J._memo) == 1
+    assert J.value(FiniteMatrix(F3, [[2, 2], [0, 1]])) is value
+    assert len(J._memo) == 1
 
 
 def test_convolution_exhaustive_q2():

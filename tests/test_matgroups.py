@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rsexact.errors import TooLarge
 from rsexact.finitefield import gf
@@ -16,6 +18,144 @@ from rsexact.matgroups import (
     n_orbit_rep,
     order_gl,
 )
+
+PRIMES = (2, 3, 5, 7)
+KERNEL = settings(max_examples=100, deadline=None)
+
+
+# -- FFElement references for the int kernel ------------------------------
+
+
+def ff_rows(F, ints):
+    return [[F.constant(e) for e in row] for row in ints]
+
+
+def ref_mul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(1, n)), a[i][0] * b[0][j])
+             for j in range(n)] for i in range(n)]
+
+
+def ref_det(a):
+    if len(a) == 1:
+        return a[0][0]
+    terms = [(-1) ** j * a[0][j] * ref_det([row[:j] + row[j + 1:] for row in a[1:]])
+             for j in range(len(a))]
+    return sum(terms[1:], terms[0])
+
+
+def ref_inverse(a):
+    """Gauss-Jordan elimination over the field."""
+    F = a[0][0].field
+    n = len(a)
+    m = [list(row) + [F.constant(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for c in range(n):
+        r = next(r for r in range(c, n) if m[r][c])
+        m[c], m[r] = m[r], m[c]
+        piv = m[c][c].inverse()
+        m[c] = [e * piv for e in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [e - f * ec for e, ec in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+@st.composite
+def int_matrices(draw, count=2):
+    """(p, [rows, ...]): `count` n x n matrices of arbitrary ints, n in {2, 3}."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.sampled_from((2, 3)))
+    square = st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    return p, [draw(square) for _ in range(count)]
+
+
+def as_lists(g):
+    return [list(row) for row in g.rows]
+
+
+@given(int_matrices())
+@KERNEL
+def test_int_kernel_storage_and_boundary(data):
+    p, (a, _) = data
+    F = gf(p)
+    g = FiniteMatrix(F, a)
+    assert g.ints == tuple(tuple(e % p for e in row) for row in a)
+    assert as_lists(g) == ff_rows(F, a)
+    assert all(g.entry(i, j) == F.constant(e)
+               for i, row in enumerate(a) for j, e in enumerate(row))
+    assert FiniteMatrix(F, ff_rows(F, a)) == g
+
+
+@given(int_matrices())
+@KERNEL
+def test_int_kernel_products_match_reference(data):
+    p, (a, b) = data
+    F = gf(p)
+    ga, gb = FiniteMatrix(F, a), FiniteMatrix(F, b)
+    assert as_lists(ga * gb) == ref_mul(ff_rows(F, a), ff_rows(F, b))
+    z = F.constant(b[0][0])
+    scaled = [[e * z for e in row] for row in ff_rows(F, a)]
+    assert as_lists(ga * z) == as_lists(z * ga) == scaled
+
+
+@given(int_matrices(count=1))
+@KERNEL
+def test_int_kernel_det_and_inverse_match_reference(data):
+    p, (a,) = data
+    F = gf(p)
+    g = FiniteMatrix(F, a)
+    assert g.det() == ref_det(ff_rows(F, a))
+    if not g.det():
+        with pytest.raises(ZeroDivisionError):
+            g.inverse()
+        return
+    assert as_lists(g.inverse()) == ref_inverse(ff_rows(F, a))
+
+
+@given(int_matrices())
+@KERNEL
+def test_int_kernel_key_orders_like_the_coefficient_tuples(data):
+    p, (a, b) = data
+    F = gf(p)
+    ga, gb = FiniteMatrix(F, a), FiniteMatrix(F, b)
+
+    def ref_key(rows):
+        return tuple(e.c for row in rows for e in row)
+
+    ka, kb = ref_key(ff_rows(F, a)), ref_key(ff_rows(F, b))
+    assert (ga.key() < gb.key()) == (ka < kb)
+    assert (ga.key() == gb.key()) == (ka == kb) == (ga == gb)
+
+
+@given(int_matrices(), st.sampled_from(PRIMES))
+@KERNEL
+def test_int_kernel_equality_and_hash_across_fields(data, other):
+    p, (a, _) = data
+    assume(other != p)
+    same = FiniteMatrix(gf(p), a)
+    assert same == FiniteMatrix(gf(p), [[e + p for e in row] for row in a])
+    assert hash(same) == hash(FiniteMatrix(gf(p), ff_rows(gf(p), a)))
+    elsewhere = FiniteMatrix(gf(other), a)
+    assert same != elsewhere
+    assert len({same, elsewhere}) == 2
+    with pytest.raises(ValueError):
+        same * elsewhere
+
+
+def test_extension_fields_are_refused():
+    F4 = gf(2, 2)
+    with pytest.raises(ValueError):
+        FiniteMatrix(F4, [[1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        FiniteMatrix.identity(gf(3, 2), 2)
+    with pytest.raises(ValueError):
+        enumerate_group(F4, 2)
+    with pytest.raises(ValueError):
+        enumerate_unitriangular(F4, 2)
+    with pytest.raises(ValueError):
+        FiniteMatrix(gf(3), [[gf(2).one(), 0], [0, 1]])
 
 
 @pytest.mark.parametrize(
@@ -94,13 +234,22 @@ def test_classify_gl3_f2_label_counts():
     assert labels == {"central": 1, "u21": 21, "u3": 42, "elliptic": 48, "other": 56}
 
 
+@pytest.mark.parametrize("q,counts", [
+    (5, {"central": 4, "unipotent": 96, "split": 180, "elliptic": 200}),
+    (7, {"central": 6, "unipotent": 288, "split": 840, "elliptic": 882}),
+])
+def test_classify_gl2_label_counts(q, counts):
+    labels = Counter(classify_conjugacy(g)[0] for g in enumerate_group(gf(q), 2))
+    assert labels == counts
+
+
 def test_classify_is_conjugation_invariant():
-    F = gf(3)
-    G = enumerate_group(F, 2)
     rng = random.Random(3)
-    for _ in range(80):
-        g, h = rng.choice(G), rng.choice(G)
-        assert classify_conjugacy(h * g * h.inverse()) == classify_conjugacy(g)
+    for q, n in ((3, 2), (2, 3)):
+        G = enumerate_group(gf(q), n)
+        for _ in range(80):
+            g, h = rng.choice(G), rng.choice(G)
+            assert classify_conjugacy(h * g * h.inverse()) == classify_conjugacy(g)
 
 
 def test_classify_elliptic_orbit_structure():
