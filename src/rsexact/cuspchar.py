@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .cyclo import CycScalars
 from .errors import NotRegular
-from .finitefield import AddChar, MultChar, embed_element, gf
+from .finitefield import AddChar, MultChar, gf
 from .matgroups import (
     FiniteMatrix,
     classify_conjugacy,
@@ -61,18 +61,15 @@ class CuspidalCharacter:
             out *= self.q**i - 1
         return out
 
-    def _theta_at_base(self, z, scal):
-        return self.theta.value(embed_element(z, self.big_field), scal)
-
     def value(self, g: FiniteMatrix, scal=None):
         scal = scal or _DEFAULT_SCAL
         kind, data = classify_conjugacy(g)
         q = self.q
         if self.n == 2:
             if kind == "central":
-                return scal.from_fraction(Fraction(q - 1)) * self._theta_at_base(data, scal)
+                return scal.from_fraction(Fraction(q - 1)) * self.central_value(data, scal)
             if kind == "unipotent":
-                return -self._theta_at_base(data, scal)
+                return -self.central_value(data, scal)
             if kind == "split":
                 return scal.zero()
             total = scal.zero()
@@ -81,11 +78,11 @@ class CuspidalCharacter:
             return -total
         if kind == "central":
             c = Fraction((q - 1) * (q * q - 1))
-            return scal.from_fraction(c) * self._theta_at_base(data, scal)
+            return scal.from_fraction(c) * self.central_value(data, scal)
         if kind == "u21":
-            return -(scal.from_fraction(Fraction(q - 1)) * self._theta_at_base(data, scal))
+            return -(scal.from_fraction(Fraction(q - 1)) * self.central_value(data, scal))
         if kind == "u3":
-            return self._theta_at_base(data, scal)
+            return self.central_value(data, scal)
         if kind == "elliptic":
             total = scal.zero()
             for x in data:
@@ -98,10 +95,10 @@ class CuspidalCharacter:
     def dual(self) -> "CuspidalCharacter":
         return CuspidalCharacter(self.theta.inverse())
 
-    def central_value(self, z, scal=None):
-        """The central character omega(z) = Theta(z) for z in F_q^x."""
-        scal = scal or _DEFAULT_SCAL
-        return self._theta_at_base(z, scal)
+    def central_value(self, z: int, scal=None):
+        """The central character omega(z) = Theta(z) for z in F_q^x, an int
+        mod q."""
+        return self.theta.value(self.big_field.constant(z), scal)
 
     def __repr__(self):
         return f"<CuspidalCharacter n={self.n} q={self.q} t={self.theta.t}>"
@@ -113,8 +110,7 @@ def cuspidal_character(theta: MultChar) -> CuspidalCharacter:
 
 def psi_of_unipotent(psi: AddChar, u: FiniteMatrix, scal=None):
     """psi applied to the sum of the superdiagonal entries of u."""
-    total = sum(u.ints[i][i + 1] for i in range(u.n - 1))
-    return psi.value(u.field.constant(total), scal)
+    return psi.value(sum(u.ints[i][i + 1] for i in range(u.n - 1)), scal)
 
 
 class BesselFunction:
@@ -224,7 +220,7 @@ def character_invariants(chi: CuspidalCharacter) -> dict:
     sum_zero = total.is_zero()
 
     central_ok = True
-    for z in F.units():
+    for z in range(1, chi.q):
         tz = chi.central_value(z)
         for g in G:
             if not val[g * z] == tz * val[g]:

@@ -2,16 +2,16 @@
 
 Hand-rolled rather than wrapped from a CAS because the group layers need
 things CAS field objects make awkward: deterministic element enumeration,
-hashable elements usable as dict keys, discrete logarithms against a fixed
-generator, and canonical embeddings F_{p^a} -> F_{p^b}.  The fields the
-group layers enumerate are tiny (at most a few thousand elements), so
-tables are cheap; the residue fields of the mod-ell reduction can be larger
-and use only the arithmetic.
+hashable elements usable as dict keys and discrete logarithms against a
+fixed generator.  The fields the group layers enumerate are tiny (at most
+a few thousand elements), so tables are cheap; the residue fields of the
+mod-ell reduction can be larger and use only the arithmetic.
 
 Also defines the two character types the construction needs: multiplicative
 characters x -> zeta_{p^d-1}^{t * dlog(x)} and additive characters
-x -> zeta_p^{Tr(a x)}; both hand back roots of unity through a scalar
-context so the same code drives cyclotomic and residue-field evaluation.
+x -> zeta_p^{a x} of the prime field, whose values are plain ints mod p;
+both hand back roots of unity through a scalar context so the same code
+drives cyclotomic and residue-field evaluation.
 
 There is one field object per (p, degree, poly): ``gf`` interns every field
 it builds, and unpickling goes back through ``gf``, so fields compare by
@@ -135,7 +135,6 @@ class GF:
         if len(poly) != degree + 1 or poly[-1] != 1 or not _is_irreducible(poly, p):
             raise ValueError("defining polynomial must be monic irreducible of the right degree")
         self.poly = poly
-        self._sub_roots = {}
 
     @staticmethod
     def _find_poly(p, degree):
@@ -201,26 +200,6 @@ class GF:
         if not x:
             raise ZeroDivisionError("dlog of zero")
         return self._dlog[x]
-
-    def _subfield_root(self, sub: "GF"):
-        """The root of sub's defining polynomial that embeds sub into self."""
-        root = self._sub_roots.get(sub)
-        if root is not None:
-            return root
-        if sub.p != self.p or self.degree % sub.degree:
-            raise ValueError(f"{sub!r} does not embed into {self!r}")
-        for x in self:
-            acc = self.zero()
-            xp = self.one()
-            for c in sub.poly:
-                if c:
-                    acc = acc + self.constant(c) * xp
-                xp = xp * x
-            if not acc:
-                root = x
-                break
-        self._sub_roots[sub] = root
-        return root
 
 
 class FFElement:
@@ -356,6 +335,13 @@ class FFElement:
         return f"<{self.field!r}: {self}>"
 
 
+def _prime(field: GF) -> int:
+    """The characteristic of a prime field; other fields are refused."""
+    if field.degree != 1:
+        raise ValueError(f"{field!r} is not a prime field")
+    return field.p
+
+
 _GF_CACHE: dict = {}
 
 
@@ -374,32 +360,6 @@ def gf(p, degree=1, poly=None):
         field = _GF_CACHE.setdefault((p, degree, field.poly), field)
         _GF_CACHE[key] = field
     return field
-
-
-def embed_element(x: FFElement, target: GF) -> FFElement:
-    """Image of x under the canonical embedding of its field into target."""
-    if x.field is target:
-        return x
-    root = target._subfield_root(x.field)
-    acc = target.zero()
-    rp = target.one()
-    for c in x.c:
-        if c:
-            acc = acc + target.constant(c) * rp
-        rp = rp * root
-    return acc
-
-
-def abs_trace(x: FFElement) -> int:
-    """Absolute trace down to the prime field, as an integer mod p."""
-    p = x.field.p
-    acc = x.field.zero()
-    y = x
-    for _ in range(x.field.degree):
-        acc = acc + y
-        y = y**p
-    assert not any(acc.c[1:])
-    return acc.c[0]
 
 
 class MultChar:
@@ -453,17 +413,18 @@ class MultChar:
 
 
 class AddChar:
-    """x -> zeta_p^Tr(a x) on a field of characteristic p."""
+    """x -> zeta_p^(a x) on the prime field F_p, for ints x and a mod p."""
 
     __slots__ = ("field", "a")
 
     def __init__(self, field: GF, a=1):
         self.field = field
-        self.a = a if isinstance(a, FFElement) else field.constant(a)
+        self.a = a % _prime(field)
 
-    def value(self, x: FFElement, scal=None):
+    def value(self, x: int, scal=None):
         scal = scal or _DEFAULT_SCAL
-        return scal.root_of_unity(self.field.p, abs_trace(self.a * x))
+        p = self.field.p
+        return scal.root_of_unity(p, self.a * x % p)
 
     __call__ = value
 

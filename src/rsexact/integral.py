@@ -435,7 +435,7 @@ def shell_constancy_report(pair: RSPair, I: RationalFunction, shells: int = 4) -
     mu_raw = values[0]
     mu = None
     q_power_ok = False
-    if constant_ok and hasattr(mu_raw, "is_rational") and mu_raw.is_rational():
+    if constant_ok and mu_raw.is_rational():
         raw = mu_raw.rational_value()
         mu = raw / (pair.q**step - 1)
         q_power_ok = _is_q_power(mu, pair.q)
@@ -574,10 +574,10 @@ class VerificationReport:
 
 
 def verify_main_theorem(type1: SimpleTypeData, type2: SimpleTypeData, *,
-                        twist=None, scal=None) -> VerificationReport:
+                        twist=None) -> VerificationReport:
     """Run the engine and the full diagnostic battery on one pair; the
     caller attaches oracle rows (oracle_check) when it wants them."""
-    pair = RSPair(type1, type2, twist=twist, scal=scal)
+    pair = RSPair(type1, type2, twist=twist)
     T, cell_log = integrate_over_K(pair)
     I = rankin_selberg_I(pair, T)
     if not pair.applicable:

@@ -102,11 +102,9 @@ def reduce_rational(f: RationalFunction, res: ResidueScalars) -> RationalFunctio
     return RationalFunction(reduce_laurent(f.num, res), reduce_laurent(f.den, res))
 
 
-def reduce_euler_factor(L: EulerFactor, ell: int, N: int,
-                        factor_index: int = 0) -> EulerFactor:
-    """Reduce an inverse Euler factor coefficientwise mod the chosen prime
-    above ell of Q(zeta_N)."""
-    res = ResidueScalars(ell, N, factor_index)
+def reduce_euler_factor(L: EulerFactor, res: ResidueScalars) -> EulerFactor:
+    """Reduce an inverse Euler factor coefficientwise along the prime above
+    ell that res has chosen."""
     return EulerFactor(reduce_laurent(L.poly, res))
 
 
@@ -207,9 +205,7 @@ def verify_corollary(type1: SimpleTypeData, type2: SimpleTypeData, ell: int, *,
         )
 
     # (c) Euler-factor identity with a nonzero scalar
-    L_red = reduce_euler_factor(
-        l_factor(type1, type2, twist=cyc_pair.twist), ell, N, factor_index
-    )
+    L_red = reduce_euler_factor(l_factor(type1, type2, twist=cyc_pair.twist), res)
     try:
         L_from_run, scalar, shift = euler_normalize(I_res)
         euler_ok = L_from_run == L_red and bool(scalar) and shift == 0

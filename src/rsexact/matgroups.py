@@ -4,9 +4,6 @@ and conjugacy classification by eigenvalue pattern.
 
 A FiniteMatrix holds its entries as ints mod a prime p, so products,
 determinants, inverses, ranks and the enumerations are integer arithmetic.
-FFElements appear only at the boundary: the constructor accepts them, and
-``rows``, ``entry``, ``det`` and the eigenvalue data of
-``classify_conjugacy`` hand them back.
 
 Eigenvalues are located by scanning the field (and its quadratic/cubic
 extension) for roots of the characteristic polynomial, once per
@@ -22,7 +19,7 @@ from functools import cache
 from math import comb
 
 from .errors import TooLarge
-from .finitefield import FFElement, GF, gf
+from .finitefield import GF, _prime, gf
 
 _ENUM_LIMIT = 10**8
 # Bessel terms, |GL_n(F_q)| * q^(n(n-1)/2), a full depth-zero table may cost
@@ -31,7 +28,7 @@ BESSEL_TERM_LIMIT = 10**6
 
 def small_det(r):
     """Determinant of an n x n matrix, n <= 3, given by its rows over any
-    commutative ring (ints, FFElements)."""
+    commutative ring."""
     if len(r) == 1:
         return r[0][0]
     if len(r) == 2:
@@ -62,35 +59,19 @@ def small_adjugate(r):
     raise ValueError("only n <= 3 supported")
 
 
-def _prime(field: GF) -> int:
-    """The characteristic of a prime field; other fields are refused."""
-    if field.degree != 1:
-        raise ValueError(f"matrices need a prime field, not {field!r}")
-    return field.p
-
-
-def _residue(e, field: GF) -> int:
-    if isinstance(e, FFElement):
-        if e.field is not field:
-            raise ValueError(f"{e!r} is not an element of {field!r}")
-        return e.c[0]
-    return e % field.p
-
-
 class FiniteMatrix:
     """Immutable, hashable n x n matrix over a prime field gf(p).
 
-    ``ints`` holds the entries as rows of ints in [0, p); ``rows`` and
-    ``entry`` hand them back as FFElements.
+    ``ints`` holds the entries as rows of ints in [0, p).
     """
 
     __slots__ = ("field", "ints")
 
     def __init__(self, field: GF, rows):
-        """Rows of ints (any residues) or of FFElements of `field`."""
-        _prime(field)
+        """Rows of ints, any residues mod p."""
+        p = _prime(field)
         self.field = field
-        self.ints = tuple(tuple(_residue(e, field) for e in row) for row in rows)
+        self.ints = tuple(tuple(e % p for e in row) for row in rows)
 
     @classmethod
     def _of(cls, field: GF, ints) -> "FiniteMatrix":
@@ -107,19 +88,6 @@ class FiniteMatrix:
     @property
     def n(self) -> int:
         return len(self.ints)
-
-    @property
-    def rows(self):
-        F = self.field
-        return tuple(tuple(FFElement(F, (e,)) for e in row) for row in self.ints)
-
-    def entry(self, i: int, j: int) -> FFElement:
-        return FFElement(self.field, (self.ints[i][j],))
-
-    def key(self):
-        """Deterministic sort key: the int rows, whose order is that of the
-        flattened entries."""
-        return self.ints
 
     def __eq__(self, other):
         if not isinstance(other, FiniteMatrix):
@@ -139,20 +107,13 @@ class FiniteMatrix:
             return FiniteMatrix._of(self.field, tuple(
                 tuple(sum(map(mul, row, col)) % p for col in cols) for row in self.ints
             ))
-        if isinstance(other, FFElement):
-            z = _residue(other, self.field)
+        if isinstance(other, int):
             return FiniteMatrix._of(
-                self.field, tuple(tuple(e * z % p for e in row) for row in self.ints)
+                self.field, tuple(tuple(e * other % p for e in row) for row in self.ints)
             )
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, FFElement):
-            return self * other
-        return NotImplemented
-
-    def det(self) -> FFElement:
-        return FFElement(self.field, (small_det(self.ints) % self.field.p,))
+    __rmul__ = __mul__
 
     def inverse(self) -> "FiniteMatrix":
         p = self.field.p
@@ -238,7 +199,7 @@ def enumerate_unitriangular(field: GF, n: int):
 
 def _horner(coeffs, x):
     """The polynomial with coefficients `coeffs`, low to high, at x (an
-    int or an FFElement)."""
+    int or an element of an extension field)."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -250,9 +211,10 @@ def _eigenvalue_pattern(field: GF, coeffs: tuple):
     """(kind, data) for the monic characteristic polynomial of an n x n
     matrix over the prime field, given by its int coefficients mod p, low
     to high: ("repeated", z) for (x - z)^n, ("split", roots) for two
-    distinct roots in the field (n = 2), ("elliptic", roots) for an
-    irreducible polynomial, its roots in the degree-n extension, and
-    ("other", None) for every remaining cubic."""
+    distinct roots in the field (n = 2), both as ints mod p;
+    ("elliptic", roots) for an irreducible polynomial, its roots as
+    elements of the degree-n extension; and ("other", None) for every
+    remaining cubic."""
     p = field.p
     n = len(coeffs) - 1
     roots = [x for x in range(p) if not _horner(coeffs, x) % p]
@@ -263,9 +225,9 @@ def _eigenvalue_pattern(field: GF, coeffs: tuple):
     z = roots[0]
     power = tuple(comb(n, k) * (-z) ** (n - k) % p for k in range(n + 1))  # (x - z)^n
     if len(roots) == 1 and coeffs == power:
-        return ("repeated", FFElement(field, (z,)))
+        return ("repeated", z)
     if n == 2:
-        return ("split", frozenset(FFElement(field, (x,)) for x in roots))
+        return ("split", frozenset(roots))
     return ("other", None)
 
 
@@ -277,6 +239,8 @@ def classify_conjugacy(g: FiniteMatrix):
     n=3 kinds: ("central", z), ("u21", z), ("u3", z) for the two nontrivial
     unipotent shapes around the scalar z, ("elliptic", {x, x^q, x^q^2}),
     and ("other", None) for every remaining (split or mixed) class.
+    Eigenvalues in F_p are ints mod p; elliptic ones are elements of
+    gf(p, n).
 
     The pattern is read off the characteristic polynomial alone; only a
     repeated eigenvalue z looks at g itself, through is_scalar (n = 2) or
@@ -301,17 +265,20 @@ def classify_conjugacy(g: FiniteMatrix):
         return kind, data
     if n == 2:
         return ("central", data) if g.is_scalar() else ("unipotent", data)
-    z = data.c[0]
-    shifted = tuple(tuple((e - z * (i == j)) % p for j, e in enumerate(row))
+    shifted = tuple(tuple((e - data * (i == j)) % p for j, e in enumerate(row))
                     for i, row in enumerate(r))
     # g - z is singular, so its rank is at most 2
     return ("central", "u21", "u3")[matrix_rank(FiniteMatrix._of(F, shifted))], data
 
 
+# sort key: the int rows, whose order is that of the flattened entries
+_ints = operator.attrgetter("ints")
+
+
 @cache
 def n_orbit_rep(g: FiniteMatrix) -> FiniteMatrix:
     """Lexicographically least element of (unitriangular N) * g."""
-    return min((u * g for u in enumerate_unitriangular(g.field, g.n)), key=FiniteMatrix.key)
+    return min((u * g for u in enumerate_unitriangular(g.field, g.n)), key=_ints)
 
 
 @cache
@@ -324,7 +291,7 @@ def n_coset_reps(field: GF, k: int):
         if r not in seen:
             seen.add(r)
             reps.append(r)
-    reps.sort(key=FiniteMatrix.key)
+    reps.sort(key=_ints)
     return reps
 
 

@@ -60,17 +60,11 @@ class Laurent:
     __hash__ = None
 
     def __add__(self, other):
+        # __init__ drops the coefficients that cancel
         out = dict(self._c)
         for k, v in other._c.items():
             w = out.get(k)
-            if w is None:
-                out[k] = v
-            else:
-                s = w + v
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+            out[k] = v if w is None else w + v
         return Laurent(self.scal, out)
 
     def __neg__(self):
@@ -86,14 +80,7 @@ class Laurent:
                 k = k1 + k2
                 v = v1 * v2
                 w = out.get(k)
-                if w is None:
-                    out[k] = v
-                else:
-                    s = w + v
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
+                out[k] = v if w is None else w + v
         return Laurent(self.scal, out)
 
     def __str__(self) -> str:

@@ -34,7 +34,7 @@ from .errors import (
     NotInJ,
     NotInU,
 )
-from .finitefield import AddChar, MultChar, embed_element, gf
+from .finitefield import AddChar, MultChar, gf
 from .padic import (
     LatticeChain,
     PadicMatrix,
@@ -165,8 +165,7 @@ class SimpleTypeData:
         scal = scal or _DEFAULT_SCAL
         r = int_mod(Fraction(u), self.p, 1)
         if self.family == DEPTH_ZERO:
-            big = embed_element(gf(self.p).constant(r), gf(self.p, self.n))
-            return self.theta.value(big, scal)
+            return self.chi.central_value(r, scal)
         return self.sigma.value(gf(self.p).constant(r), scal)
 
     # -- canonical dual parameters --------------------------------------

@@ -95,8 +95,8 @@ class TestIntegrality:
 class TestReduceEulerFactor:
     def test_reduce_quadratic_factor(self):
         L = l_factor(dz(2, 1), dz(2, 2))
-        La = reduce_euler_factor(L, 5, 6)
         s = ResidueScalars(5, 6, 0)
+        La = reduce_euler_factor(L, s)
         assert La == EulerFactor(Laurent(s, {0: s.one(), 2: -s.one()}))
 
 

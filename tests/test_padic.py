@@ -112,7 +112,7 @@ def test_mod_p_reduction():
     f3 = gf(3)
     g = PadicMatrix([[Fraction(1, 2), 4], [6, -1]])
     r = g.mod_p(f3)
-    assert [[int(e.c[0]) for e in row] for row in r.rows] == [[2, 1], [0, 2]]
+    assert r.ints == ((2, 1), (0, 2))
 
 
 def test_upper_unipotent():

@@ -156,7 +156,7 @@ def test_valuations_and_residues_match_reference(data):
     assert g.in_K(p) == ref_in_K(a, p)
     if integral:
         reduced = g.mod_p(gf(p))
-        assert [[int(e.c[0]) for e in row] for row in reduced.rows] == [
+        assert [list(row) for row in reduced.ints] == [
             [ref_int_mod(e, p, 1) for e in row] for row in a
         ]
 

@@ -100,3 +100,12 @@ def test_fields_are_built_only_by_gf():
                     and getattr(node.func, "id", getattr(node.func, "attr", None)) == "GF"):
                 stray.append(f"{path.stem}:{node.lineno}")
     assert not stray, f"GF(...) called outside finitefield.gf: {stray}"
+
+
+def test_group_layer_is_int_only():
+    """Prime-field values are ints in the group layer; FFElements there only
+    come back as the elliptic eigenvalues, from the degree-n field itself.
+    PadicMatrix shares the names rows, entry and det, so the unused-definition
+    test cannot see a returning FFElement boundary."""
+    names = {ident for ident, _ in _identifiers()["matgroups"]}
+    assert "FFElement" not in names
