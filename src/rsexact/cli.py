@@ -253,16 +253,7 @@ def _depth_zero_table(cfg: RunConfig, t1: SimpleTypeData):
 
 def _ramified_table(cfg: RunConfig, t1: SimpleTypeData):
     p = cfg.p
-    reps = []
-    for r in range(1, p):
-        for y in _j1_coset_reps(p):
-            j = PadicMatrix(
-                [
-                    [r * (1 + y.entry(0, 0)), r * y.entry(0, 1)],
-                    [r * y.entry(1, 0), r * (1 + y.entry(1, 1))],
-                ]
-            )
-            reps.append(j)
+    reps = [u * r for r in range(1, p) for u in _j1_coset_reps(p)]
     rows = [
         {"g": [[int(j.entry(i, k)) for k in range(2)] for i in range(2)],
          "value": str(t1.lam(j))}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import CycScalars
+from .cyclo import CYC
 from .errors import NotRegular
 from .finitefield import AddChar, MultChar, gf
 from .matgroups import (
@@ -29,8 +29,6 @@ from .matgroups import (
     n_coset_reps,
     n_right_coset_canonical,
 )
-
-_DEFAULT_SCAL = CycScalars()
 
 
 class CuspidalCharacter:
@@ -61,8 +59,7 @@ class CuspidalCharacter:
             out *= self.q**i - 1
         return out
 
-    def value(self, g: FiniteMatrix, scal=None):
-        scal = scal or _DEFAULT_SCAL
+    def value(self, g: FiniteMatrix, scal=CYC):
         kind, data = classify_conjugacy(g)
         q = self.q
         if self.n == 2:
@@ -95,7 +92,7 @@ class CuspidalCharacter:
     def dual(self) -> "CuspidalCharacter":
         return CuspidalCharacter(self.theta.inverse())
 
-    def central_value(self, z: int, scal=None):
+    def central_value(self, z: int, scal=CYC):
         """The central character omega(z) = Theta(z) for z in F_q^x, an int
         mod q."""
         return self.theta.value(self.big_field.constant(z), scal)
@@ -108,7 +105,7 @@ def cuspidal_character(theta: MultChar) -> CuspidalCharacter:
     return CuspidalCharacter(theta)
 
 
-def psi_of_unipotent(psi: AddChar, u: FiniteMatrix, scal=None):
+def psi_of_unipotent(psi: AddChar, u: FiniteMatrix, scal=CYC):
     """psi applied to the sum of the superdiagonal entries of u."""
     return psi.value(sum(u.ints[i][i + 1] for i in range(u.n - 1)), scal)
 
@@ -148,8 +145,7 @@ class BesselFunction:
             ]
         return terms
 
-    def value(self, g: FiniteMatrix, scal=None):
-        scal = scal or _DEFAULT_SCAL
+    def value(self, g: FiniteMatrix, scal=CYC):
         key = (scal.cache_key, g.ints)
         cached = self._memo.get(key)
         if cached is not None:
@@ -172,15 +168,14 @@ def finite_bessel(chi: CuspidalCharacter, psi: AddChar) -> BesselFunction:
     return BesselFunction(chi, psi)
 
 
-def mirabolic_convolution(b1: BesselFunction, b2: BesselFunction, g1, g2, scal=None):
+def mirabolic_convolution(b1: BesselFunction, b2: BesselFunction, g1, g2):
     """sum over N\\M of J1(g1 m^{-1}) J2(m g2), M the mirabolic subgroup."""
-    scal = scal or _DEFAULT_SCAL
     field = b1.field
     n = b1.n
-    total = scal.zero()
+    total = CYC.zero()
     for r in n_coset_reps(field, n - 1):
         m = embed_block(r, n)
-        total = total + b1.value(g1 * m.inverse(), scal) * b2.value(m * g2, scal)
+        total = total + b1.value(g1 * m.inverse()) * b2.value(m * g2)
     return total
 
 
@@ -207,14 +202,14 @@ def character_invariants(chi: CuspidalCharacter) -> dict:
     val = {g: chi.value(g) for g in G}
     eye = FiniteMatrix.identity(F, n)
 
-    inner = CycScalars().zero()
+    inner = CYC.zero()
     for g in G:
         inner = inner + val[g] * val[g.inverse()]
     norm_one = inner == len(G)
 
     degree_ok = val[eye] == chi.degree_value()
 
-    total = CycScalars().zero()
+    total = CYC.zero()
     for g in G:
         total = total + val[g]
     sum_zero = total.is_zero()
@@ -248,14 +243,11 @@ def character_invariants(chi: CuspidalCharacter) -> dict:
     }
 
 
-def bessel_convolution_check(b1: BesselFunction, b2, g1, g2, scal=None) -> bool:
+def bessel_convolution_check(b1: BesselFunction, b2, g1, g2) -> bool:
     """Does the mirabolic convolution of J1 and J2 reproduce J1 at g1 g2?
 
     Used with b2 the Bessel function of the same character; the identity is
     the finite-level analogue of the Whittaker-coefficient reproducing
     formula.
     """
-    scal = scal or _DEFAULT_SCAL
-    lhs = mirabolic_convolution(b1, b2, g1, g2, scal)
-    rhs = b1.value(g1 * g2, scal)
-    return lhs == rhs
+    return mirabolic_convolution(b1, b2, g1, g2) == b1.value(g1 * g2)

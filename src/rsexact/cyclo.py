@@ -571,3 +571,7 @@ class CycScalars:
 
     def embed_cyc(self, value: CycNumber) -> CycNumber:
         return value
+
+
+# the characteristic-zero context; every `scal` parameter defaults to it
+CYC = CycScalars()

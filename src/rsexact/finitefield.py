@@ -24,9 +24,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .cyclo import CycScalars, _prime_powers, is_prime
-
-_DEFAULT_SCAL = CycScalars()
+from .cyclo import CYC, _prime_powers, is_prime
 
 
 # -- polynomial helpers (tuples low-to-high, coefficients in Z/p) ---------
@@ -375,10 +373,9 @@ class MultChar:
     def modulus(self):
         return self.field.order - 1
 
-    def value(self, x: FFElement, scal=None):
+    def value(self, x: FFElement, scal=CYC):
         if not x:
             raise ValueError("multiplicative character evaluated at zero")
-        scal = scal or _DEFAULT_SCAL
         m = self.modulus
         if m == 0:
             return scal.one()
@@ -421,8 +418,7 @@ class AddChar:
         self.field = field
         self.a = a % _prime(field)
 
-    def value(self, x: int, scal=None):
-        scal = scal or _DEFAULT_SCAL
+    def value(self, x: int, scal=CYC):
         p = self.field.p
         return scal.root_of_unity(p, self.a * x % p)
 

@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import CycScalars
+from .cyclo import CYC
 from .padic import (
     MeasureContext,
     PadicMatrix,
@@ -53,8 +53,6 @@ from .simpletypes import (
     support_decompose,
 )
 
-_DEFAULT_SCAL = CycScalars()
-
 
 def _units_mod(p: int, m: int):
     return [u for u in range(p**m) if u % p]
@@ -70,8 +68,8 @@ class RSPair:
     psi_t^{-1} model of type2, optionally twisted) with shared measure data."""
 
     def __init__(self, type1: SimpleTypeData, type2: SimpleTypeData, *,
-                 twist=None, scal=None):
-        self.scal = scal or _DEFAULT_SCAL
+                 twist=None, scal=CYC):
+        self.scal = scal
         self.type1 = type1
         self.type2 = type2
         self.W1 = WhittakerFunction(type1, scal=self.scal)
@@ -98,8 +96,8 @@ class RSPair:
         support, so that a sum over points skips it instead of adding zero.
 
         Both test vectors are supported on N <w_E> J, which depends only on
-        the family, p, n and the lattice chain; is_dual_pair has checked
-        that the two types share these.
+        the family, p and n; is_dual_pair has checked that the two types
+        share these.
         """
         dec = support_decompose(self.type1, g)
         if dec is None:
@@ -154,14 +152,10 @@ def inner_poly(pair: RSPair, slices: dict) -> Laurent:
     """I_0 as a polynomial in X; for n = 2 the cell-volume factor q^k is
     appended here, for n = 3 it is already inside b_k."""
     scal = pair.scal
-    coeffs = {}
-    for k, b in slices.items():
-        c = b
-        if pair.n == 2:
-            c = c * scal.from_fraction(Fraction(pair.q) ** k)
-        if c != scal.zero():
-            coeffs[k] = c
-    return Laurent(scal, coeffs)
+    if pair.n == 3:
+        return Laurent(scal, slices)
+    return Laurent(scal, {k: b * scal.from_fraction(Fraction(pair.q) ** k)
+                          for k, b in slices.items()})
 
 
 @dataclass
@@ -313,7 +307,7 @@ def _mirabolic_factorization_ok(pair: RSPair, cell_log) -> bool:
     part of K (last row (0, 1)).
     """
     p = pair.p
-    w = pair.type1.chain.uniformizer()
+    w = pair.type1.uniformizer()
     for rec in cell_log:
         c, d = (Fraction(int(x)) for x in rec.row)
         s = _row_slice(pair, rec.row)
@@ -348,7 +342,7 @@ def _j1_coset_reps(p: int):
     return out
 
 
-def j1_average_report(pair: RSPair, cell_log, honest_cells: int | None = None) -> dict:
+def j1_average_report(pair: RSPair, cell_log) -> dict:
     """J^1-averages F_i of the pair: every value lies in {0, vol(J^1) kappa^i}.
 
     F_i(cell) = integral over J^1 of b_i(cell * u) du.  The factorized route
@@ -397,11 +391,9 @@ def j1_average_report(pair: RSPair, cell_log, honest_cells: int | None = None) -
             law_ok = False
         if pair.W2.value(g * u) != pair.W2.value(g) * pair.type2.lam(u, scal):
             law_ok = False
-    # honest double sum on a deterministic sample of cells
+    # honest double sum on the first two cells at p = 3
     honest_ok = True
-    if honest_cells is None:
-        honest_cells = 2 if p == 3 else 0
-    for rec in cell_log[:honest_cells]:
+    for rec in cell_log[:2 if p == 3 else 0]:
         for k in range(pair.n):
             direct = scal.zero()
             for u in reps:
@@ -546,8 +538,7 @@ class VerificationReport:
             out["u"] = str(self.u)
             out["lambda_vol"] = str(self.lambda_vol)
             out["euler_factor"] = str(
-                l_factor(self.pair.type1, self.pair.type2,
-                         twist=self.pair.twist, scal=self.pair.scal)
+                l_factor(self.pair.type1, self.pair.type2, twist=self.pair.twist)
             )
         if self.oracle is not None:
             out["oracle"] = oracle_rows_json(self.oracle)

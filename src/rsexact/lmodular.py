@@ -32,7 +32,7 @@ from .errors import EllEqualsP, NonBanal, NotMonomialMultiple
 from .integral import RSPair, integrate_over_K, rankin_selberg_I
 from .ratfun import EulerFactor, Laurent, RationalFunction, euler_normalize
 from .residue import ResidueScalars
-from .simpletypes import DEPTH_ZERO, SimpleTypeData, l_factor
+from .simpletypes import SimpleTypeData, l_factor
 
 # -- the banal range ------------------------------------------------------
 
@@ -68,11 +68,8 @@ def require_banal(type1: SimpleTypeData, ell: int) -> None:
 def type_conductor(t: SimpleTypeData) -> int:
     """Conductor of the cyclotomic field hosting every value the engine can
     produce for this type (additive-character depth, kernel values, A)."""
-    if t.family == DEPTH_ZERO:
-        base = lcm(t.p, t.q**t.n - 1)
-    else:
-        base = lcm(t.p * t.p, t.p - 1)
-    return lcm(base, t.A.modulus)
+    char = t.theta or t.sigma
+    return lcm(t.p**t.cap, char.modulus, t.A.modulus)
 
 
 def pair_conductor(type1: SimpleTypeData, type2: SimpleTypeData,

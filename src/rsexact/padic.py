@@ -23,11 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .cyclo import CycScalars
+from .cyclo import CYC
 from .errors import DepthExceeded, UnsupportedDescriptor
 from .matgroups import FiniteMatrix, order_gl, small_adjugate, small_det
-
-_DEFAULT_SCAL = CycScalars()
 
 
 def vp_int(n: int, p: int) -> int:
@@ -56,13 +54,12 @@ def int_mod(x, p: int, m: int) -> int:
     return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
-def theta_eval(p: int, x, cap: int, scal=None):
+def theta_eval(p: int, x, cap: int, scal=CYC):
     """The additive character of Q_p that is trivial on pZ_p and sends 1 to zeta_p.
 
     theta(x) = zeta_{p^{m+1}}^{p^m x mod p^{m+1}} with m = max(0, -val(x));
     raises DepthExceeded when m exceeds the session cap.
     """
-    scal = scal or _DEFAULT_SCAL
     x = Fraction(x)
     if not x:
         return scal.one()
@@ -285,47 +282,6 @@ def iwasawa_PZK(g: PadicMatrix, p: int):
     a_shift = PadicMatrix.diagonal([Fraction(p) ** (v - l) for v in vals])
     p_part = n_mat * a_shift
     return p_part, l, k
-
-
-# -- lattice chains -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LatticeChain:
-    """Lattice chain data normalized by a_n(0)=0, a_n(-1)=-1.
-
-    `uniformizer` is the chain uniformizer in the working basis (where
-    L_0 = Z_p^n), and `t` the twisting powers p^{a_i(0) - a_n(0)} entering
-    the standard whittaker character.
-    """
-
-    n: int
-    uniformizer_rows: tuple
-    t_exponents: tuple
-
-    def uniformizer(self) -> PadicMatrix:
-        return PadicMatrix(self.uniformizer_rows)
-
-
-def depth_zero_chain(p: int, n: int) -> LatticeChain:
-    return LatticeChain(
-        n=n,
-        uniformizer_rows=tuple(
-            tuple(Fraction(p if i == j else 0) for j in range(n)) for i in range(n)
-        ),
-        t_exponents=(0,) * n,
-    )
-
-
-def ramified_chain(p: int) -> LatticeChain:
-    # offsets in the defining basis: a_1 = (-1, 0), a_2 = (0, 0) at k = 0, 1;
-    # the working basis w_1 = p^{-1} v_1, w_2 = v_2 turns L_0 into Z_p^2 and
-    # the uniformizer into [[0, p], [1, 0]] with square p * Id.
-    return LatticeChain(
-        n=2,
-        uniformizer_rows=((Fraction(0), Fraction(p)), (Fraction(1), Fraction(0))),
-        t_exponents=(-1, 0),
-    )
 
 
 # -- measures -------------------------------------------------------------

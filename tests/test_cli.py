@@ -15,6 +15,8 @@ import pytest
 
 import rsexact
 from rsexact.cli import RunConfig, build_parser, config_from_args, main
+from rsexact.padic import PadicMatrix
+from rsexact.simpletypes import RAMIFIED, make_type
 
 
 def run_cli(capsys, *argv):
@@ -251,6 +253,19 @@ class TestBesselTableCommand:
         assert len(data["rows"]) == 2 * 3**5
         assert all(bool(data["checks"][k])
                    for k in ("identity", "duality", "convolution"))
+
+    def test_ramified_table_rows_are_the_j_representatives(self, capsys):
+        p = 3
+        code, out, _ = run_cli(
+            capsys, "bessel-table", "--family", "ramified", "--p", str(p),
+            "--sigma", "1")
+        assert code == 0
+        gs = [r["g"] for r in json.loads(out)["rows"]]
+        # the first row is r = 1 times the coset representative y = 0
+        assert gs[0] == [[1, 0], [0, 1]]
+        t = make_type(RAMIFIED, p, sigma=1)
+        assert all(t.in_J(PadicMatrix(g)) for g in gs)
+        assert len({str(g) for g in gs}) == (p - 1) * p**5
 
     def test_gl3_table(self, capsys):
         code, out, _ = run_cli(

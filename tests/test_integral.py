@@ -269,7 +269,7 @@ class TestJ1Average:
     def test_honest_matches_factorized(self):
         pair = ram_pair(3, 1, 1)
         _, log = integrate_over_K(pair)
-        out = j1_average_report(pair, log, honest_cells=1)
+        out = j1_average_report(pair, log)
         assert out["values"] and out["honest"] and out["translation_law"]
         assert out["lambda_vol"] == 3
 

@@ -11,17 +11,14 @@ from rsexact.errors import DepthExceeded, UnsupportedDescriptor
 from rsexact.finitefield import gf
 from rsexact.matgroups import order_gl
 from rsexact.padic import (
-    LatticeChain,
     MeasureContext,
     PadicMatrix,
-    depth_zero_chain,
     int_mod,
     iwasawa_NAK,
     iwasawa_PZK,
     ng_cell_volume,
     nk_cell_reps,
     pk_cell_reps,
-    ramified_chain,
     theta_eval,
     unimodular_rows,
     upper_unipotent,
@@ -207,37 +204,6 @@ def test_pzk_ramified_uniformizer():
     assert l == 0
     assert p_part == PadicMatrix.diagonal([p, 1])
     assert k == PadicMatrix([[0, 1], [1, 0]])
-
-
-# -- lattice chains ------------------------------------------------------
-
-
-def test_depth_zero_chain():
-    c = depth_zero_chain(3, 2)
-    assert c.uniformizer() == PadicMatrix.diagonal([3, 3])
-    assert c.t_exponents == (0, 0)
-
-
-def _lattice_exponent_pair(m, p):
-    """Sorted elementary-divisor exponents of the lattice spanned by m's columns."""
-    vdet = val_p(m.det(), p)
-    vmin = min(val_p(e, p) for row in m.rows for e in row if e)
-    return (vmin, vdet - vmin)
-
-
-def test_ramified_chain_offsets_and_uniformizer():
-    p = 3
-    c = ramified_chain(p)
-    assert c.n == 2
-    assert c.t_exponents == (-1, 0)
-    w = c.uniformizer()
-    assert w * w == PadicMatrix.diagonal([p, p])
-    # working-basis offsets of w^k Z_p^2 for k = 0..3
-    expected = [(0, 0), (0, 1), (1, 1), (1, 2)]
-    acc = PadicMatrix.identity(2)
-    for k in range(4):
-        assert _lattice_exponent_pair(acc, p) == expected[k]
-        acc = w * acc
 
 
 # -- volumes -------------------------------------------------------------

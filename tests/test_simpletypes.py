@@ -43,7 +43,7 @@ def _search_decompose(data, g, w):
     psi(x) * lambda(j_0)), without using the exact membership conditions.
     """
     p = data.p
-    wmat = data.chain.uniformizer()
+    wmat = data.uniformizer()
     results = []
     for i in range(-w, w + 1):
         wpow = PadicMatrix.identity(2)
@@ -103,6 +103,34 @@ def test_type_shapes():
     r = make_type(RAMIFIED, 3, sigma=1)
     assert (r.e, r.n_over_e, r.cap, r.level) == (2, 1, 2, 2)
     assert r.vol_J1 == 3
+
+
+def test_depth_zero_chain():
+    t = make_type(DEPTH_ZERO, 3, n=2, theta=1)
+    assert t.uniformizer() == PadicMatrix.diagonal([3, 3])
+    assert t.t_exponents == (0, 0)
+
+
+def _lattice_exponent_pair(m, p):
+    """Sorted elementary-divisor exponents of the lattice spanned by m's columns."""
+    vdet = val_p(m.det(), p)
+    vmin = min(val_p(e, p) for row in m.rows for e in row if e)
+    return (vmin, vdet - vmin)
+
+
+def test_ramified_chain_offsets_and_uniformizer():
+    p = 3
+    t = make_type(RAMIFIED, p, sigma=1)
+    assert t.n == 2
+    assert t.t_exponents == (-1, 0)
+    w = t.uniformizer()
+    assert w * w == PadicMatrix.diagonal([p, p])
+    # working-basis offsets of w^k Z_p^2 for k = 0..3
+    expected = [(0, 0), (0, 1), (1, 1), (1, 2)]
+    acc = PadicMatrix.identity(2)
+    for k in range(4):
+        assert _lattice_exponent_pair(acc, p) == expected[k]
+        acc = w * acc
 
 
 # -- membership ----------------------------------------------------------
@@ -216,7 +244,7 @@ def test_ramified_support_roundtrip():
     p = 3
     t = make_type(RAMIFIED, p, sigma=1)
     rng = random.Random(17)
-    w = t.chain.uniformizer()
+    w = t.uniformizer()
     for _ in range(30):
         j0 = _random_J_element(rng, t)
         i = rng.randrange(-2, 4)
@@ -249,7 +277,7 @@ def test_ramified_support_matches_windowed_search():
     p = 3
     t = make_type(RAMIFIED, p, sigma=1)
     rng = random.Random(23)
-    w = t.chain.uniformizer()
+    w = t.uniformizer()
     cases = []
     for _ in range(6):
         j0 = _random_J_element(rng, t)
@@ -333,7 +361,7 @@ def test_ramified_whittaker_values():
     A = cyc_embed_root(8, 1)
     t = make_type(RAMIFIED, 3, sigma=1, A=A)
     W = WhittakerFunction(t)
-    w = t.chain.uniformizer()
+    w = t.uniformizer()
     assert W.value(PadicMatrix.identity(2)) == SCAL.one()
     assert W.value(w) == A
     assert W.value(w * w) == A**2  # w^2 = p, central
@@ -363,11 +391,11 @@ def test_extended_psi_depth_zero():
     t = make_type(DEPTH_ZERO, 3, n=2, theta=1)
     h = PadicMatrix([[1, 3], [6, 4]])
     g = upper_unipotent({(0, 1): Fraction(1, 3)}, 2) * h
-    assert extended_psi_on_U(t, g, SCAL) == cyc_embed_root(9, 1)
+    assert extended_psi_on_U(t, g) == cyc_embed_root(9, 1)
     with pytest.raises(NotInU):
-        extended_psi_on_U(t, PadicMatrix.diagonal([2, 1]), SCAL)
+        extended_psi_on_U(t, PadicMatrix.diagonal([2, 1]))
     with pytest.raises(NotInU):
-        extended_psi_on_U(t, PadicMatrix.diagonal([1, 3]), SCAL)
+        extended_psi_on_U(t, PadicMatrix.diagonal([1, 3]))
 
 
 def test_extended_psi_restricts_to_lambda():
@@ -377,7 +405,7 @@ def test_extended_psi_restricts_to_lambda():
         h = _random_J_element(rng, t)
         if not t.in_J1(h):
             continue
-        assert extended_psi_on_U(t, h, SCAL) == t.lam(h, SCAL)
+        assert extended_psi_on_U(t, h) == t.lam(h, SCAL)
 
 
 def test_extended_psi_well_defined():
@@ -387,7 +415,7 @@ def test_extended_psi_well_defined():
         assert t.in_J1(h)
         x = Fraction(2, 3)
         g = upper_unipotent({(0, 1): x}, 2) * h
-        val = extended_psi_on_U(t, g, SCAL)
+        val = extended_psi_on_U(t, g)
         # shift the factorization by n(3) in N cap J^1 and recompute by hand
         for delta in (3, 6, -3):
             n2 = upper_unipotent({(0, 1): x + delta}, 2)

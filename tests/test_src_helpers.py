@@ -109,3 +109,16 @@ def test_group_layer_is_int_only():
     test cannot see a returning FFElement boundary."""
     names = {ident for ident, _ in _identifiers()["matgroups"]}
     assert "FFElement" not in names
+
+
+def test_char0_context_is_built_only_in_cyclo():
+    """Every characteristic-0 `scal` default is the one cyclo.CYC."""
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "cyclo":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CycScalars"):
+                stray.append(f"{path.stem}:{node.lineno}")
+    assert not stray, f"CycScalars(...) called outside cyclo: {stray}"
