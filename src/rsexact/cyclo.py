@@ -1,12 +1,17 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_N).
 
 A :class:`CycNumber` is a sparse rational linear combination of roots of
-unity, stored as ``{exponent mod N: Fraction}``.  Arithmetic never forces a
-canonical form; equality and zero tests reduce lazily to the tensor basis
-obtained by splitting N into prime powers, which is cheap and needs no
-precomputed tables.  Elements with different moduli mix freely: binary
-operations embed both into Q(zeta_lcm).  The dense power-basis vector modulo
-the N-th cyclotomic polynomial is produced only at serialization boundaries.
+unity, stored as ``{exponent mod N: Fraction}``; the constructor is the one
+place that reduces exponents, sums equal ones and drops what cancels.
+Arithmetic never forces a canonical form; equality and zero tests reduce
+lazily to the basis of the roots zeta_N^k whose exponent k, taken mod each
+prime power p^a of N, is below phi(p^a).  That is the tensor product of the
+prime-power power bases, relabelled by the Chinese remainder theorem, so
+canonical coordinates are keyed by exponent mod N as well; reducing to it is
+cheap and needs no precomputed tables.  Elements with different moduli mix
+freely: binary operations embed both into Q(zeta_lcm).  The dense
+power-basis vector modulo the N-th cyclotomic polynomial is produced only at
+serialization boundaries.
 
 The printable grammar is sums of terms ``a/b * zeta(N)^k``; ``parse`` and
 ``str`` round-trip.
@@ -104,31 +109,29 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 @cache
-def _crt_mults(n: int):
-    """Multipliers M_i with k = sum(e_i * M_i) mod n for residues e_i mod p_i^a_i."""
-    ms = []
-    for _, pa, _, _ in _prime_powers(n):
-        rest = n // pa
-        ms.append(rest * pow(rest, -1, pa) % n)
-    return tuple(ms)
+def _crt_factors(n: int):
+    """The tuples of _prime_powers(n), each extended by the multiplier M with
+    M = 1 mod p**a and M = 0 mod n / p**a, so k = sum(k_i * M_i) mod n."""
+    return tuple(
+        (p, pa, phi_pa, step, n // pa * pow(n // pa, -1, pa) % n)
+        for p, pa, phi_pa, step in _prime_powers(n)
+    )
 
 
 @cache
 def _power_rows(n: int):
-    """Row k is the coefficient vector of x**k modulo the n-th cyclotomic polynomial."""
+    """Row k is the integer coefficient vector of x**k modulo the monic n-th
+    cyclotomic polynomial."""
     phi = cyclotomic_poly(n)
     deg = len(phi) - 1
-    rep = [Fraction(-c) for c in phi[:deg]]
-    rows = [[_ONE if i == j else _ZERO for i in range(deg)] for j in range(deg)]
+    rows = [[int(i == j) for i in range(deg)] for j in range(deg)]
     for k in range(deg, n):
         prev = rows[k - 1]
-        carry = prev[deg - 1]
-        row = [_ZERO] * deg
-        for j in range(1, deg):
-            row[j] = prev[j - 1]
+        carry = prev[-1]
+        row = [0] + prev[:-1]
         if carry:
             for j in range(deg):
-                row[j] += carry * rep[j]
+                row[j] -= carry * phi[j]
         rows.append(row)
     return rows
 
@@ -137,7 +140,7 @@ def _coerce(value):
     if isinstance(value, CycNumber):
         return value
     if isinstance(value, (int, Fraction)):
-        return CycNumber(1, {0: Fraction(value)})
+        return CycNumber.from_fraction(value)
     return NotImplemented
 
 
@@ -146,11 +149,14 @@ class CycNumber:
 
     __slots__ = ("_N", "_c", "_canon")
 
-    def __init__(self, modulus: int, coeffs: dict):
+    def __init__(self, modulus: int, coeffs):
+        """coeffs is a dict or an iterable of (exponent, coefficient) pairs;
+        this is the only merge: equal exponents mod N are summed and what
+        cancels is dropped."""
         if modulus < 1:
             raise ValueError("modulus must be a positive integer")
         c: dict[int, Fraction] = {}
-        for k, v in coeffs.items():
+        for k, v in coeffs.items() if isinstance(coeffs, dict) else coeffs:
             if not isinstance(v, Fraction):
                 v = Fraction(v)
             if v:
@@ -180,7 +186,7 @@ class CycNumber:
 
     @classmethod
     def from_fraction(cls, value) -> "CycNumber":
-        return cls(1, {0: Fraction(value)})
+        return cls(1, {0: value})
 
     @property
     def modulus(self) -> int:
@@ -204,39 +210,28 @@ class CycNumber:
         return {(k * t) % big: v for k, v in self._c.items()}
 
     def _canonical_at(self, big: int) -> dict:
-        """Tensor-basis coordinates inside Q(zeta_big); keys are residue tuples."""
+        """Coordinates inside Q(zeta_big) on the basis of exponents k with
+        k mod p^a < phi(p^a) for every prime power p^a of big; keys are k."""
         cached = self._canon.get(big)
         if cached is not None:
             return cached
-        pps = _prime_powers(big)
-        t = big // self._N
-        work = [
-            ([(k * t) % pa for _, pa, _, _ in pps], v) for k, v in self._c.items()
-        ]
-        out: dict[tuple, Fraction] = {}
+        pps = _crt_factors(big)
+        work = list(self._raw_at(big).items())
+        leaves = []
         while work:
-            comps, v = work.pop()
-            for i, (p, _, phi_pa, step) in enumerate(pps):
-                e = comps[i]
+            k, v = work.pop()
+            for p, pa, phi_pa, step, m in pps:
+                e = k % pa
                 if e >= phi_pa:
+                    # zeta_{p^a}^e = -sum_j zeta_{p^a}^(j p^(a-1) + r); moving
+                    # the p^a residue of k by d moves k by d * m
                     r = e - phi_pa  # 0 <= r < step
                     for j in range(p - 1):
-                        nxt = list(comps)
-                        nxt[i] = j * step + r
-                        work.append((nxt, -v))
+                        work.append(((k + (j * step + r - e) * m) % big, -v))
                     break
             else:
-                key = tuple(comps)
-                w = out.get(key)
-                if w is None:
-                    out[key] = v
-                else:
-                    s = w + v
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-        self._canon[big] = out
+                leaves.append((k, v))
+        out = self._canon[big] = CycNumber(big, leaves)._c
         return out
 
     def is_zero(self) -> bool:
@@ -247,33 +242,16 @@ class CycNumber:
 
     def is_rational(self) -> bool:
         can = self._canonical_at(self._N)
-        if not can:
-            return True
-        if len(can) == 1:
-            ((comps, _),) = can.items()
-            return not any(comps)
-        return False
+        return not can or (len(can) == 1 and 0 in can)
 
     def rational_value(self) -> Fraction:
-        can = self._canonical_at(self._N)
-        if not can:
-            return _ZERO
-        if len(can) == 1:
-            ((comps, v),) = can.items()
-            if not any(comps):
-                return v
-        raise ValueError("element is not rational")
+        if not self.is_rational():
+            raise ValueError("element is not rational")
+        return self._canonical_at(self._N).get(0, _ZERO)
 
     def _combined_canonical(self) -> list[tuple[int, Fraction]]:
         """Canonical terms as (exponent mod N, coefficient), sorted."""
-        can = self._canonical_at(self._N)
-        ms = _crt_mults(self._N)
-        out = [
-            (sum(e * m for e, m in zip(comps, ms)) % self._N, v)
-            for comps, v in can.items()
-        ]
-        out.sort()
-        return out
+        return sorted(self._canonical_at(self._N).items())
 
     def demote(self) -> "CycNumber":
         """Equal element at the smallest modulus N/g visible from the support."""
@@ -303,18 +281,7 @@ class CycNumber:
         if other is NotImplemented:
             return NotImplemented
         big = lcm(self._N, other._N)
-        out = dict(self._raw_at(big))
-        for k, v in other._raw_at(big).items():
-            w = out.get(k)
-            if w is None:
-                out[k] = v
-            else:
-                s = w + v
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return CycNumber(big, out)
+        return CycNumber(big, [*self._raw_at(big).items(), *other._raw_at(big).items()])
 
     __radd__ = __add__
 
@@ -338,25 +305,13 @@ class CycNumber:
         if other is NotImplemented:
             return NotImplemented
         big = lcm(self._N, other._N)
-        a = self._raw_at(big)
-        b = other._raw_at(big)
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[int, Fraction] = {}
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                k = (k1 + k2) % big
-                v = v1 * v2
-                w = out.get(k)
-                if w is None:
-                    out[k] = v
-                else:
-                    s = w + v
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        return CycNumber(big, out)
+        b = other._raw_at(big).items()
+        # a plain loop: a comprehension runs in its own frame on CPython 3.11
+        terms = []
+        for k1, v1 in self._raw_at(big).items():
+            for k2, v2 in b:
+                terms.append((k1 + k2, v1 * v2))
+        return CycNumber(big, terms)
 
     __rmul__ = __mul__
 
@@ -367,7 +322,7 @@ class CycNumber:
             return self.inverse() ** (-n)
         if len(self._c) == 1:
             ((k, v),) = self._c.items()
-            return CycNumber(self._N, {(k * n) % self._N: v**n})
+            return CycNumber(self._N, {k * n: v**n})
         result = CycNumber.one()
         base = self
         while n:
@@ -382,7 +337,7 @@ class CycNumber:
         """Galois conjugate zeta -> zeta**a, for a invertible mod the modulus."""
         if gcd(a, self._N) != 1:
             raise ValueError("conjugation index must be invertible mod N")
-        return CycNumber(self._N, {(k * a) % self._N: v for k, v in self._c.items()})
+        return CycNumber(self._N, {k * a: v for k, v in self._c.items()})
 
     def inverse(self) -> "CycNumber":
         if self.is_zero():
@@ -390,7 +345,7 @@ class CycNumber:
         d = self.demote()
         if len(d._c) == 1:
             ((k, v),) = d._c.items()
-            return CycNumber(d._N, {(-k) % d._N: 1 / v})
+            return CycNumber(d._N, {-k: 1 / v})
         prod = CycNumber.one()
         for a in range(2, d._N):
             if gcd(a, d._N) == 1:
@@ -425,15 +380,7 @@ class CycNumber:
 
     @classmethod
     def from_power_basis(cls, modulus: int, coords) -> "CycNumber":
-        return cls(modulus, {j: Fraction(v) for j, v in enumerate(coords)})
-
-    def to_json(self) -> dict:
-        d = self.demote()
-        return {"modulus": d._N, "coords": [str(v) for v in d.power_basis()]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CycNumber":
-        return cls.from_power_basis(int(obj["modulus"]), obj["coords"])
+        return cls(modulus, enumerate(coords))
 
     def __str__(self) -> str:
         d = self.demote()

@@ -284,7 +284,7 @@ def cell_support_report(pair: RSPair, cell_log) -> dict:
         nz = {k for k, b in rec.slices.items() if b != zero}
         if any(k % step for k in nz):
             pattern_ok = False
-        if pair.applicable and nz != {_cell_slice(pair, rec.row) * step}:
+        if nz != {_cell_slice(pair, rec.row) * step}:
             row_ok = False
         for k in (-2, -1, pair.n, pair.n + 1):
             if b_coefficient(pair, rec.rep, k) != zero:
@@ -434,7 +434,6 @@ def shell_constancy_report(pair: RSPair, I: RationalFunction, shells: int = 4) -
     return {
         "off_slice_vanishing": off_slice_ok,
         "shell_constant": constant_ok,
-        "mu_raw": mu_raw,
         "mu": mu,
         "mu_is_q_power": q_power_ok,
     }
@@ -462,10 +461,10 @@ def cell_mass_report(pair: RSPair, cell_log) -> dict:
     masses: dict[int, Fraction] = {}
     single_ok = True
     for rec in cell_log:
-        s = _cell_slice(pair, rec.row) if pair.n == 2 else 0
+        s = _cell_slice(pair, rec.row)
         masses[s] = masses.get(s, Fraction(0)) + nu
         nz = {k for k, b in rec.slices.items() if b != zero}
-        if pair.applicable and nz and nz != {s * step}:
+        if nz and nz != {s * step}:
             single_ok = False
     us = {
         s: mass * pair.q ** (s * step) / (pair.q**step - 1)

@@ -17,9 +17,16 @@ class Laurent:
 
     __slots__ = ("scal", "_c")
 
-    def __init__(self, scal, coeffs: dict):
+    def __init__(self, scal, coeffs):
+        """coeffs is a dict or an iterable of (degree, coefficient) pairs;
+        equal degrees are summed here and nowhere else, and each summed
+        coefficient is zero-tested once."""
         self.scal = scal
-        self._c = {k: v for k, v in coeffs.items() if v}
+        c: dict = {}
+        for k, v in coeffs.items() if isinstance(coeffs, dict) else coeffs:
+            w = c.get(k)
+            c[k] = v if w is None else w + v
+        self._c = {k: v for k, v in c.items() if v}
 
     @classmethod
     def from_const(cls, scal, value) -> "Laurent":
@@ -60,12 +67,7 @@ class Laurent:
     __hash__ = None
 
     def __add__(self, other):
-        # __init__ drops the coefficients that cancel
-        out = dict(self._c)
-        for k, v in other._c.items():
-            w = out.get(k)
-            out[k] = v if w is None else w + v
-        return Laurent(self.scal, out)
+        return Laurent(self.scal, [*self._c.items(), *other._c.items()])
 
     def __neg__(self):
         return Laurent(self.scal, {k: -v for k, v in self._c.items()})
@@ -74,14 +76,12 @@ class Laurent:
         return self + (-other)
 
     def __mul__(self, other):
-        out: dict = {}
+        b = other._c.items()
+        terms = []
         for k1, v1 in self._c.items():
-            for k2, v2 in other._c.items():
-                k = k1 + k2
-                v = v1 * v2
-                w = out.get(k)
-                out[k] = v if w is None else w + v
-        return Laurent(self.scal, out)
+            for k2, v2 in b:
+                terms.append((k1 + k2, v1 * v2))
+        return Laurent(self.scal, terms)
 
     def __str__(self) -> str:
         return format_poly(self)

@@ -30,8 +30,6 @@ REFERENCE_HELPERS = {
         "the character of N J^1 the Whittaker translation tests compare with",
     "finitefield.GF.generator":
         "the fixed generator behind dlog, checked against the unit group order",
-    "cyclo.CycNumber.from_json":
-        "the inverse of to_json, so reports can be read back",
     "ratfun.RationalFunction.from_json":
         "the inverse of to_json, so reports can be read back",
 }
