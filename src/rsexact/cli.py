@@ -58,8 +58,14 @@ from .integral import (
     verify_main_theorem,
 )
 from .lmodular import verify_corollary
-from .matgroups import BESSEL_TERM_LIMIT, FiniteMatrix, enumerate_group, order_gl
-from .padic import PadicMatrix
+from .matgroups import (
+    BESSEL_TERM_LIMIT,
+    ORACLE_POINT_LIMIT,
+    FiniteMatrix,
+    enumerate_group,
+    order_gl,
+)
+from .padic import PadicMatrix, nk_cell_count
 from .simpletypes import DEPTH_ZERO, RAMIFIED, SimpleTypeData, make_type
 
 ORACLE_KMAX = 6
@@ -150,6 +156,21 @@ def _validate(cfg: RunConfig) -> None:
         raise ValueError("reduce needs --ell")
     if cfg.command == "oracle-check" and cfg.n != 2:
         raise ValueError("oracle-check supports n = 2 only")
+    if cfg.command == "oracle-check" or (cfg.command == "verify" and _oracle_requested(cfg)):
+        _check_oracle_size(cfg)
+
+
+def _check_oracle_size(cfg: RunConfig) -> None:
+    """Refuse an oracle run whose point count, estimated before any type is
+    built, exceeds ORACLE_POINT_LIMIT."""
+    window = cfg.window if cfg.window is not None else DEFAULT_WINDOW
+    level = 1 if cfg.family == DEPTH_ZERO else 2
+    points = (ORACLE_KMAX + 1) * (window + 1) * nk_cell_count(cfg.p, level)
+    if points > ORACLE_POINT_LIMIT:
+        raise TooLarge(
+            f"the oracle at window {window} needs about {points:.1e} pair points, "
+            f"more than the limit of {ORACLE_POINT_LIMIT:.0e}"
+        )
 
 
 # -- type construction ----------------------------------------------------
@@ -307,11 +328,12 @@ def cmd_bessel_table(cfg: RunConfig):
 
 def _parallel_oracle_rows(cfg: RunConfig, pair: RSPair, I):
     """Oracle rows of the pair, with the coefficients spread over
-    cfg.jobs processes when that is more than one."""
+    cfg.jobs processes when that is more than one; the pool never starts
+    more processes than there are coefficients."""
     window = cfg.window if cfg.window is not None else DEFAULT_WINDOW
     if cfg.jobs == 1:
         return oracle_check(pair, ORACLE_KMAX, window, I=I)
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(cfg.jobs, ORACLE_KMAX + 1)) as pool:
         return oracle_check(pair, ORACLE_KMAX, window, I=I, mapper=pool.map)
 
 

@@ -50,6 +50,7 @@ from .simpletypes import (
     WhittakerFunction,
     is_dual_pair,
     l_factor,
+    psi_t_class,
     support_decompose,
 )
 
@@ -82,6 +83,7 @@ class RSPair:
         self.level = type1.level
         self.ctx = MeasureContext(self.p, self.n)
         self.kappa = self.scal.embed_cyc(self.W1.A_eff * self.W2.A_eff)
+        self._table = {}
 
     @property
     def q(self) -> int:
@@ -97,12 +99,19 @@ class RSPair:
 
         Both test vectors are supported on N <w_E> J, which depends only on
         the family, p and n; is_dual_pair has checked that the two types
-        share these.
+        share these.  At g = n w_E^i j_0 the product depends only on i, the
+        psi_t class of n and the kernel class of j_0 (W_2's classes follow
+        from type 1's), so it is computed once per class and looked up after.
         """
         dec = support_decompose(self.type1, g)
         if dec is None:
             return None
-        return self.W1.value_at(dec) * self.W2.value_at(dec)
+        i, n_mat, j0 = dec
+        key = (i, psi_t_class(self.type1, n_mat), self.type1.kernel_class(j0))
+        value = self._table.get(key)
+        if value is None:
+            value = self._table[key] = self.W1.value_at(dec) * self.W2.value_at(dec)
+        return value
 
 
 def _support_sum(pair: RSPair, points):

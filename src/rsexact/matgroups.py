@@ -24,6 +24,9 @@ from .finitefield import GF, _prime, gf
 _ENUM_LIMIT = 10**8
 # Bessel terms, |GL_n(F_q)| * q^(n(n-1)/2), a full depth-zero table may cost
 BESSEL_TERM_LIMIT = 10**6
+# pair points, (kmax + 1) * (window + 1) * |(N cap K)\K/K^m|, the brute-force
+# oracle may visit
+ORACLE_POINT_LIMIT = 10**6
 
 
 def small_det(r):

@@ -54,6 +54,28 @@ def int_mod(x, p: int, m: int) -> int:
     return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
+def theta_class(p: int, num: int, den: int, cap: int):
+    """The class of theta at num / den, for integers num and den != 0 in any
+    common scale: None when num == 0, else (p^(m+1), k) with
+    theta(num / den) = zeta_{p^(m+1)}^k and m = max(0, -val(num / den)).
+
+    The class keeps "exactly 0" apart from "0 mod p": theta_eval returns the
+    first as scal.one() (modulus 1) and the second as zeta_p^0 (modulus p),
+    and products of the two print differently.  Raises DepthExceeded when m
+    exceeds the session cap.
+    """
+    if not num:
+        return None
+    vden = vp_int(den, p)
+    m = max(0, vden - vp_int(num, p))
+    if m > cap:
+        raise DepthExceeded(f"theta argument needs zeta_{p}^{m + 1} but cap is {cap}")
+    mod = p ** (m + 1)
+    # num * p^m / den = (num * p^m / p^vden) / u with u = den / p^vden a unit
+    pden = p**vden
+    return mod, num * p**m // pden * pow(den // pden, -1, mod) % mod
+
+
 def theta_eval(p: int, x, cap: int, scal=CYC):
     """The additive character of Q_p that is trivial on pZ_p and sends 1 to zeta_p.
 
@@ -61,13 +83,8 @@ def theta_eval(p: int, x, cap: int, scal=CYC):
     raises DepthExceeded when m exceeds the session cap.
     """
     x = Fraction(x)
-    if not x:
-        return scal.one()
-    m = max(0, -val_p(x, p))
-    if m > cap:
-        raise DepthExceeded(f"theta argument needs zeta_{p}^{m + 1} but cap is {cap}")
-    k = int_mod(x * p**m, p, m + 1)
-    return scal.root_of_unity(p ** (m + 1), k)
+    cls = theta_class(p, x.numerator, x.denominator, cap)
+    return scal.one() if cls is None else scal.root_of_unity(*cls)
 
 
 class PadicMatrix:
@@ -363,6 +380,12 @@ def pk_cell_reps(p: int, n: int, m: int):
         rows.append(list(r))
         out.append((r, PadicMatrix(rows)))
     return out
+
+
+def nk_cell_count(p: int, m: int) -> int:
+    """len(nk_cell_reps(p, m)), without building the representatives."""
+    units = p**m - p ** (m - 1)
+    return units * units * (p ** (m - 1) + p**m)
 
 
 def nk_cell_reps(p: int, m: int):

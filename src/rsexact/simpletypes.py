@@ -17,6 +17,16 @@ Two families are implemented:
 
 Every test vector is supported on N * <w_E> * J and evaluated by the exact
 support decomposition g = n * w_E^i * j_0.
+
+psi_t and lambda are characters of compact open groups, so they factor
+through finite quotients and are evaluated on residue classes: psi_t(n)
+through the class of its theta argument (padic.theta_class), lambda through
+kernel_class(j), from a table per type and scalar context.  RSPair likewise
+tabulates W_1 * W_2 per class of (i, n, j_0).  The class "argument exactly
+0" stays apart from "argument 0 mod p": both give the value 1, but as
+scal.one() (raw modulus 1) and as zeta_p^0 (raw modulus p), and a stored
+value must be the very product a direct evaluation builds, because reports
+print cyclotomic numbers at their raw moduli.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from .padic import (
     PadicMatrix,
     int_mod,
     iwasawa_NAK,
+    theta_class,
     theta_eval,
     upper_unipotent,
     val_p,
@@ -79,7 +90,8 @@ class SimpleTypeData:
         # CPython 3.11, by about 1 % of a ramified verify.
         e = 1 if self.family == DEPTH_ZERO else 2
         derived = {"e": e, "cap": e, "level": e,
-                   "t_exponents": (0,) * self.n if e == 1 else (-1, 0)}
+                   "t_exponents": (0,) * self.n if e == 1 else (-1, 0),
+                   "_lam_table": {}}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -151,21 +163,45 @@ class SimpleTypeData:
         """tr(w_E^{-1} y) = y_21 + y_12 / p for the ramified order."""
         return y.entry(1, 0) + y.entry(0, 1) / self.p
 
+    def kernel_class(self, j0: PadicMatrix):
+        """The residue class of j0 in J that the kernel factors through.
+
+        Depth zero: j0 mod p, as int rows.  Ramified: (r, k) with
+        r = a / den mod p and k the residue mod p of lambda's theta argument,
+        or None when that argument is exactly 0 (p * c + b == 0).  On J the
+        argument is p-integral, since p | b.
+        """
+        p = self.p
+        inv = pow(j0.den, -1, p)
+        if self.family == DEPTH_ZERO:
+            return tuple(tuple(e * inv % p for e in row) for row in j0.num)
+        (a, b), (c, _) = j0.num
+        t = p * c + b
+        # zinv = r^{-1} = den / a mod p, so the residue is orientation * (t / p) / a
+        return a * inv % p, t // p * pow(a, -1, p) * self.orientation % p if t else None
+
     def lam(self, j: PadicMatrix, scal=CYC):
-        """The character lambda of J in the ramified family."""
+        """The character lambda of J in the ramified family, looked up per
+        kernel class and scalar context."""
         if self.family != RAMIFIED:
             raise FamilyMismatch("lambda is only defined for the ramified family")
         if not self.in_J(j):
             raise NotInJ(f"{j!r} is not in J")
-        p = self.p
-        (a, b), (c, _) = j.num
-        r = a * pow(j.den, -1, p) % p
-        zeta = pow(r, p * p, p**3)  # Teichmueller-style unit lift
-        zinv = pow(zeta, -1, p**3)
-        # y = zinv * j - 1 has off-diagonal entries zinv * (b, c) / den, so
-        # tr(w_E^{-1} y) = zinv * (p * c + b) / (p * den)
-        arg = Fraction(self.orientation * zinv * (p * c + b), p * j.den)
-        return self.sigma.value(gf(p).constant(r), scal) * theta_eval(p, arg, self.cap, scal)
+        key = (scal.cache_key, self.kernel_class(j))
+        value = self._lam_table.get(key)
+        if value is None:
+            p = self.p
+            (a, b), (c, _) = j.num
+            r = a * pow(j.den, -1, p) % p
+            zeta = pow(r, p * p, p**3)  # Teichmueller-style unit lift
+            zinv = pow(zeta, -1, p**3)
+            # y = zinv * j - 1 has off-diagonal entries zinv * (b, c) / den, so
+            # tr(w_E^{-1} y) = zinv * (p * c + b) / (p * den)
+            arg = Fraction(self.orientation * zinv * (p * c + b), p * j.den)
+            value = self._lam_table[key] = (
+                self.sigma.value(gf(p).constant(r), scal) * theta_eval(p, arg, self.cap, scal)
+            )
+        return value
 
     def kernel(self, j0: PadicMatrix, scal=CYC, dual: bool = False):
         """Value of the J-kernel at j0 (finite Bessel or lambda)."""
@@ -281,13 +317,23 @@ def _check_lambda_multiplicative(data: SimpleTypeData) -> None:
 # -- the standard whittaker character of N -------------------------------
 
 
+def psi_t_class(data: SimpleTypeData, n_mat: PadicMatrix):
+    """The theta class (padic.theta_class) of the psi_t argument
+    sum_i p^{t_i - t_{i+1}} n_{i,i+1}, read off the integers of n."""
+    p, t, num = data.p, data.t_exponents, n_mat.num
+    shifts = [t[i] - t[i + 1] for i in range(data.n - 1)]
+    low = min(0, *shifts)
+    arg = sum(p ** (s - low) * num[i][i + 1] for i, s in enumerate(shifts))
+    return theta_class(p, arg, n_mat.den * p**-low, data.cap)
+
+
 def psi_t_eval(data: SimpleTypeData, n_mat: PadicMatrix, scal=CYC, sign: int = 1):
     """psi_t(n) = theta(sum_i p^{t_i - t_{i+1}} n_{i,i+1}), or its inverse."""
-    t = data.t_exponents
-    arg = Fraction(0)
-    for i in range(data.n - 1):
-        arg += Fraction(data.p) ** (t[i] - t[i + 1]) * n_mat.entry(i, i + 1)
-    return theta_eval(data.p, sign * arg, data.cap, scal)
+    cls = psi_t_class(data, n_mat)
+    if cls is None:
+        return scal.one()
+    mod, k = cls
+    return scal.root_of_unity(mod, sign * k % mod)
 
 
 def extended_psi_on_U(data: SimpleTypeData, g: PadicMatrix):

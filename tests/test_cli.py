@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import rsexact
-from rsexact.cli import RunConfig, build_parser, config_from_args, main
+from rsexact import cli
+from rsexact.cli import ORACLE_KMAX, RunConfig, build_parser, config_from_args, main
+from rsexact.errors import TooLarge
 from rsexact.padic import PadicMatrix
 from rsexact.simpletypes import RAMIFIED, make_type
 
@@ -394,6 +396,64 @@ class TestOracleCheckCommand:
         _, out_rows, _ = run_cli(capsys, "oracle-check", *flags)
         _, out_verify, _ = run_cli(capsys, "verify", *flags)
         assert json.loads(out_rows)["rows"] == json.loads(out_verify)["oracle"]
+
+    def test_unbounded_window_is_refused_up_front(self):
+        # (ORACLE_KMAX + 1) * 100001 windows * 3 cells is about 2.1e6 pair
+        # points; the run is refused before any type is built
+        src = str(Path(rsexact.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for command in ("oracle-check", "verify"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "rsexact.cli", command, "--q", "2", "--theta", "1",
+                 "--window", "100000"],
+                env=env, capture_output=True, text=True, timeout=20,
+            )
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("configuration error:")
+            assert "Traceback" not in proc.stderr
+            assert proc.stdout == ""
+
+    @pytest.mark.parametrize("family,p,cells", [("depth-zero", 2, 3), ("ramified", 3, 432)])
+    def test_size_bound_is_the_point_estimate(self, family, p, cells):
+        # the largest admitted window has at most ORACLE_POINT_LIMIT points
+        limit = cli.ORACLE_POINT_LIMIT // ((ORACLE_KMAX + 1) * cells) - 1
+        for window, admitted in ((limit, True), (limit + 1, False)):
+            cfg = RunConfig(command="oracle-check", family=family, p=p, window=window)
+            if admitted:
+                cli._validate(cfg)
+            else:
+                with pytest.raises(TooLarge):
+                    cli._validate(cfg)
+
+    def test_pool_is_capped_at_the_coefficient_count(self, capsys, monkeypatch):
+        started = []
+
+        class RecordingExecutor:
+            """Stands in for the process pool and starts no process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+        outs = {}
+        for jobs in ("1", "3", "5000"):
+            code, outs[jobs], _ = run_cli(
+                capsys, "oracle-check", "--q", "2", "--theta", "1", "--jobs", jobs)
+            assert code == 0
+        assert started == [3, ORACLE_KMAX + 1]
+        reports = {jobs: json.loads(out) for jobs, out in outs.items()}
+        for jobs, report in reports.items():
+            assert report["config"].pop("jobs") == int(jobs)
+        assert reports["1"] == reports["3"] == reports["5000"]
 
     def test_gl3_not_supported(self, capsys):
         code, _, _ = run_cli(

@@ -17,6 +17,7 @@ from rsexact.padic import (
     iwasawa_NAK,
     iwasawa_PZK,
     ng_cell_volume,
+    nk_cell_count,
     nk_cell_reps,
     pk_cell_reps,
     theta_eval,
@@ -318,7 +319,7 @@ def test_pk_cells_partition(p, m):
 @pytest.mark.parametrize("p,m,count", [(2, 1, 3), (3, 1, 16), (2, 2, 24), (3, 2, 432)])
 def test_nk_cell_counts(p, m, count):
     reps = nk_cell_reps(p, m)
-    assert len(reps) == count
+    assert len(reps) == count == nk_cell_count(p, m)
     for r in reps:
         assert r.in_K(p)
 

@@ -10,11 +10,13 @@ exercised.
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rsexact.errors import DepthExceeded
 from rsexact.finitefield import gf
-from rsexact.padic import PadicMatrix, int_mod, iwasawa_NAK, val_p
+from rsexact.padic import PadicMatrix, int_mod, iwasawa_NAK, theta_class, val_p
 
 PRIMES = (2, 3, 5)
 OTHER_DENOMINATORS = (1, 7, 11, 13)
@@ -139,6 +141,26 @@ def test_det_and_inverse_match_reference(data):
     assert g.det() == ref_det(a)
     assume(g.det())
     assert as_lists(g.inverse()) == ref_inverse(a)
+
+
+@given(st.sampled_from(PRIMES), st.integers(-200, 200), st.integers(1, 200),
+       st.integers(1, 30), st.integers(0, 3))
+@KERNEL
+def test_theta_class_reads_any_scale(p, a, b, scale, cap):
+    """theta_class(p, num, den) depends on num / den only, and agrees with
+    the Fraction definition: None for 0, else (p^(m+1), p^m x mod p^(m+1))."""
+    x = Fraction(a, b)
+    if not x:
+        assert theta_class(p, 0, b * scale, cap) is None
+        return
+    m = max(0, -ref_val(x, p))
+    if m > cap:
+        with pytest.raises(DepthExceeded):
+            theta_class(p, a * scale, b * scale, cap)
+        return
+    want = (p ** (m + 1), ref_int_mod(x * p**m, p, m + 1))
+    assert theta_class(p, a * scale, b * scale, cap) == want
+    assert theta_class(p, x.numerator, x.denominator, cap) == want
 
 
 @given(matrix_pairs())
