@@ -493,7 +493,11 @@ def main(argv=None) -> int:
     except (RSExactError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    _emit(cfg, text)
+    try:
+        _emit(cfg, text)
+    except OSError as exc:
+        print(f"configuration error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

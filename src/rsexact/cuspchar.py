@@ -111,19 +111,27 @@ def psi_of_unipotent(psi: AddChar, u: FiniteMatrix, scal=CYC):
 
 
 class BesselFunction:
-    """J(g) = |N|^{-1} sum_u psi(u)^{-1} chi(g u), the finite Whittaker kernel."""
+    """J(g) = |N|^{-1} sum_u psi(u)^{-1} chi(g u), the finite Whittaker kernel,
+    with values in the scalar context `scal`.
 
-    __slots__ = ("chi", "psi", "_memo", "_terms")
+    The pairs (u, psi(u)^{-1}) are built once, and each value is memoized
+    by the int rows of g.
+    """
 
-    def __init__(self, chi: CuspidalCharacter, psi: AddChar):
+    __slots__ = ("chi", "psi", "scal", "_memo", "_terms")
+
+    def __init__(self, chi: CuspidalCharacter, psi: AddChar, scal=CYC):
         if psi.field is not chi.base_field:
             raise ValueError("psi must live on the base field F_q")
         if psi.is_trivial():
             raise ValueError("psi must be nontrivial")
         self.chi = chi
         self.psi = psi
+        self.scal = scal
         self._memo = {}
-        self._terms = {}
+        psi_inv = psi.inverse()
+        self._terms = [(u, psi_of_unipotent(psi_inv, u, scal))
+                       for u in enumerate_unitriangular(chi.base_field, chi.n)]
 
     @property
     def field(self):
@@ -133,29 +141,15 @@ class BesselFunction:
     def n(self):
         return self.chi.n
 
-    def _term_table(self, scal):
-        """The pairs (u, psi(u)^-1) over the unitriangular u, built once
-        per scalar context."""
-        terms = self._terms.get(scal.cache_key)
-        if terms is None:
-            psi_inv = self.psi.inverse()
-            terms = self._terms[scal.cache_key] = [
-                (u, psi_of_unipotent(psi_inv, u, scal))
-                for u in enumerate_unitriangular(self.field, self.n)
-            ]
-        return terms
-
-    def value(self, g: FiniteMatrix, scal=CYC):
-        key = (scal.cache_key, g.ints)
-        cached = self._memo.get(key)
+    def value(self, g: FiniteMatrix):
+        cached = self._memo.get(g.ints)
         if cached is not None:
             return cached
-        terms = self._term_table(scal)
+        scal = self.scal
         total = scal.zero()
-        for u, psi_inv_u in terms:
+        for u, psi_inv_u in self._terms:
             total = total + psi_inv_u * self.chi.value(g * u, scal)
-        out = scal.from_fraction(Fraction(1, len(terms))) * total
-        self._memo[key] = out
+        out = self._memo[g.ints] = scal.from_fraction(Fraction(1, len(self._terms))) * total
         return out
 
     __call__ = value
@@ -172,7 +166,7 @@ def mirabolic_convolution(b1: BesselFunction, b2: BesselFunction, g1, g2):
     """sum over N\\M of J1(g1 m^{-1}) J2(m g2), M the mirabolic subgroup."""
     field = b1.field
     n = b1.n
-    total = CYC.zero()
+    total = b1.scal.zero()
     for r in n_coset_reps(field, n - 1):
         m = embed_block(r, n)
         total = total + b1.value(g1 * m.inverse()) * b2.value(m * g2)

@@ -502,8 +502,6 @@ def parse_cyc(text: str) -> CycNumber:
 class CycScalars:
     """Characteristic-zero scalar context: plain cyclotomic numbers."""
 
-    cache_key = "cyc"
-
     def one(self) -> CycNumber:
         return CycNumber.one()
 

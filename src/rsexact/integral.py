@@ -100,8 +100,8 @@ class RSPair:
         Both test vectors are supported on N <w_E> J, which depends only on
         the family, p and n; is_dual_pair has checked that the two types
         share these.  At g = n w_E^i j_0 the product depends only on i, the
-        psi_t class of n and the kernel class of j_0 (W_2's classes follow
-        from type 1's), so it is computed once per class and looked up after.
+        psi_t class of n and the kernel class of j_0, which are the same for
+        both types, so it is computed once per class and looked up after.
         """
         dec = support_decompose(self.type1, g)
         if dec is None:
@@ -110,7 +110,7 @@ class RSPair:
         key = (i, psi_t_class(self.type1, n_mat), self.type1.kernel_class(j0))
         value = self._table.get(key)
         if value is None:
-            value = self._table[key] = self.W1.value_at(dec) * self.W2.value_at(dec)
+            value = self._table[key] = self.W1.value_at(*key) * self.W2.value_at(*key)
         return value
 
 
@@ -371,13 +371,15 @@ def j1_average_report(pair: RSPair, cell_log) -> dict:
         return {"values": ok, "lambda_vol": Fraction(1), "honest": True,
                 "translation_law": True}
     p = pair.p
+    W1, W2 = pair.W1, pair.W2
     lam_vol = scal.from_fraction(pair.type1.vol_J1)
     reps = _j1_coset_reps(p)
+    classes = [pair.type1.kernel_class(u) for u in reps]
     coset_vol = scal.from_fraction(Fraction(1, p**4))
     # character average over J^1 (the factorized route)
     char_sum = scal.zero()
-    for u in reps:
-        char_sum = char_sum + pair.type1.lam(u, scal) * pair.type2.lam(u, scal)
+    for cls in classes:
+        char_sum = char_sum + W1.kernel(cls) * W2.kernel(cls)
     char_sum = char_sum * coset_vol
     values_ok = True
     for rec in cell_log:
@@ -395,11 +397,11 @@ def j1_average_report(pair: RSPair, cell_log) -> dict:
         if not g.det():
             continue
         checked += 1
-        u = reps[rng.randrange(len(reps))]
-        if pair.W1.value(g * u) != pair.W1.value(g) * pair.type1.lam(u, scal):
-            law_ok = False
-        if pair.W2.value(g * u) != pair.W2.value(g) * pair.type2.lam(u, scal):
-            law_ok = False
+        index = rng.randrange(len(reps))
+        u, cls = reps[index], classes[index]
+        for W in (W1, W2):
+            if W.value(g * u) != W.value(g) * W.kernel(cls):
+                law_ok = False
     # honest double sum on the first two cells at p = 3
     honest_ok = True
     for rec in cell_log[:2 if p == 3 else 0]:

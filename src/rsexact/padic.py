@@ -25,7 +25,7 @@ from operator import mul
 
 from .cyclo import CYC
 from .errors import DepthExceeded, UnsupportedDescriptor
-from .matgroups import FiniteMatrix, order_gl, small_adjugate, small_det
+from .matgroups import order_gl, small_adjugate, small_det
 
 
 def vp_int(n: int, p: int) -> int:
@@ -59,7 +59,7 @@ def theta_class(p: int, num: int, den: int, cap: int):
     common scale: None when num == 0, else (p^(m+1), k) with
     theta(num / den) = zeta_{p^(m+1)}^k and m = max(0, -val(num / den)).
 
-    The class keeps "exactly 0" apart from "0 mod p": theta_eval returns the
+    The class keeps "exactly 0" apart from "0 mod p": theta_at returns the
     first as scal.one() (modulus 1) and the second as zeta_p^0 (modulus p),
     and products of the two print differently.  Raises DepthExceeded when m
     exceeds the session cap.
@@ -76,6 +76,14 @@ def theta_class(p: int, num: int, den: int, cap: int):
     return mod, num * p**m // pden * pow(den // pden, -1, mod) % mod
 
 
+def theta_at(cls, scal=CYC, sign: int = 1):
+    """theta on a class of theta_class, raised to the power sign (+-1)."""
+    if cls is None:
+        return scal.one()
+    mod, k = cls
+    return scal.root_of_unity(mod, sign * k % mod)
+
+
 def theta_eval(p: int, x, cap: int, scal=CYC):
     """The additive character of Q_p that is trivial on pZ_p and sends 1 to zeta_p.
 
@@ -83,8 +91,7 @@ def theta_eval(p: int, x, cap: int, scal=CYC):
     raises DepthExceeded when m exceeds the session cap.
     """
     x = Fraction(x)
-    cls = theta_class(p, x.numerator, x.denominator, cap)
-    return scal.one() if cls is None else scal.root_of_unity(*cls)
+    return theta_at(theta_class(p, x.numerator, x.denominator, cap), scal)
 
 
 class PadicMatrix:
@@ -201,14 +208,6 @@ class PadicMatrix:
     def in_K(self, p: int) -> bool:
         return self.is_integral(p) and small_det(self.num) % p != 0
 
-    def mod_p(self, field) -> FiniteMatrix:
-        """Reduction mod p of a p-integral matrix into GL_n(F_p) land."""
-        p = field.p
-        if not self.is_integral(p):
-            raise ValueError(f"{self!r} is not p-integral")
-        inv = pow(self.den, -1, p)
-        return FiniteMatrix(field, [[e * inv for e in row] for row in self.num])
-
     def __repr__(self):
         body = "; ".join(",".join(str(e) for e in row) for row in self.rows)
         return f"[{body}]"
@@ -234,8 +233,7 @@ def iwasawa_NAK(g: PadicMatrix, p: int):
     scaled by the inverse unit of the pivot; k takes the inverse row
     operations.  Throughout, work = w / dw and k = kk / dk with
     work * k = g, and multiplying through by the pivot's unit numerator u
-    keeps all entries integral.  Both factors are checked before
-    returning.  Returns (n, vals, k).
+    keeps all entries integral.  Returns (n, vals, k).
     """
     if not small_det(g.num):
         raise ValueError("matrix is singular")
@@ -280,11 +278,7 @@ def iwasawa_NAK(g: PadicMatrix, p: int):
     n_mat = PadicMatrix.from_ints(
         [[x * p ** (e - v) for x, v in zip(row, vals)] for row in w], dw * p**e
     )
-    k = PadicMatrix.from_ints(kk, dk)
-    a = PadicMatrix.diagonal([Fraction(p) ** v for v in vals])
-    assert k.in_K(p)
-    assert n_mat * a * k == g
-    return n_mat, vals, k
+    return n_mat, vals, PadicMatrix.from_ints(kk, dk)
 
 
 def iwasawa_PZK(g: PadicMatrix, p: int):

@@ -9,9 +9,8 @@ order of ell mod N.  Choosing one factor f0 fixes a ring morphism
 i.e. a choice of prime above ell.  The target field is the finitefield
 ``gf(ell, d, f0)`` and its elements are ``FFElement``s.  ResidueScalars
 wraps it in the same scalar-provider protocol the cyclotomic scalars
-implement (zero/one/from_fraction/root_of_unity/embed_cyc plus a cache
-key), so the whole integral engine can be rerun verbatim over the residue
-field.
+implement (zero/one/from_fraction/root_of_unity/embed_cyc), so the whole
+integral engine can be rerun verbatim over the residue field.
 
 The factors come from the equal-degree splitting of Cantor and Zassenhaus
 (Math. Comp. 36, 1981) with a fixed-seed generator.  They are ordered by
@@ -80,7 +79,6 @@ class ResidueScalars:
         self.ell = ell
         self.N = N
         self.factor_index = factor_index
-        self.cache_key = f"res-{ell}-{N}-{factor_index}"
         self._omega_pows: dict[int, FFElement] = {}
 
     def zero(self) -> FFElement:

@@ -18,15 +18,16 @@ Two families are implemented:
 Every test vector is supported on N * <w_E> * J and evaluated by the exact
 support decomposition g = n * w_E^i * j_0.
 
-psi_t and lambda are characters of compact open groups, so they factor
-through finite quotients and are evaluated on residue classes: psi_t(n)
-through the class of its theta argument (padic.theta_class), lambda through
-kernel_class(j), from a table per type and scalar context.  RSPair likewise
-tabulates W_1 * W_2 per class of (i, n, j_0).  The class "argument exactly
-0" stays apart from "argument 0 mod p": both give the value 1, but as
-scal.one() (raw modulus 1) and as zeta_p^0 (raw modulus p), and a stored
-value must be the very product a direct evaluation builds, because reports
-print cyclotomic numbers at their raw moduli.
+psi_t and the kernel factor through finite quotients, so a test vector is
+evaluated on residue classes: psi_t(n) through the class of its theta
+argument (psi_t_class), the kernel through kernel_class(j_0), which depends
+on j_0 alone.  Each WhittakerFunction keeps its kernel values per class in
+its own scalar context, and RSPair tabulates W_1 * W_2 per class of
+(i, n, j_0).  The class "argument exactly 0" stays apart from "argument 0
+mod p": both give the value 1, but as scal.one() (raw modulus 1) and as
+zeta_p^0 (raw modulus p), and a stored value must be the very product a
+direct evaluation builds, because reports print cyclotomic numbers at their
+raw moduli.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cuspchar import BesselFunction, CuspidalCharacter, finite_bessel
+from .cuspchar import BesselFunction, CuspidalCharacter
 from .cyclo import CYC, CycNumber
 from .errors import (
     EvenResidualCharacteristic,
@@ -45,10 +46,12 @@ from .errors import (
     NotInU,
 )
 from .finitefield import AddChar, MultChar, gf
+from .matgroups import FiniteMatrix
 from .padic import (
     PadicMatrix,
     int_mod,
     iwasawa_NAK,
+    theta_at,
     theta_class,
     theta_eval,
     upper_unipotent,
@@ -90,8 +93,7 @@ class SimpleTypeData:
         # CPython 3.11, by about 1 % of a ramified verify.
         e = 1 if self.family == DEPTH_ZERO else 2
         derived = {"e": e, "cap": e, "level": e,
-                   "t_exponents": (0,) * self.n if e == 1 else (-1, 0),
-                   "_lam_table": {}}
+                   "t_exponents": (0,) * self.n if e == 1 else (-1, 0)}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -164,12 +166,13 @@ class SimpleTypeData:
         return y.entry(1, 0) + y.entry(0, 1) / self.p
 
     def kernel_class(self, j0: PadicMatrix):
-        """The residue class of j0 in J that the kernel factors through.
+        """The residue class of j0 in J that the kernel factors through; it
+        depends on j0 alone, so a type and its dual share it.
 
         Depth zero: j0 mod p, as int rows.  Ramified: (r, k) with
-        r = a / den mod p and k the residue mod p of lambda's theta argument,
-        or None when that argument is exactly 0 (p * c + b == 0).  On J the
-        argument is p-integral, since p | b.
+        r = a / den mod p and k = (p * c + b) / (p * a) mod p, the residue of
+        lambda's theta argument up to the orientation, or None when that
+        argument is exactly 0 (p * c + b == 0).  On J, p | b.
         """
         p = self.p
         inv = pow(j0.den, -1, p)
@@ -177,46 +180,27 @@ class SimpleTypeData:
             return tuple(tuple(e * inv % p for e in row) for row in j0.num)
         (a, b), (c, _) = j0.num
         t = p * c + b
-        # zinv = r^{-1} = den / a mod p, so the residue is orientation * (t / p) / a
-        return a * inv % p, t // p * pow(a, -1, p) * self.orientation % p if t else None
+        return a * inv % p, t // p * pow(a, -1, p) % p if t else None
+
+    def lam_on_class(self, cls, scal=CYC):
+        """lambda on the kernel class (r, k): sigma-bar(r) * zeta_p^(s * k),
+        s the orientation, or sigma-bar(r) when k is None.
+
+        On J, j = z (1 + y) with z the Teichmueller lift of r, and the
+        argument s * tr(w_E^{-1} y) of theta is s * k mod p, or exactly 0
+        when k is None.
+        """
+        r, k = cls
+        value = self.sigma.value(gf(self.p).constant(r), scal)
+        return value if k is None else value * theta_at((self.p, k), scal, self.orientation)
 
     def lam(self, j: PadicMatrix, scal=CYC):
-        """The character lambda of J in the ramified family, looked up per
-        kernel class and scalar context."""
+        """The character lambda of J in the ramified family."""
         if self.family != RAMIFIED:
             raise FamilyMismatch("lambda is only defined for the ramified family")
         if not self.in_J(j):
             raise NotInJ(f"{j!r} is not in J")
-        key = (scal.cache_key, self.kernel_class(j))
-        value = self._lam_table.get(key)
-        if value is None:
-            p = self.p
-            (a, b), (c, _) = j.num
-            r = a * pow(j.den, -1, p) % p
-            zeta = pow(r, p * p, p**3)  # Teichmueller-style unit lift
-            zinv = pow(zeta, -1, p**3)
-            # y = zinv * j - 1 has off-diagonal entries zinv * (b, c) / den, so
-            # tr(w_E^{-1} y) = zinv * (p * c + b) / (p * den)
-            arg = Fraction(self.orientation * zinv * (p * c + b), p * j.den)
-            value = self._lam_table[key] = (
-                self.sigma.value(gf(p).constant(r), scal) * theta_eval(p, arg, self.cap, scal)
-            )
-        return value
-
-    def kernel(self, j0: PadicMatrix, scal=CYC, dual: bool = False):
-        """Value of the J-kernel at j0 (finite Bessel or lambda)."""
-        if self.family == DEPTH_ZERO:
-            bessel = self._bessel_dual if dual else self._bessel
-            return bessel.value(j0.mod_p(gf(self.p)), scal)
-        return self.lam(j0, scal)
-
-    @cached_property
-    def _bessel(self) -> BesselFunction:
-        return finite_bessel(self.chi, AddChar(gf(self.p), 1))
-
-    @cached_property
-    def _bessel_dual(self) -> BesselFunction:
-        return finite_bessel(self.chi, AddChar(gf(self.p), 1).inverse())
+        return self.lam_on_class(self.kernel_class(j), scal)
 
     def central_unit_value(self, u, scal=CYC):
         """Central character at a unit u of Z_p."""
@@ -285,33 +269,9 @@ def make_type(family: str, p: int, *, n: int = 2, theta: int | None = None,
             raise NondegeneracyFailure(
                 "orientation must be +1 (psi_t side) or -1 (psi_t inverse side)"
             )
-        data = SimpleTypeData(family, p, 2, A, sigma=MultChar(gf(p), sigma),
+        return SimpleTypeData(family, p, 2, A, sigma=MultChar(gf(p), sigma),
                               orientation=orientation)
-        _check_lambda_multiplicative(data)
-        return data
     raise ValueError(f"unknown family {family!r}")
-
-
-def _check_lambda_multiplicative(data: SimpleTypeData) -> None:
-    """lambda restricted to 1 + P_A is a character: check on radical basis pairs."""
-    p = data.p
-    basis = [
-        PadicMatrix([[p, 0], [0, 0]]),
-        PadicMatrix([[0, p], [0, 0]]),
-        PadicMatrix([[0, 0], [1, 0]]),
-        PadicMatrix([[0, 0], [0, p]]),
-    ]
-    one = PadicMatrix.identity(2)
-    def shift(y):
-        return PadicMatrix(
-            [[one.entry(i, j) + y.entry(i, j) for j in range(2)] for i in range(2)]
-        )
-    for y in basis:
-        for yp in basis:
-            a = shift(y)
-            b = shift(yp)
-            if data.lam(a * b) != data.lam(a) * data.lam(b):
-                raise NondegeneracyFailure("lambda fails to be multiplicative on J^1")
 
 
 # -- the standard whittaker character of N -------------------------------
@@ -329,11 +289,7 @@ def psi_t_class(data: SimpleTypeData, n_mat: PadicMatrix):
 
 def psi_t_eval(data: SimpleTypeData, n_mat: PadicMatrix, scal=CYC, sign: int = 1):
     """psi_t(n) = theta(sum_i p^{t_i - t_{i+1}} n_{i,i+1}), or its inverse."""
-    cls = psi_t_class(data, n_mat)
-    if cls is None:
-        return scal.one()
-    mod, k = cls
-    return scal.root_of_unity(mod, sign * k % mod)
+    return theta_at(psi_t_class(data, n_mat), scal, sign)
 
 
 def extended_psi_on_U(data: SimpleTypeData, g: PadicMatrix):
@@ -431,11 +387,15 @@ def support_decompose(data: SimpleTypeData, g: PadicMatrix):
 class WhittakerFunction:
     """Explicit test vector in the psi_t (or psi_t^{-1}) Whittaker model.
 
-    W(n * w_E^i * j_0) = psi_t(n)^{+-1} * A_eff^i * kernel(j_0) on the
-    support N <w_E> J and 0 elsewhere.  `dual=True` selects the psi_t^{-1}
-    model (finite kernel against the inverse additive character; ramified
+    W(n * w_E^i * j_0) = psi_t(n)^{+-1} * A_eff^i * K(j_0) on the support
+    N <w_E> J and 0 elsewhere.  `dual=True` selects the psi_t^{-1} model
+    (finite kernel against the inverse additive character; ramified
     orientation must be -1).  An unramified twist by chi with chi(p) = c
     multiplies A by c^{n/e}.
+
+    The kernel K is read off the kernel class of j_0 (kernel_class) and
+    kept per class in this test vector's scalar context: the finite Bessel
+    function's memo at depth zero, a dict of lambda values when ramified.
     """
 
     def __init__(self, data: SimpleTypeData, *, dual: bool = False,
@@ -450,22 +410,36 @@ class WhittakerFunction:
                     f"the {'psi_t inverse' if dual else 'psi_t'} model needs "
                     f"orientation {want:+d}, type has {data.orientation:+d}"
                 )
+            self._lam = {}
+        else:
+            psi = AddChar(gf(data.p), 1)
+            self._bessel = BesselFunction(data.chi, psi.inverse() if dual else psi, scal)
         self.twist = None if twist is None else _coerce_A(twist)
         self.A_eff = data.A if self.twist is None else data.A * self.twist**data.n_over_e
         self._A_eff_s = self.scal.embed_cyc(self.A_eff)
         self._sign = -1 if dual else 1
 
+    def kernel(self, cls):
+        """K on the kernel class cls of J."""
+        if self.data.family == DEPTH_ZERO:
+            return self._bessel.value(FiniteMatrix(self._bessel.field, cls))
+        value = self._lam.get(cls)
+        if value is None:
+            value = self._lam[cls] = self.data.lam_on_class(cls, self.scal)
+        return value
+
     def value(self, g: PadicMatrix):
         dec = support_decompose(self.data, g)
         if dec is None:
             return self.scal.zero()
-        return self.value_at(dec)
-
-    def value_at(self, dec):
-        """W at the point with support decomposition dec = (i, n, j_0)."""
         i, n_mat, j0 = dec
-        psi = psi_t_eval(self.data, n_mat, self.scal, sign=self._sign)
-        return psi * self._A_eff_s**i * self.data.kernel(j0, self.scal, dual=self.dual)
+        return self.value_at(i, psi_t_class(self.data, n_mat), self.data.kernel_class(j0))
+
+    def value_at(self, i: int, psi_cls, kernel_cls):
+        """W at n * w_E^i * j_0, given the psi_t class of n and the kernel
+        class of j_0."""
+        psi = theta_at(psi_cls, self.scal, self._sign)
+        return psi * self._A_eff_s**i * self.kernel(kernel_cls)
 
 
 # -- dual pair detection and the Euler factor ----------------------------

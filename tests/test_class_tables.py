@@ -1,7 +1,8 @@
 """Property tests for the residue-class tables of the test vectors.
 
-lambda is looked up per (type, scalar context, kernel class) and W_1 * W_2
-per (pair, i, psi_t class of n, kernel class of j_0).  Every tabulated
+Each test vector keeps its kernel per kernel class of j_0 (the Bessel memo
+at depth zero, a lambda dict when ramified), and each pair keeps W_1 * W_2
+per (i, psi_t class of n, kernel class of j_0).  Every tabulated
 value is compared with a direct Fraction evaluation written out in this
 file, by its raw representation: two equal cyclotomic numbers with
 different raw moduli print differently in a report, so `==` is not enough.
@@ -9,6 +10,7 @@ The points include theta arguments that are exactly 0 and ones that are
 0 mod p, which give the same root of unity at different raw moduli.
 """
 
+import dataclasses
 import functools
 from fractions import Fraction
 
@@ -16,16 +18,19 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from rsexact.cuspchar import BesselFunction
 from rsexact.cyclo import CycNumber, cyc_embed_root
 from rsexact.errors import DepthExceeded, NotInJ
-from rsexact.finitefield import gf
-from rsexact.integral import RSPair
-from rsexact.lmodular import pair_conductor
+from rsexact.finitefield import AddChar, gf
+from rsexact.integral import RSPair, verify_main_theorem
+from rsexact.lmodular import pair_conductor, verify_corollary
+from rsexact.matgroups import FiniteMatrix
 from rsexact.padic import PadicMatrix, upper_unipotent
 from rsexact.residue import ResidueScalars
 from rsexact.simpletypes import (
     DEPTH_ZERO,
     RAMIFIED,
+    WhittakerFunction,
     make_type,
     psi_t_class,
     psi_t_eval,
@@ -87,6 +92,16 @@ def ref_lam(data, j: PadicMatrix, scal):
     return data.sigma.value(gf(p).constant(r), scal) * ref_theta(p, arg, data.cap, scal)
 
 
+def ref_bessel(W, j: PadicMatrix, scal):
+    """The finite Bessel function against psi (psi^-1 for a dual W) at j
+    mod p, from a fresh BesselFunction."""
+    p = W.data.p
+    psi = AddChar(gf(p), 1)
+    J = BesselFunction(W.data.chi, psi.inverse() if W.dual else psi, scal)
+    return J.value(FiniteMatrix(gf(p), [
+        [e.numerator * pow(e.denominator, -1, p) for e in row] for row in j.rows]))
+
+
 def ref_pair_value(pair: RSPair, g: PadicMatrix):
     dec = support_decompose(pair.type1, g)
     if dec is None:
@@ -98,7 +113,7 @@ def ref_pair_value(pair: RSPair, g: PadicMatrix):
         if W.data.family == RAMIFIED:
             kernel = ref_lam(W.data, j0, scal)
         else:
-            kernel = W.data.kernel(j0, scal, dual=W.dual)
+            kernel = ref_bessel(W, j0, scal)
         values.append(ref_psi(W.data, n_mat, scal, sign) * W._A_eff_s**i * kernel)
     return values[0] * values[1]
 
@@ -237,7 +252,8 @@ def test_lam_matches_the_fraction_reference(name):
     @SETTINGS
     @given(st.data())
     def check(draw):
-        for t in (pair.type1, pair.type2):
+        for W in (pair.W1, pair.W2):
+            t = W.data
             if draw.draw(st.booleans()):
                 j = draw.draw(j_elements(t))
             else:  # any integral matrix with a unit denominator, often not in J
@@ -245,10 +261,13 @@ def test_lam_matches_the_fraction_reference(name):
                     [[draw.draw(st.integers(-9, 9)) for _ in range(2)] for _ in range(2)],
                     draw.draw(st.sampled_from((1, 7))))
                 assume(j.det())
-            assert outcome(t.lam, j, pair.scal) == outcome(ref_lam, t, j, pair.scal), j
+            want = outcome(ref_lam, t, j, pair.scal)
+            assert outcome(t.lam, j, pair.scal) == want, j
+            if t.in_J(j):
+                assert outcome(W.kernel, t.kernel_class(j)) == want, j
 
     check()
-    assert pair.type1._lam_table and pair.type2._lam_table
+    assert pair.W1._lam and pair.W2._lam
 
 
 # -- the zero class and the checks ahead of the lookup -------------------
@@ -256,11 +275,12 @@ def test_lam_matches_the_fraction_reference(name):
 
 def test_lam_table_at_p5_has_24_classes():
     t = make_type(RAMIFIED, 5, sigma=1)
+    W = WhittakerFunction(t)
     for a in range(1, 5):
         for c in range(5):
             for b in (0, 5, -5 * c):  # p * c + b exactly 0 or 0 mod p or not
-                t.lam(PadicMatrix.from_ints([[a, b], [c, a]]))
-    assert len(t._lam_table) == 24  # r in F_5^x times k in F_5 or None
+                W.kernel(t.kernel_class(PadicMatrix.from_ints([[a, b], [c, a]])))
+    assert len(W._lam) == 24  # r in F_5^x times k in F_5 or None
 
 
 @pytest.mark.parametrize("name", ["ram3", "ram3-residue"])
@@ -311,9 +331,24 @@ def test_depth_exceeded_is_raised_for_a_tabulated_class(name):
 def test_not_in_j_is_raised_for_a_tabulated_class():
     t = make_type(RAMIFIED, 3, sigma=1)
     one = PadicMatrix.identity(2)
-    t.lam(one)  # fills the class (1, None)
+    t.lam(one)  # the class (1, None)
     outside = PadicMatrix.from_ints([[1, 0], [0, 2]])  # diagonal entries differ mod 3
     assert not t.in_J(outside)
     assert t.kernel_class(outside) == t.kernel_class(one)
     with pytest.raises(NotInJ):
         t.lam(outside)
+
+
+def test_types_hold_only_their_datum_after_a_run():
+    # kernel tables belong to the test vectors: a run leaves nothing on the
+    # (frozen, shared) types beyond their fields, the values __post_init__
+    # derives and the cached cuspidal character
+    derived = {"e", "cap", "level", "t_exponents", "chi"}
+    for t1, ell in ((make_type(DEPTH_ZERO, 3, theta=1), 5),
+                    (make_type(RAMIFIED, 3, sigma=1), 5)):
+        t2 = make_type(**t1.dual_params())
+        assert verify_main_theorem(t1, t2).passed
+        assert verify_corollary(t1, t2, ell).match
+        for t in (t1, t2):
+            fields = {f.name for f in dataclasses.fields(t)}
+            assert set(vars(t)) <= fields | derived, set(vars(t)) - fields - derived

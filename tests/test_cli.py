@@ -203,6 +203,16 @@ class TestVerifyCommand:
         data = json.loads(target.read_text())
         assert data["euler_factor"] == "1/(1 - X^2)"
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path, where):
+        target = tmp_path / "absent" / "x.json" if where == "missing-directory" else tmp_path
+        code, out, err = run_cli(
+            capsys, "verify", "--q", "2", "--theta", "1", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration error:")
+        assert "Traceback" not in err
+
 
 # ---------------------------------------------------------------------------
 # bessel-table

@@ -7,6 +7,7 @@ import pytest
 from rsexact import cuspchar
 from rsexact.cyclo import CycNumber, cyc_embed_root
 from rsexact.cuspchar import (
+    BesselFunction,
     bessel_convolution_check,
     character_invariants,
     cuspidal_character,
@@ -19,6 +20,7 @@ from rsexact.finitefield import AddChar, MultChar, gf
 from rsexact.matgroups import FiniteMatrix, enumerate_group, enumerate_unitriangular
 from rsexact.padic import PadicMatrix
 from rsexact.residue import ResidueScalars
+from rsexact.simpletypes import DEPTH_ZERO, WhittakerFunction, make_type
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +232,7 @@ def test_bessel_equivariance_n3():
 def test_bessel_memo_and_term_table_per_scalar_context(monkeypatch):
     # GL_2(F_3): Theta has order 8 and psi order 3, so zeta_24 covers both
     F3 = gf(3)
-    J = finite_bessel(cuspidal_character(MultChar(gf(3, 2), 1)), AddChar(F3, 1))
+    chi, psi = cuspidal_character(MultChar(gf(3, 2), 1)), AddChar(F3, 1)
     res = ResidueScalars(5, 24, 0)
     psi_calls = []
 
@@ -239,27 +241,31 @@ def test_bessel_memo_and_term_table_per_scalar_context(monkeypatch):
         return psi_of_unipotent(*args)
 
     monkeypatch.setattr(cuspchar, "psi_of_unipotent", counted)
+    J, J_res = BesselFunction(chi, psi), BesselFunction(chi, psi, res)
+    # psi(u)^-1 is computed once per unitriangular u, at construction
+    assert len(psi_calls) == 2 * len(enumerate_unitriangular(F3, 2))
     G = enumerate_group(F3, 2)
     for i, g in enumerate(G):
         if i % 2:
-            exact, reduced = J.value(g), J.value(g, res)
+            exact, reduced = J.value(g), J_res.value(g)
         else:
-            reduced, exact = J.value(g, res), J.value(g)
+            reduced, exact = J_res.value(g), J.value(g)
         assert reduced == res.embed_cyc(exact)
-        assert J.value(g, res) is reduced and J.value(g) is exact
-    assert len(J._memo) == 2 * len(G)
-    # psi(u)^-1 is computed once per unitriangular u and scalar context
+        assert J_res.value(g) is reduced and J.value(g) is exact
+    assert len(J._memo) == len(J_res._memo) == len(G)
     assert len(psi_calls) == 2 * len(enumerate_unitriangular(F3, 2))
 
 
 def test_bessel_memo_shared_by_reduced_and_int_matrices():
-    F3 = gf(3)
-    J = finite_bessel(cuspidal_character(MultChar(gf(3, 2), 1)), AddChar(F3, 1))
-    reduced = PadicMatrix([[Fraction(1, 2), -1], [3, 7]]).mod_p(F3)
-    value = J.value(reduced)
-    assert len(J._memo) == 1
-    assert J.value(FiniteMatrix(F3, [[2, 2], [0, 1]])) is value
-    assert len(J._memo) == 1
+    # a depth-zero test vector reads its Bessel kernel off the class of j mod p
+    t = make_type(DEPTH_ZERO, 3, theta=1)
+    W = WhittakerFunction(t)
+    cls = t.kernel_class(PadicMatrix([[Fraction(1, 2), -1], [3, 7]]))
+    assert cls == ((2, 2), (0, 1))
+    value = W.kernel(cls)
+    assert len(W._bessel._memo) == 1
+    assert W._bessel.value(FiniteMatrix(gf(3), [[-1, 2], [3, 7]])) is value
+    assert len(W._bessel._memo) == 1
 
 
 def test_convolution_exhaustive_q2():

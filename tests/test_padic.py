@@ -8,7 +8,6 @@ import pytest
 
 from rsexact.cyclo import CycNumber, cyc_embed_root
 from rsexact.errors import DepthExceeded, UnsupportedDescriptor
-from rsexact.finitefield import gf
 from rsexact.matgroups import order_gl
 from rsexact.padic import (
     MeasureContext,
@@ -26,6 +25,7 @@ from rsexact.padic import (
     val_p,
     volume,
 )
+from rsexact.simpletypes import DEPTH_ZERO, make_type
 
 # -- valuations and scalar helpers ---------------------------------------
 
@@ -107,10 +107,9 @@ def test_in_K():
 
 
 def test_mod_p_reduction():
-    f3 = gf(3)
-    g = PadicMatrix([[Fraction(1, 2), 4], [6, -1]])
-    r = g.mod_p(f3)
-    assert r.ints == ((2, 1), (0, 2))
+    # the depth-zero kernel class of j is j mod p, as int rows
+    t = make_type(DEPTH_ZERO, 3, theta=1)
+    assert t.kernel_class(PadicMatrix([[Fraction(1, 2), 4], [6, -1]])) == ((2, 1), (0, 2))
 
 
 def test_upper_unipotent():

@@ -15,8 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rsexact.errors import DepthExceeded
-from rsexact.finitefield import gf
 from rsexact.padic import PadicMatrix, int_mod, iwasawa_NAK, theta_class, val_p
+from rsexact.simpletypes import DEPTH_ZERO, make_type
 
 PRIMES = (2, 3, 5)
 OTHER_DENOMINATORS = (1, 7, 11, 13)
@@ -177,8 +177,9 @@ def test_valuations_and_residues_match_reference(data):
     assert g.is_integral(p) == integral
     assert g.in_K(p) == ref_in_K(a, p)
     if integral:
-        reduced = g.mod_p(gf(p))
-        assert [list(row) for row in reduced.ints] == [
+        # the depth-zero kernel class is the reduction mod p
+        t = make_type(DEPTH_ZERO, p, n=len(a), theta=1)
+        assert [list(row) for row in t.kernel_class(g)] == [
             [ref_int_mod(e, p, 1) for e in row] for row in a
         ]
 

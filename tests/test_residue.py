@@ -110,10 +110,6 @@ class TestScalars:
         with pytest.raises(NotIntegralAtEll):
             s.from_fraction(Fraction(3, 14))
 
-    def test_cache_key_distinguishes_primes(self):
-        assert ResidueScalars(7, 3, 0).cache_key != ResidueScalars(7, 3, 1).cache_key
-        assert ResidueScalars(5, 3, 0).cache_key != ResidueScalars(7, 3, 0).cache_key
-
 
 class TestEmbedding:
     def test_vanishing_sum_of_roots(self):
