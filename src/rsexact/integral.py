@@ -22,9 +22,10 @@ over a residue field for the mod-ell corollary.
 An independent brute-force oracle sums W_1 W_2 Phi directly over canonical
 N\\G cells (valuation vectors in a window times (N cap K)\\K/K^m), carrying
 the explicit factor (q - 1) that relates the canonical normalization to the
-center-times-quotient route above.  Diagnostics check the slice pattern and
-row law of the b_k, the J^1-averages F_i, the shell constancy that pins
-down mu, and the cell-mass identity behind the level constant u.
+center-times-quotient route above.  Diagnostics check the per-cell laws in
+one pass over the cell log (the slice pattern and row law of the b_k, and
+the cell-mass identity behind the level constant u), the J^1-averages F_i,
+and the shell constancy that pins down mu.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .padic import (
     nk_cell_reps,
     pk_cell_reps,
     volume,
+    vp_int,
 )
 from .ratfun import Laurent, RationalFunction, series_coefficients
 from .simpletypes import (
@@ -81,7 +83,8 @@ class RSPair:
         self.n = type1.n
         self.e = type1.e
         self.level = type1.level
-        self.ctx = MeasureContext(self.p, self.n)
+        # nu_m, the quotient mass of one (P cap K)\K/K^m cell
+        self.nu = volume(MeasureContext(self.p, self.n), ("PK_quot", self.level))
         self.kappa = self.scal.embed_cyc(self.W1.A_eff * self.W2.A_eff)
         self._table = {}
 
@@ -172,20 +175,18 @@ class CellRecord:
     row: tuple
     rep: PadicMatrix
     slices: dict
-    poly: Laurent
 
 
 def integrate_over_K(pair: RSPair):
     """T(X) = sum over (P cap K)\\K/K^m cells of nu_m * I_0; returns (T, log)."""
     scal = pair.scal
-    nu = scal.from_fraction(volume(pair.ctx, ("PK_quot", pair.level)))
+    nu = scal.from_fraction(pair.nu)
     total = Laurent.zero(scal)
     log = []
     for row, rep in pk_cell_reps(pair.p, pair.n, pair.level):
         slices = cell_slices(pair, rep)
-        poly = inner_poly(pair, slices)
-        log.append(CellRecord(row=row, rep=rep, slices=slices, poly=poly))
-        total = total + poly.scale(nu)
+        log.append(CellRecord(row=row, rep=rep, slices=slices))
+        total = total + inner_poly(pair, slices).scale(nu)
     return total, log
 
 
@@ -275,67 +276,72 @@ def _row_slice(pair: RSPair, row) -> int:
     raise ValueError("row is not unimodular")
 
 
-def _cell_slice(pair: RSPair, row) -> int:
-    """The unique slice a cell can support: the row law for level types,
-    slice 0 for maximal-compact ones."""
-    return _row_slice(pair, row) if pair.e == 2 else 0
-
-
 def cell_support_report(pair: RSPair, cell_log) -> dict:
-    """Slice pattern, row law and the explicit mirabolic factorization."""
-    scal = pair.scal
-    zero = scal.zero()
+    """The per-cell laws of the engine, in one pass over the cell log.
+
+    Each cell has one slice s it can support: the row law's s for level
+    types (e = 2), s = 0 for maximal-compact ones.  With nz the set of k
+    where the cell's b_k is nonzero:
+
+    - slice_pattern: nz lies on multiples of n/e, and b_k = 0 also at
+      k in {-2, -1, n, n + 1}, outside the period the engine sums;
+    - row_law: nz == {s n/e}, and for e = 2 the cell factors through
+      P cap K times the predicted J-element (_factors_through_mirabolic);
+    - cell_mass: the sum of nu_m over the slice-s cells equals
+      u (q^{n/e} - 1) q^{-s n/e} with one level constant u, and no cell is
+      nonzero off its slice s n/e (a cell with no nonzero slice passes).
+
+    u is reported whenever the slices give one value.  A law that has
+    failed is not checked on later cells.
+    """
+    zero = pair.scal.zero()
     step = pair.n_over_e
-    pattern_ok = True
-    row_ok = True
-    extra_zero_ok = True
+    pattern_ok = row_ok = single_ok = True
+    masses: dict[int, Fraction] = {}
     for rec in cell_log:
         nz = {k for k, b in rec.slices.items() if b != zero}
-        if any(k % step for k in nz):
-            pattern_ok = False
-        if nz != {_cell_slice(pair, rec.row) * step}:
-            row_ok = False
-        for k in (-2, -1, pair.n, pair.n + 1):
-            if b_coefficient(pair, rec.rep, k) != zero:
-                extra_zero_ok = False
-    fact_ok = _mirabolic_factorization_ok(pair, cell_log) if pair.e == 2 else True
+        s = _row_slice(pair, rec.row) if pair.e == 2 else 0
+        pattern_ok = pattern_ok and not any(k % step for k in nz) and all(
+            b_coefficient(pair, rec.rep, k) == zero
+            for k in (-2, -1, pair.n, pair.n + 1))
+        row_ok = row_ok and nz == {s * step} and (
+            pair.e != 2 or _factors_through_mirabolic(pair, rec, s))
+        single_ok = single_ok and not nz - {s * step}
+        masses[s] = masses.get(s, Fraction(0)) + pair.nu
+    u_vals = {mass * pair.q ** (s * step) / (pair.q**step - 1)
+              for s, mass in masses.items()}
+    u = u_vals.pop() if len(u_vals) == 1 else None
     return {
         "slice_pattern": pattern_ok,
         "row_law": row_ok,
-        "outside_slices_vanish": extra_zero_ok,
-        "mirabolic_factorization": fact_ok,
+        "cell_mass": u is not None and single_ok,
+        "u": u,
     }
 
 
-def _mirabolic_factorization_ok(pair: RSPair, cell_log) -> bool:
-    """Each level cell factors through P cap K times the predicted J-element.
+def _factors_through_mirabolic(pair: RSPair, rec: CellRecord, s: int) -> bool:
+    """A level cell of slice s factors through P cap K times the predicted
+    J-element.
 
     Slice 0 (d a unit): kbar = p_0 * j' with j' = [[d, 0], [c, d]];
     slice 1 (c a unit, d in p): diag(p, 1) kbar = p_0 * w_E * j' with
     j' = [[c, d], [0, c]]; in both cases p_0 must land in the mirabolic
     part of K (last row (0, 1)).
     """
-    p = pair.p
-    w = pair.type1.uniformizer()
-    for rec in cell_log:
-        c, d = (Fraction(int(x)) for x in rec.row)
-        s = _row_slice(pair, rec.row)
-        if s == 0:
-            jp = PadicMatrix([[d, 0], [c, d]])
-            target = rec.rep
-            full = jp
-        else:
-            jp = PadicMatrix([[c, d], [0, c]])
-            target = rec.rep.scale_row(0, p)
-            full = w * jp
-        if not pair.type1.in_J(jp):
-            return False
-        p0 = target * full.inverse()
-        if not (p0.in_K(p) and p0.rows[-1] == (Fraction(0), Fraction(1))):
-            return False
-        if not p0 * full == target:
-            return False
-    return True
+    c, d = (Fraction(int(x)) for x in rec.row)
+    if s == 0:
+        jp = PadicMatrix([[d, 0], [c, d]])
+        target = rec.rep
+        full = jp
+    else:
+        jp = PadicMatrix([[c, d], [0, c]])
+        target = rec.rep.scale_row(0, pair.p)
+        full = pair.type1.uniformizer() * jp
+    if not pair.type1.in_J(jp):
+        return False
+    p0 = target * full.inverse()
+    return (p0.in_K(pair.p) and p0.rows[-1] == (Fraction(0), Fraction(1))
+            and p0 * full == target)
 
 
 def _j1_coset_reps(p: int):
@@ -457,37 +463,7 @@ def _is_q_power(x: Fraction, q: int) -> bool:
         return _is_q_power(1 / x, q)
     if x.denominator != 1:
         return False
-    num = x.numerator
-    while num % q == 0:
-        num //= q
-    return num == 1
-
-
-def cell_mass_report(pair: RSPair, cell_log) -> dict:
-    """Cell masses per slice: the sum of nu_m over slice-i cells equals
-    u (q^{n/e} - 1) q^{-i n/e} with a single level constant u."""
-    nu = volume(pair.ctx, ("PK_quot", pair.level))
-    zero = pair.scal.zero()
-    step = pair.n_over_e
-    masses: dict[int, Fraction] = {}
-    single_ok = True
-    for rec in cell_log:
-        s = _cell_slice(pair, rec.row)
-        masses[s] = masses.get(s, Fraction(0)) + nu
-        nz = {k for k, b in rec.slices.items() if b != zero}
-        if nz and nz != {s * step}:
-            single_ok = False
-    us = {
-        s: mass * pair.q ** (s * step) / (pair.q**step - 1)
-        for s, mass in masses.items()
-    }
-    u_vals = set(us.values())
-    u = u_vals.pop() if len(u_vals) == 1 else None
-    return {
-        "single_slice": single_ok,
-        "u": u,
-        "constant_u": u is not None and single_ok,
-    }
+    return x.numerator == q ** vp_int(x.numerator, q)
 
 
 # -- the theorem -----------------------------------------------------------
@@ -590,7 +566,6 @@ def verify_main_theorem(type1: SimpleTypeData, type2: SimpleTypeData, *,
     support = cell_support_report(pair, cell_log)
     averages = j1_average_report(pair, cell_log)
     shells = shell_constancy_report(pair, I)
-    mass = cell_mass_report(pair, cell_log)
     mu = shells["mu"]
     expected = None
     identity_ok = False
@@ -600,15 +575,15 @@ def verify_main_theorem(type1: SimpleTypeData, type2: SimpleTypeData, *,
     checks = {
         "closed_form_identity": identity_ok,
         "unit_shell_values": averages["values"],
-        "slice_pattern": support["slice_pattern"] and support["outside_slices_vanish"],
-        "row_law": support["row_law"] and support["mirabolic_factorization"],
+        "slice_pattern": support["slice_pattern"],
+        "row_law": support["row_law"],
         "j1_average": averages["honest"] and averages["translation_law"],
         "shell_constancy": shells["off_slice_vanishing"] and shells["shell_constant"]
         and shells["mu_is_q_power"],
-        "cell_mass": mass["constant_u"],
+        "cell_mass": support["cell_mass"],
     }
     return VerificationReport(
         pair=pair, applicable=True, I=I, T=T, cell_log=cell_log,
-        expected=expected, mu=mu, u=mass["u"], lambda_vol=averages["lambda_vol"],
+        expected=expected, mu=mu, u=support["u"], lambda_vol=averages["lambda_vol"],
         checks=checks,
     )

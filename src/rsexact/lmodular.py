@@ -30,6 +30,7 @@ from math import lcm
 from .cyclo import CycNumber, is_prime
 from .errors import EllEqualsP, NonBanal, NotMonomialMultiple
 from .integral import RSPair, integrate_over_K, rankin_selberg_I
+from .padic import vp_int
 from .ratfun import EulerFactor, Laurent, RationalFunction, euler_normalize
 from .residue import ResidueScalars
 from .simpletypes import SimpleTypeData, l_factor
@@ -82,13 +83,8 @@ def pair_conductor(type1: SimpleTypeData, type2: SimpleTypeData,
 
 def p_power_denominators_ok(value: CycNumber, p: int) -> bool:
     """True when every coefficient denominator is a power of p."""
-    for c in value.raw_items(value.modulus).values():
-        d = c.denominator
-        while d % p == 0:
-            d //= p
-        if d != 1:
-            return False
-    return True
+    return all(c.denominator == p ** vp_int(c.denominator, p)
+               for c in value.raw_items(value.modulus).values())
 
 
 def reduce_laurent(poly: Laurent, res: ResidueScalars) -> Laurent:
@@ -149,13 +145,9 @@ def verify_corollary(type1: SimpleTypeData, type2: SimpleTypeData, ell: int, *,
     T_cyc, log_cyc = integrate_over_K(cyc_pair)
     I_cyc = rankin_selberg_I(cyc_pair, T_cyc)
 
-    # conductor: structural bound joined with every value actually produced
+    # every value the engine produces lies in the conductor's field; a root
+    # of unity outside it is refused by the residue field, not reduced
     N = pair_conductor(type1, type2, twist=cyc_pair.twist)
-    for rec in log_cyc:
-        for v in rec.slices.values():
-            N = lcm(N, v.modulus)
-    for _, v in list(I_cyc.num.items()) + list(I_cyc.den.items()):
-        N = lcm(N, v.modulus)
     res = ResidueScalars(ell, N, factor_index)
 
     # (a) integrality: p-power denominators everywhere

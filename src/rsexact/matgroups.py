@@ -3,7 +3,7 @@ finite-level construction: GL_n(F_p) for n <= 3, unipotent subgroups,
 and conjugacy classification by eigenvalue pattern.
 
 A FiniteMatrix holds its entries as ints mod a prime p, so products,
-determinants, inverses, ranks and the enumerations are integer arithmetic.
+determinants, inverses and the enumerations are integer arithmetic.
 
 Eigenvalues are located by scanning the field (and its quadratic/cubic
 extension) for roots of the characteristic polynomial, once per
@@ -149,29 +149,6 @@ def order_gl(q: int, n: int) -> int:
     return out
 
 
-def matrix_rank(g: FiniteMatrix) -> int:
-    p = g.field.p
-    rows = [list(r) for r in g.ints]
-    n = g.n
-    rank = 0
-    col = 0
-    while rank < n and col < n:
-        pivot = next((i for i in range(rank, n) if rows[i][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [e * inv % p for e in rows[rank]]
-        for i in range(n):
-            if i != rank and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 @cache
 def enumerate_group(field: GF, n: int):
     """All of GL_n over the field, in deterministic order."""
@@ -223,7 +200,6 @@ def _eigenvalue_pattern(field: GF, coeffs: tuple):
     roots = [x for x in range(p) if not _horner(coeffs, x) % p]
     if not roots:
         ext = [x for x in gf(p, n) if not _horner(coeffs, x)]
-        assert len(ext) == n
         return ("elliptic", frozenset(ext))
     z = roots[0]
     power = tuple(comb(n, k) * (-z) ** (n - k) % p for k in range(n + 1))  # (x - z)^n
@@ -246,8 +222,8 @@ def classify_conjugacy(g: FiniteMatrix):
     gf(p, n).
 
     The pattern is read off the characteristic polynomial alone; only a
-    repeated eigenvalue z looks at g itself, through is_scalar (n = 2) or
-    the rank of g - z (n = 3).
+    repeated eigenvalue z looks at g itself, through is_scalar and, for
+    n = 3, the 2 x 2 minors of g - z.
     """
     F = g.field
     p = F.p
@@ -266,12 +242,16 @@ def classify_conjugacy(g: FiniteMatrix):
     kind, data = _eigenvalue_pattern(F, coeffs)
     if kind != "repeated":
         return kind, data
+    if g.is_scalar():
+        return "central", data
     if n == 2:
-        return ("central", data) if g.is_scalar() else ("unipotent", data)
-    shifted = tuple(tuple((e - data * (i == j)) % p for j, e in enumerate(row))
-                    for i, row in enumerate(r))
-    # g - z is singular, so its rank is at most 2
-    return ("central", "u21", "u3")[matrix_rank(FiniteMatrix._of(F, shifted))], data
+        return "unipotent", data
+    # g - z is singular and nonzero: it has rank 1 exactly when all its
+    # 2 x 2 minors, the entries of its adjugate, vanish
+    shifted = [[e - data * (i == j) for j, e in enumerate(row)] for i, row in enumerate(r)]
+    if any(x % p for row in small_adjugate(shifted) for x in row):
+        return "u3", data
+    return "u21", data
 
 
 # sort key: the int rows, whose order is that of the flattened entries

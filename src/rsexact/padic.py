@@ -29,8 +29,35 @@ from .matgroups import order_gl, small_adjugate, small_det
 
 
 def vp_int(n: int, p: int) -> int:
-    """Exponent of p in a nonzero integer."""
+    """Exponent of p in a nonzero integer.
+
+    Almost every call has a small exponent, so p is stripped one factor at
+    a time; past 8 factors the rest is left to _vp_deep.
+    """
     v = 0
+    while not n % p:
+        n //= p
+        v += 1
+        if v == 8:
+            return v + _vp_deep(n, p)
+    return v
+
+
+def _vp_deep(n: int, p: int) -> int:
+    """Exponent of p in a nonzero integer, in O(log v) divisions: p^8,
+    p^16, p^32, ... are stripped while they divide, then each smaller one
+    at most once on the way back down, and the last few factors singly."""
+    v = 0
+    powers = [(8, p**8)]
+    while not n % powers[-1][1]:
+        step, pk = powers[-1]
+        n //= pk
+        v += step
+        powers.append((2 * step, pk * pk))
+    for step, pk in reversed(powers[:-1]):
+        if not n % pk:
+            n //= pk
+            v += step
     while not n % p:
         n //= p
         v += 1

@@ -6,6 +6,7 @@ import pytest
 
 from rsexact.cyclo import CycNumber, CycScalars, cyc_embed_root
 from rsexact.errors import EllEqualsP, NonBanal
+from rsexact.integral import RSPair, integrate_over_K, rankin_selberg_I
 from rsexact.lmodular import (
     banal_bound,
     is_banal,
@@ -68,6 +69,35 @@ class TestBanalRange:
         require_banal(t, 7)
 
 
+def _conductor_cases() -> dict:
+    """(type1 params, type2 params or None for the dual of type1, twist):
+    depth zero at q = 2, 3, 5, 7 with and without a zeta_4 twist, GL_3 at
+    q = 2, 3, every ramified sigma at p = 3, 5 with its dual and with a
+    non-dual partner, a non-dual depth-zero pair and a pair with a twisted A."""
+    i4 = cyc_embed_root(4, 1)
+    cases = {}
+    for q in (2, 3, 5, 7):
+        t1 = {"family": DEPTH_ZERO, "p": q, "theta": 1}
+        cases[f"dz{q}"] = (t1, None, None)
+        cases[f"dz{q}-twist"] = (t1, None, i4)
+    for q in (2, 3):
+        cases[f"gl3-q{q}"] = ({"family": DEPTH_ZERO, "p": q, "n": 3, "theta": 1}, None, None)
+    for p in (3, 5):
+        for s in range(p - 1):
+            t1 = {"family": RAMIFIED, "p": p, "sigma": s}
+            cases[f"ram{p}-s{s}"] = (t1, None, None)
+            # the dual sigma is -s, never 1 - s
+            cases[f"ram{p}-s{s}-nondual"] = (
+                t1, dict(t1, sigma=(1 - s) % (p - 1), orientation=-1), None)
+    dz3 = {"family": DEPTH_ZERO, "p": 3, "theta": 1}
+    cases["dz3-nondual"] = (dz3, dz3, None)
+    cases["dz3-A"] = (dz3, dict(dz3, theta=5, A=i4), None)
+    return cases
+
+
+CONDUCTOR_CASES = _conductor_cases()
+
+
 class TestConductors:
     def test_depth_zero(self):
         assert type_conductor(dz(2, 1)) == 6      # lcm(2, 3)
@@ -82,6 +112,21 @@ class TestConductors:
     def test_pair_and_twist(self):
         N = pair_conductor(dz(2, 1), dz(2, 2), twist=cyc_embed_root(4, 1))
         assert N == 12
+
+    @pytest.mark.parametrize("params1,params2,twist", CONDUCTOR_CASES.values(),
+                             ids=CONDUCTOR_CASES.keys())
+    def test_engine_moduli_divide_the_pair_conductor(self, params1, params2, twist):
+        # verify_corollary builds its residue field at pair_conductor alone,
+        # so every value the char-0 engine produces must live there
+        t1 = make_type(**params1)
+        t2 = make_type(**(params2 or t1.dual_params()))
+        pair = RSPair(t1, t2, twist=twist)
+        T, log = integrate_over_K(pair)
+        I = rankin_selberg_I(pair, T)
+        N = pair_conductor(t1, t2, twist=pair.twist)
+        values = [v for rec in log for v in rec.slices.values()]
+        values += [v for part in (T, I.num, I.den) for _, v in part.items()]
+        assert values and all(N % v.modulus == 0 for v in values)
 
 
 class TestIntegrality:

@@ -13,7 +13,6 @@ from rsexact.matgroups import (
     embed_block,
     enumerate_group,
     enumerate_unitriangular,
-    matrix_rank,
     n_coset_reps,
     n_orbit_rep,
     order_gl,
@@ -208,14 +207,6 @@ def test_unitriangular_enumeration():
         assert small_det(u.ints) % 3 == 1
 
 
-def test_matrix_rank():
-    F = gf(3)
-    assert matrix_rank(FiniteMatrix.identity(F, 3)) == 3
-    assert matrix_rank(FiniteMatrix(F, [[0, 0, 0], [0, 0, 0], [0, 0, 0]])) == 0
-    assert matrix_rank(FiniteMatrix(F, [[1, 2, 0], [2, 4, 0], [0, 0, 1]])) == 2
-    assert matrix_rank(FiniteMatrix(F, [[0, 1], [0, 0]])) == 1
-
-
 def test_classify_gl2_f3_label_counts():
     F = gf(3)
     labels = Counter(classify_conjugacy(g)[0] for g in enumerate_group(F, 2))
@@ -228,10 +219,13 @@ def test_classify_gl2_f2_label_counts():
     assert labels == {"central": 1, "unipotent": 3, "elliptic": 2}
 
 
-def test_classify_gl3_f2_label_counts():
-    F = gf(2)
-    labels = Counter(classify_conjugacy(g)[0] for g in enumerate_group(F, 3))
-    assert labels == {"central": 1, "u21": 21, "u3": 42, "elliptic": 48, "other": 56}
+@pytest.mark.parametrize("q,counts", [
+    (2, {"central": 1, "u21": 21, "u3": 42, "elliptic": 48, "other": 56}),
+    (3, {"central": 2, "u21": 208, "u3": 1248, "elliptic": 3456, "other": 6318}),
+])
+def test_classify_gl3_label_counts(q, counts):
+    labels = Counter(classify_conjugacy(g)[0] for g in enumerate_group(gf(q), 3))
+    assert labels == counts
 
 
 @pytest.mark.parametrize("q,counts", [

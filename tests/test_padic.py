@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsexact.cyclo import CycNumber, cyc_embed_root
 from rsexact.errors import DepthExceeded, UnsupportedDescriptor
@@ -24,6 +26,7 @@ from rsexact.padic import (
     upper_unipotent,
     val_p,
     volume,
+    vp_int,
 )
 from rsexact.simpletypes import DEPTH_ZERO, make_type
 
@@ -36,6 +39,27 @@ def test_val_p_basics():
     assert val_p(Fraction(2, 9), 3) == -2
     assert val_p(Fraction(6, 5), 3) == 1
     assert val_p(7, 3) == 0
+
+
+def naive_vp(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@given(st.sampled_from((2, 3, 5, 7)),
+       st.one_of(st.integers(0, 40), st.integers(0, 4000)),
+       st.integers(0, 10**6), st.integers(1, 6), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_vp_int_matches_the_one_factor_reference(p, v, unit, r, negative):
+    # p^v times a unit unit * p + (1 + r mod (p - 1)): shallow and deep
+    # valuations, both signs
+    n = p**v * (unit * p + 1 + r % (p - 1))
+    if negative:
+        n = -n
+    assert vp_int(n, p) == naive_vp(n, p) == v
 
 
 def test_int_mod():

@@ -162,12 +162,16 @@ def test_json_round_trip():
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=4),
-       st.lists(st.integers(-4, 4), min_size=0, max_size=3))
+       st.lists(st.integers(-4, 4), min_size=0, max_size=3),
+       st.lists(st.integers(-4, 4), min_size=1, max_size=3))
 @settings(max_examples=60, deadline=None)
-def test_mul_div_round_trip(num_coeffs, den_tail):
+def test_mul_div_round_trip(num_coeffs, den_tail, common_tail):
     num = L({k: v for k, v in enumerate(num_coeffs)})
     den = L({0: 1, **{k + 1: v for k, v in enumerate(den_tail)}})
     f = RationalFunction(num, den)
+    # a common factor with constant term 1 divides out exactly
+    common = L({0: 1, **{k + 1: v for k, v in enumerate(common_tail)}})
+    assert RationalFunction(num * common, den * common) == f
     g = RationalFunction(den, num) if not num.is_zero() else None
     if g is not None:
         assert f * g == RationalFunction.constant(SCAL, CycNumber.one())
