@@ -51,6 +51,7 @@ from .cyclo import is_prime, parse_cyc
 from .errors import NonBanal, NotIntegralAtEll, RSExactError, TooLarge
 from .finitefield import AddChar, gf
 from .integral import (
+    GL3_WINDOW,
     RSPair,
     _j1_coset_reps,
     oracle_check,
@@ -60,6 +61,7 @@ from .integral import (
 from .lmodular import verify_corollary
 from .matgroups import (
     BESSEL_TERM_LIMIT,
+    ENGINE_TEST_LIMIT,
     ORACLE_POINT_LIMIT,
     FiniteMatrix,
     enumerate_group,
@@ -156,8 +158,38 @@ def _validate(cfg: RunConfig) -> None:
         raise ValueError("reduce needs --ell")
     if cfg.command == "oracle-check" and cfg.n != 2:
         raise ValueError("oracle-check supports n = 2 only")
+    if cfg.command in ("verify", "reduce"):
+        _check_engine_size(cfg)
     if cfg.command == "oracle-check" or (cfg.command == "verify" and _oracle_requested(cfg)):
         _check_oracle_size(cfg)
+
+
+def _check_engine_size(cfg: RunConfig) -> None:
+    """Refuse a verify or reduce run whose support tests, estimated before
+    any type is built, exceed ENGINE_TEST_LIMIT.
+
+    There is one cell per unimodular bottom row mod p^m, and each cell is
+    tested at the n + 4 slices k = -2..n+1 of the engine and
+    cell_support_report; a slice tests p - 1 unit classes for n = 2, and
+    for n = 3 each window pair (v1, v2) with v1 + v2 = k times the
+    (N cap K)\\K/K cells.
+    """
+    p, n = cfg.p, cfg.n
+    level = 1 if cfg.family == DEPTH_ZERO else 2
+    rows = p ** (level * n) - p ** ((level - 1) * n)
+    slices = range(-2, n + 2)
+    if n == 2:
+        per_cell = len(slices) * (p - 1)
+    else:
+        window = range(-GL3_WINDOW, GL3_WINDOW + 1)
+        pairs = sum(k - v1 in window for k in slices for v1 in window)
+        per_cell = pairs * nk_cell_count(p, 1)
+    tests = rows * per_cell
+    if tests > ENGINE_TEST_LIMIT:
+        raise TooLarge(
+            f"the engine at p = {p}, n = {n} needs about {tests:.1e} support tests, "
+            f"more than the limit of {ENGINE_TEST_LIMIT:.0e}"
+        )
 
 
 def _check_oracle_size(cfg: RunConfig) -> None:

@@ -14,7 +14,12 @@ unit-shell sum: for n = 2,
   b_k(kbar) = sum over units a mod p^m of W_1 W_2(d(p^k a) kbar) q^{-(m-1)},
 
 with d(x) = diag(x, 1); the factor q^k is the canonical N\\G cell volume of
-the valuation vector (k, 0).  For GL_3 the inner integral runs over
+the valuation vector (k, 0).  Both test vectors are supported on N <w_E> J,
+and J contains K^1 = 1 + p M_2(Z_p); for kbar in K = GL_2(Z_p), conjugating
+by kbar keeps K^1, so whether d(p^k a) kbar hits the support depends on a
+mod p alone.  b_k therefore tests one lift per unit class mod p and
+evaluates the other lifts only on a hit.  The brute-force oracle keeps its
+point-by-point walk.  For GL_3 the inner integral runs over
 N_2\\GL_2 cells embedded in the top block, with their own canonical volumes
 carried inside b_k.  Everything is scalar-generic: the same engine reruns
 over a residue field for the mod-ell corollary.
@@ -57,8 +62,9 @@ from .simpletypes import (
 )
 
 
-def _units_mod(p: int, m: int):
-    return [u for u in range(p**m) if u % p]
+# The window |v_i| <= 2 of the GL_3 inner cells is exhaustive: any
+# v != (0, 0) leaves the support of the pair.
+GL3_WINDOW = 2
 
 
 def _embed_gl2(g: PadicMatrix) -> PadicMatrix:
@@ -128,19 +134,34 @@ def _support_sum(pair: RSPair, points):
 
 
 def b_coefficient(pair: RSPair, cell: PadicMatrix, k: int):
-    """The unit-shell coefficient b_k of the inner mirabolic integral."""
+    """The unit-shell coefficient b_k of the inner mirabolic integral.
+
+    For n = 2 the cell must lie in K = GL_2(Z_p).  The units a mod p^m are
+    tested one class mod p at a time: for a = a_0 (1 + p t),
+
+      d(p^k a) kbar = d(p^k a_0) kbar * (kbar^-1 d(1 + p t) kbar),
+
+    and the last factor lies in K^1 = 1 + p M_2(Z_p), inside J, because kbar
+    is in K.  The support N <w_E> J is right J-invariant, so the lifts
+    a_0, a_0 + p, ... < p^m of a class all hit or all miss, and a miss at
+    a_0 skips its class.  The values at the lifts are not assumed equal,
+    so each lift of a hit class is evaluated.
+    """
     scal, p, m = pair.scal, pair.p, pair.level
     if pair.n == 2:
-        total = _support_sum(pair, (
-            cell.scale_row(0, a * p**k if k >= 0 else Fraction(a, p**-k))
-            for a in _units_mod(p, m)
-        ))
+        total = scal.zero()
+        for a0 in range(1, p):
+            for a in range(a0, p**m, p):
+                value = pair.pair_value(
+                    cell.scale_row(0, a * p**k if k >= 0 else Fraction(a, p**-k)))
+                if value is None:
+                    break
+                total = total + value
         return total * scal.from_fraction(Fraction(1, p ** (m - 1)))
     # GL_3: N_3\P_3 = N_2\GL_2 embedded in the upper block, with its
     # canonical cell volumes; the slice of determinant valuation k collects
-    # v = (v_1, v_2) with v_1 + v_2 = k.  A window of 2 is exhaustive: any
-    # v != (0, 0) leaves the support of the pair.
-    w = 2
+    # v = (v_1, v_2) with v_1 + v_2 = k.
+    w = GL3_WINDOW
     total = scal.zero()
     for v1 in range(-w, w + 1):
         v2 = k - v1

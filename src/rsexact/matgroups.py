@@ -27,6 +27,10 @@ BESSEL_TERM_LIMIT = 10**6
 # pair points, (kmax + 1) * (window + 1) * |(N cap K)\K/K^m|, the brute-force
 # oracle may visit
 ORACLE_POINT_LIMIT = 10**6
+# support tests, |unimodular rows mod p^m| * (n + 4) slices * tests per slice,
+# the engine and its per-cell report may make; a slice tests p - 1 unit
+# classes for n = 2 and its window pairs times |(N cap K)\K/K| for n = 3
+ENGINE_TEST_LIMIT = 10**6
 
 
 def small_det(r):

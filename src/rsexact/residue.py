@@ -27,7 +27,7 @@ from math import gcd
 
 from .cyclo import CycNumber, cyclotomic_poly, is_prime
 from .errors import NotIntegralAtEll
-from .finitefield import FFElement, _padd, _pdivmod, _pgcd, _ppow, gf
+from .finitefield import FFElement, _padd, _pdivmod, _pgcd, _pmod, _pmul, _ppow, _trim, gf
 
 
 @cache
@@ -42,25 +42,55 @@ def cyclotomic_factors(ell: int, N: int) -> tuple:
     while t != 1 % N:
         d, t = d + 1, t * ell % N
     rng = random.Random(0)
-    half = (ell**d - 1) // 2
     out = []
+    frobenius = {}
     todo = [tuple(c % ell for c in cyclotomic_poly(N))]
     while todo:
         f = todo.pop()
         if len(f) - 1 == d:
             out.append(f)
             continue
-        # in each factor's residue field a**half is 1 or -1 (or 0), about
-        # evenly and independently for a random a, so the gcd of
-        # a**half - 1 with f is proper unless every factor agrees
+        # in each factor's residue field a**((ell**d - 1) / 2) is 1 or -1
+        # (or 0), about evenly and independently for a random a, so the gcd
+        # of that power minus 1 with f is proper unless every factor agrees
         a = tuple(rng.randrange(ell) for _ in range(len(f) - 1))
-        g = _pgcd(_padd(_ppow(a, half, f, ell), (ell - 1,), ell), f, ell)
+        if f not in frobenius:
+            frobenius[f] = _frobenius_matrix(f, ell)
+        power = _euler_power(a, f, ell, d, frobenius[f])
+        g = _pgcd(_padd(power, (ell - 1,), ell), f, ell)
         if 1 < len(g) < len(f):
             todo += [g, _pdivmod(f, g, ell)[0]]
         else:
             todo.append(f)
     out.sort()
     return tuple(out)
+
+
+def _frobenius_matrix(f, ell) -> list:
+    """The matrix of x -> x**ell on F_ell[x]/(f), as its rows x**(j * ell)
+    mod f for j < deg f."""
+    x_ell = _ppow((0, 1), ell, f, ell)
+    rows, row = [], (1,)
+    for _ in range(len(f) - 1):
+        rows.append(row)
+        row = _pmod(_pmul(row, x_ell, ell), f, ell)
+    return rows
+
+
+def _euler_power(a, f, ell, d, frobenius) -> tuple:
+    """a**((ell**d - 1) / 2) mod f, computed as N(a)**((ell - 1) / 2) with
+    N(a) the product of the conjugates a**(ell**i), i < d; each conjugate is
+    the previous one times the matrix `frobenius` of _frobenius_matrix(f)."""
+    norm = conj = _trim(a)
+    for _ in range(d - 1):
+        image = [0] * (len(f) - 1)
+        for c, row in zip(conj, frobenius):
+            if c:
+                for j, y in enumerate(row):
+                    image[j] += c * y
+        conj = _trim([c % ell for c in image])
+        norm = _pmod(_pmul(norm, conj, ell), f, ell)
+    return _ppow(norm, (ell - 1) // 2, f, ell)
 
 
 class ResidueScalars:

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -470,6 +471,44 @@ class TestOracleCheckCommand:
             capsys, "oracle-check", "--q", "2", "--n", "3", "--gl3",
             "--theta", "1")
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# engine size bound
+
+
+class TestEngineSizeBound:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "ramified", "--p", "31", "--sigma", "1"],
+        ["verify", "--q", "101", "--theta", "1"],
+        ["verify", "--q", "7", "--n", "3", "--gl3", "--theta", "1"],
+        ["reduce", "--family", "ramified", "--p", "31", "--sigma", "1", "--ell", "5"],
+    ])
+    def test_oversized_engine_is_refused_up_front(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err.startswith("configuration error:") and "support tests" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("family,p,n,admitted", [
+        ("ramified", 7, 2, True), ("ramified", 11, 2, True), ("ramified", 13, 2, False),
+        ("depth-zero", 13, 2, True), ("depth-zero", 53, 2, True),
+        ("depth-zero", 59, 2, False),
+        ("depth-zero", 3, 3, True), ("depth-zero", 5, 3, True), ("depth-zero", 7, 3, False),
+    ])
+    def test_limit_sits_between_the_admitted_and_refused_sizes(self, family, p, n, admitted):
+        # ramified p = 11 makes about 8.7e5 support tests and p = 13 about
+        # 2.0e6; GL_3 q = 5 about 2.6e5 and q = 7 about 2.2e6
+        for command in ("verify", "reduce"):
+            cfg = RunConfig(command=command, family=family, p=p, n=n, gl3=n == 3, ell=5)
+            if admitted:
+                cli._check_engine_size(cfg)
+            else:
+                with pytest.raises(TooLarge):
+                    cli._check_engine_size(cfg)
 
 
 # ---------------------------------------------------------------------------

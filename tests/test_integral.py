@@ -21,6 +21,7 @@ from rsexact.cyclo import CycScalars, cyc_embed_root
 from rsexact.errors import DepthExceeded, FamilyMismatch
 from rsexact.integral import (
     RSPair,
+    _j1_coset_reps,
     b_coefficient,
     c_k_bruteforce,
     integrate_over_K,
@@ -128,6 +129,45 @@ class TestRamifiedEngine:
                 assert rec.slices == {0: one, 1: SCAL.zero()}
             else:
                 assert rec.slices == {0: SCAL.zero(), 1: one}
+
+
+class TestUnitClassTest:
+    """b_coefficient tests one lift per unit class mod p; the reference
+    sums pair_value over every unit mod p^m, point by point."""
+
+    @staticmethod
+    def _reference(pair, cell, k):
+        p, m = pair.p, pair.level
+        total = pair.scal.zero()
+        for a in range(1, p**m):
+            if a % p:
+                value = pair.pair_value(cell.scale_row(0, Fraction(a) * Fraction(p) ** k))
+                if value is not None:
+                    total = total + value
+        return total * pair.scal.from_fraction(Fraction(1, p ** (m - 1)))
+
+    def _check(self, pair, cells):
+        zero = pair.scal.zero()
+        nonzero = 0
+        for cell in cells:
+            for k in range(-2, pair.n + 2):
+                got, want = b_coefficient(pair, cell, k), self._reference(pair, cell, k)
+                assert got == want and str(got) == str(want), (cell, k)
+                nonzero += got != zero
+        assert nonzero > 0
+
+    @pytest.mark.parametrize("p, s1, s2", [
+        (3, 1, 1), (3, 1, 0), (5, 1, 1), (5, 1, 2), (7, 1, 1),
+    ])
+    def test_every_cell_matches_the_point_walk(self, p, s1, s2):
+        pair = ram_pair(p, s1, s2)
+        self._check(pair, [rep for _, rep in pk_cell_reps(p, 2, pair.level)])
+
+    def test_j1_translated_cells_match_the_point_walk(self):
+        pair = ram_pair(3, 1, 1)
+        rng = random.Random(13)
+        reps = [rep for _, rep in pk_cell_reps(3, 2, pair.level)]
+        self._check(pair, [rng.choice(reps) * u for u in rng.sample(_j1_coset_reps(3), 40)])
 
 
 class TestCenterFactor:

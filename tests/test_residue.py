@@ -10,10 +10,15 @@ from hypothesis import strategies as st
 
 from rsexact.cyclo import CycScalars, cyc_embed_root, cyclotomic_poly, is_prime
 from rsexact.errors import NotIntegralAtEll
-from rsexact.finitefield import _is_irreducible, _pmul
+from rsexact.finitefield import _is_irreducible, _pmul, _ppow
 from rsexact.padic import theta_eval
 from rsexact.ratfun import Laurent, RationalFunction, series_coefficients
-from rsexact.residue import ResidueScalars, cyclotomic_factors
+from rsexact.residue import (
+    ResidueScalars,
+    _euler_power,
+    _frobenius_matrix,
+    cyclotomic_factors,
+)
 
 CYC = CycScalars()
 
@@ -75,6 +80,18 @@ class TestFactorTable:
             prod = _pmul(prod, f, ell)
         assert prod == tuple(c % ell for c in cyclotomic_poly(N))
         assert list(factors) == sorted(factors)
+
+    @pytest.mark.parametrize("ell,N", [(3, 91), (5, 24), (7, 120), (11, 35), (13, 63), (17, 40)])
+    def test_euler_power_matches_the_direct_power(self, ell, N):
+        """The Frobenius route gives a**((ell**d - 1) / 2) mod Phi_N."""
+        d = next(k for k in range(1, N + 1) if pow(ell, k, N) == 1 % N)
+        f = tuple(c % ell for c in cyclotomic_poly(N))
+        frobenius = _frobenius_matrix(f, ell)
+        rng = random.Random(ell * N)
+        draws = [(0,) * (len(f) - 1)] + [
+            tuple(rng.randrange(ell) for _ in range(len(f) - 1)) for _ in range(8)]
+        for a in draws:
+            assert _euler_power(a, f, ell, d, frobenius) == _ppow(a, (ell**d - 1) // 2, f, ell)
 
     def test_even_ell_rejected(self):
         with pytest.raises(ValueError):
