@@ -64,7 +64,7 @@ class CuspidalCharacter:
         q = self.q
         if self.n == 2:
             if kind == "central":
-                return scal.from_fraction(Fraction(q - 1)) * self.central_value(data, scal)
+                return scal.from_fraction(q - 1) * self.central_value(data, scal)
             if kind == "unipotent":
                 return -self.central_value(data, scal)
             if kind == "split":
@@ -74,10 +74,10 @@ class CuspidalCharacter:
                 total = total + self.theta.value(x, scal)
             return -total
         if kind == "central":
-            c = Fraction((q - 1) * (q * q - 1))
+            c = (q - 1) * (q * q - 1)
             return scal.from_fraction(c) * self.central_value(data, scal)
         if kind == "u21":
-            return -(scal.from_fraction(Fraction(q - 1)) * self.central_value(data, scal))
+            return -(scal.from_fraction(q - 1) * self.central_value(data, scal))
         if kind == "u3":
             return self.central_value(data, scal)
         if kind == "elliptic":
@@ -114,11 +114,11 @@ class BesselFunction:
     """J(g) = |N|^{-1} sum_u psi(u)^{-1} chi(g u), the finite Whittaker kernel,
     with values in the scalar context `scal`.
 
-    The pairs (u, psi(u)^{-1}) are built once, and each value is memoized
-    by the int rows of g.
+    The pairs (u, psi(u)^{-1}) and the scalar 1/|N| are built once, and
+    each value is memoized by the int rows of g.
     """
 
-    __slots__ = ("chi", "psi", "scal", "_memo", "_terms")
+    __slots__ = ("chi", "psi", "scal", "_memo", "_terms", "_inv_order")
 
     def __init__(self, chi: CuspidalCharacter, psi: AddChar, scal=CYC):
         if psi.field is not chi.base_field:
@@ -132,6 +132,7 @@ class BesselFunction:
         psi_inv = psi.inverse()
         self._terms = [(u, psi_of_unipotent(psi_inv, u, scal))
                        for u in enumerate_unitriangular(chi.base_field, chi.n)]
+        self._inv_order = scal.from_fraction(Fraction(1, len(self._terms)))
 
     @property
     def field(self):
@@ -149,7 +150,7 @@ class BesselFunction:
         total = scal.zero()
         for u, psi_inv_u in self._terms:
             total = total + psi_inv_u * self.chi.value(g * u, scal)
-        out = self._memo[g.ints] = scal.from_fraction(Fraction(1, len(self._terms))) * total
+        out = self._memo[g.ints] = self._inv_order * total
         return out
 
     __call__ = value

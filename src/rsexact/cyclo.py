@@ -1,8 +1,13 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_N).
 
 A :class:`CycNumber` is a sparse rational linear combination of roots of
-unity, stored as ``{exponent mod N: Fraction}``; the constructor is the one
-place that reduces exponents, sums equal ones and drops what cancels.
+unity, stored as int numerators ``{exponent mod N: int}`` over one positive
+int denominator d, with gcd(d, numerators) = 1 (zero has d = 1); the
+constructor is the one place that reduces exponents, sums equal ones, drops
+what cancels and divides out the gcd.  Ring operations therefore run on
+ints: a product multiplies numerators and denominators, a sum scales both
+sides to the lcm of their denominators.  ``Fraction`` appears only at the
+boundaries (``raw_items``, ``power_basis``, ``rational_value``, ``str``).
 Arithmetic never forces a canonical form; equality and zero tests reduce
 lazily to the basis of the roots zeta_N^k whose exponent k, taken mod each
 prime power p^a of N, is below phi(p^a).  That is the tensor product of the
@@ -27,10 +32,6 @@ import re
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @cache
 def _prime_powers(n: int):
@@ -147,18 +148,24 @@ def _coerce(value):
 class CycNumber:
     """An element of Q(zeta_N), immutable."""
 
-    __slots__ = ("_N", "_c", "_canon")
+    __slots__ = ("_N", "_c", "_d", "_canon")
 
-    def __init__(self, modulus: int, coeffs):
-        """coeffs is a dict or an iterable of (exponent, coefficient) pairs;
-        this is the only merge: equal exponents mod N are summed and what
-        cancels is dropped."""
+    def __init__(self, modulus: int, coeffs, den: int = 1):
+        """The element sum(v * zeta_N**k) / den, for coeffs a dict or an
+        iterable of (exponent k, value v) pairs, v an int or a Fraction, and
+        den a positive int.  This is the only merge: equal exponents mod N
+        are summed, what cancels is dropped, Fraction values are scaled to
+        the lcm of their denominators and the gcd of the numerators with the
+        denominator is divided out."""
         if modulus < 1:
             raise ValueError("modulus must be a positive integer")
-        c: dict[int, Fraction] = {}
+        c: dict[int, int] = {}
+        ints = True
         for k, v in coeffs.items() if isinstance(coeffs, dict) else coeffs:
-            if not isinstance(v, Fraction):
-                v = Fraction(v)
+            if not isinstance(v, int):
+                ints = False
+                if not isinstance(v, Fraction):
+                    v = Fraction(v)
             if v:
                 k %= modulus
                 w = c.get(k)
@@ -170,9 +177,21 @@ class CycNumber:
                         c[k] = s
                     else:
                         del c[k]
+        if not ints:
+            scale = lcm(*(v.denominator for v in c.values()))
+            c = {k: v.numerator * (scale // v.denominator) for k, v in c.items()}
+            den *= scale
+        if not c:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *c.values())
+            if g != 1:
+                c = {k: v // g for k, v in c.items()}
+                den //= g
         self._N = modulus
         self._c = c
-        self._canon: dict[int, dict] = {}
+        self._d = den
+        self._canon: dict[int, tuple] = {}
 
     # -- constructors ----------------------------------------------------
 
@@ -182,7 +201,7 @@ class CycNumber:
 
     @classmethod
     def one(cls) -> "CycNumber":
-        return cls(1, {0: _ONE})
+        return cls(1, {0: 1})
 
     @classmethod
     def from_fraction(cls, value) -> "CycNumber":
@@ -192,32 +211,46 @@ class CycNumber:
     def modulus(self) -> int:
         return self._N
 
-    def raw_items(self, big: int) -> dict:
-        """Raw exponent -> coefficient dict read at conductor big (a multiple
-        of this element's modulus).  Any ring morphism sending the primitive
-        big-th root to a root of unity of the same order identifies equal
-        elements, so consumers may map these terms term by term."""
+    def raw_numerators(self, big: int) -> tuple[dict, int]:
+        """Raw exponent -> int numerator dict read at conductor big (a
+        multiple of this element's modulus), and the common denominator d:
+        the element is sum(n * zeta_big**k) / d, with d > 0 and coprime to
+        the numerators taken together.  Any ring morphism sending the
+        primitive big-th root to a root of unity of the same order
+        identifies equal elements, so consumers may map these terms term by
+        term."""
         if big % self._N:
             raise ValueError(f"{big} is not a multiple of the modulus {self._N}")
-        return dict(self._raw_at(big))
+        return dict(self._raw_at(big)), self._d
+
+    def raw_items(self, big: int) -> dict:
+        """Raw exponent -> Fraction coefficient dict read at conductor big,
+        the terms of raw_numerators(big) over their denominator."""
+        nums, d = self.raw_numerators(big)
+        return {k: Fraction(v, d) for k, v in nums.items()}
 
     # -- canonicalization ------------------------------------------------
 
     def _raw_at(self, big: int) -> dict:
+        """Raw numerators at conductor big, over the denominator _d."""
         if big == self._N:
             return self._c
         t = big // self._N
         return {(k * t) % big: v for k, v in self._c.items()}
 
-    def _canonical_at(self, big: int) -> dict:
+    def _canonical_at(self, big: int) -> tuple[dict, int]:
         """Coordinates inside Q(zeta_big) on the basis of exponents k with
-        k mod p^a < phi(p^a) for every prime power p^a of big; keys are k."""
+        k mod p^a < phi(p^a) for every prime power p^a of big, as int
+        numerators keyed by k over one denominator, in normal form, so
+        equal elements give equal pairs."""
         cached = self._canon.get(big)
         if cached is not None:
             return cached
         pps = _crt_factors(big)
-        work = list(self._raw_at(big).items())
+        raw = self._raw_at(big)
+        work = list(raw.items())
         leaves = []
+        reduced = False
         while work:
             k, v = work.pop()
             for p, pa, phi_pa, step, m in pps:
@@ -228,40 +261,48 @@ class CycNumber:
                     r = e - phi_pa  # 0 <= r < step
                     for j in range(p - 1):
                         work.append(((k + (j * step + r - e) * m) % big, -v))
+                    reduced = True
                     break
             else:
                 leaves.append((k, v))
-        out = self._canon[big] = CycNumber(big, leaves)._c
+        if reduced:
+            canon = CycNumber(big, leaves, self._d)
+            out = (canon._c, canon._d)
+        else:
+            # every raw exponent is a basis exponent: the raw terms, already
+            # merged and in normal form, are the coordinates
+            out = (raw, self._d)
+        self._canon[big] = out
         return out
 
     def is_zero(self) -> bool:
-        return not self._c or not self._canonical_at(self._N)
+        return not self._c or not self._canonical_at(self._N)[0]
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        can = self._canonical_at(self._N)
+        can = self._canonical_at(self._N)[0]
         return not can or (len(can) == 1 and 0 in can)
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self._canonical_at(self._N).get(0, _ZERO)
+        can, d = self._canonical_at(self._N)
+        return Fraction(can.get(0, 0), d)
 
     def _combined_canonical(self) -> list[tuple[int, Fraction]]:
         """Canonical terms as (exponent mod N, coefficient), sorted."""
-        return sorted(self._canonical_at(self._N).items())
+        can, d = self._canonical_at(self._N)
+        return [(k, Fraction(v, d)) for k, v in sorted(can.items())]
 
     def demote(self) -> "CycNumber":
         """Equal element at the smallest modulus N/g visible from the support."""
-        items = self._combined_canonical()
-        if not items:
+        can, d = self._canonical_at(self._N)
+        if not can:
             return CycNumber(1, {})
-        g = self._N
-        for k, _ in items:
-            g = gcd(g, k)
-        return CycNumber(self._N // g, {k // g: v for k, v in items})
+        g = gcd(self._N, *can)
+        return CycNumber(self._N // g, {k // g: v for k, v in can.items()}, d)
 
     # -- ring operations -------------------------------------------------
 
@@ -269,7 +310,7 @@ class CycNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self._N == other._N and self._c == other._c:
+        if self._N == other._N and self._d == other._d and self._c == other._c:
             return True
         big = lcm(self._N, other._N)
         return self._canonical_at(big) == other._canonical_at(big)
@@ -281,12 +322,21 @@ class CycNumber:
         if other is NotImplemented:
             return NotImplemented
         big = lcm(self._N, other._N)
-        return CycNumber(big, [*self._raw_at(big).items(), *other._raw_at(big).items()])
+        a = self._raw_at(big).items()
+        b = other._raw_at(big).items()
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return CycNumber(big, [*a, *b], d1)
+        den = lcm(d1, d2)
+        s1, s2 = den // d1, den // d2
+        terms = [(k, v * s1) for k, v in a]
+        terms += [(k, v * s2) for k, v in b]
+        return CycNumber(big, terms, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(self._N, {k: -v for k, v in self._c.items()})
+        return CycNumber(self._N, {k: -v for k, v in self._c.items()}, self._d)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -311,7 +361,7 @@ class CycNumber:
         for k1, v1 in self._raw_at(big).items():
             for k2, v2 in b:
                 terms.append((k1 + k2, v1 * v2))
-        return CycNumber(big, terms)
+        return CycNumber(big, terms, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -322,7 +372,7 @@ class CycNumber:
             return self.inverse() ** (-n)
         if len(self._c) == 1:
             ((k, v),) = self._c.items()
-            return CycNumber(self._N, {k * n: v**n})
+            return CycNumber(self._N, {k * n: v**n}, self._d**n)
         result = CycNumber.one()
         base = self
         while n:
@@ -337,7 +387,7 @@ class CycNumber:
         """Galois conjugate zeta -> zeta**a, for a invertible mod the modulus."""
         if gcd(a, self._N) != 1:
             raise ValueError("conjugation index must be invertible mod N")
-        return CycNumber(self._N, {k * a: v for k, v in self._c.items()})
+        return CycNumber(self._N, {k * a: v for k, v in self._c.items()}, self._d)
 
     def inverse(self) -> "CycNumber":
         if self.is_zero():
@@ -345,7 +395,7 @@ class CycNumber:
         d = self.demote()
         if len(d._c) == 1:
             ((k, v),) = d._c.items()
-            return CycNumber(d._N, {-k: 1 / v})
+            return CycNumber(d._N, {-k: Fraction(d._d, v)})
         prod = CycNumber.one()
         for a in range(2, d._N):
             if gcd(a, d._N) == 1:
@@ -370,13 +420,12 @@ class CycNumber:
     def power_basis(self) -> list[Fraction]:
         """Coefficients on 1, zeta, ..., zeta**(phi(N)-1) modulo Phi_N."""
         rows = _power_rows(self._N)
-        deg = len(rows[0])
-        vec = [_ZERO] * deg
+        vec = [0] * len(rows[0])
         for k, v in self._c.items():
             for j, r in enumerate(rows[k]):
                 if r:
                     vec[j] += v * r
-        return vec
+        return [Fraction(x, self._d) for x in vec]
 
     @classmethod
     def from_power_basis(cls, modulus: int, coords) -> "CycNumber":
@@ -410,7 +459,7 @@ class CycNumber:
 
 def cyc_embed_root(modulus: int, k: int) -> CycNumber:
     """The root of unity zeta_modulus**k."""
-    return CycNumber(modulus, {k: _ONE})
+    return CycNumber(modulus, {k: 1})
 
 
 # -- string grammar -------------------------------------------------------

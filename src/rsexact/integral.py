@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -378,6 +379,16 @@ def _j1_coset_reps(p: int):
     return out
 
 
+def j1_kernel_sum(pair: RSPair, classes):
+    """The sum of W1.kernel * W2.kernel over the J^1/K^2 representatives
+    whose kernel classes are `classes`: each distinct class's product once,
+    times its number of representatives."""
+    total = pair.scal.zero()
+    for cls, count in Counter(classes).items():
+        total = total + pair.W1.kernel(cls) * pair.W2.kernel(cls) * count
+    return total
+
+
 def j1_average_report(pair: RSPair, cell_log) -> dict:
     """J^1-averages F_i of the pair: every value lies in {0, vol(J^1) kappa^i}.
 
@@ -404,10 +415,7 @@ def j1_average_report(pair: RSPair, cell_log) -> dict:
     classes = [pair.type1.kernel_class(u) for u in reps]
     coset_vol = scal.from_fraction(Fraction(1, p**4))
     # character average over J^1 (the factorized route)
-    char_sum = scal.zero()
-    for cls in classes:
-        char_sum = char_sum + W1.kernel(cls) * W2.kernel(cls)
-    char_sum = char_sum * coset_vol
+    char_sum = j1_kernel_sum(pair, classes) * coset_vol
     values_ok = True
     for rec in cell_log:
         for k, b in rec.slices.items():

@@ -82,9 +82,10 @@ def pair_conductor(type1: SimpleTypeData, type2: SimpleTypeData,
 
 
 def p_power_denominators_ok(value: CycNumber, p: int) -> bool:
-    """True when every coefficient denominator is a power of p."""
-    return all(c.denominator == p ** vp_int(c.denominator, p)
-               for c in value.raw_items(value.modulus).values())
+    """True when every coefficient denominator is a power of p, that is
+    when the one common denominator is."""
+    d = value.raw_numerators(value.modulus)[1]
+    return d == p ** vp_int(d, p)
 
 
 def reduce_laurent(poly: Laurent, res: ResidueScalars) -> Laurent:

@@ -141,8 +141,17 @@ class ResidueScalars:
         return self._omega_power((k % modulus) * (self.N // modulus))
 
     def embed_cyc(self, value: CycNumber) -> FFElement:
-        """Reduce a cyclotomic number along the chosen prime above ell."""
+        """Reduce a cyclotomic number along the chosen prime above ell: the
+        int numerators mod ell, times the inverse of their one denominator
+        d.  The normalised d is the lcm of the reduced coefficient
+        denominators, so ell | d exactly when some coefficient is not
+        ell-integral."""
+        nums, d = value.raw_numerators(self.N)
+        if d % self.ell == 0:
+            raise NotIntegralAtEll(
+                f"denominator {d} of {value} is divisible by ell={self.ell}"
+            )
         total = self.zero()
-        for e, c in value.raw_items(self.N).items():
-            total = total + self.from_fraction(c) * self._omega_power(e)
-        return total
+        for e, c in nums.items():
+            total = total + self._omega_power(e) * c
+        return total * pow(d, -1, self.ell)

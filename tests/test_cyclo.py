@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rsexact.cyclo import (
     CycNumber,
+    _crt_factors,
     CycScalars,
     cyc_embed_root,
     cyclotomic_poly,
@@ -233,10 +234,163 @@ def test_conj_is_automorphism():
         y = _random_cyc(rng, moduli=(8, 12))
         n = 24
         for a in (5, 7, 11):
-            xa = CycNumber(n, x._raw_at(n)).conj(a)
-            ya = CycNumber(n, y._raw_at(n)).conj(a)
-            xy = CycNumber(n, (x * y)._raw_at(n)).conj(a)
+            xa = CycNumber(n, x.raw_items(n)).conj(a)
+            ya = CycNumber(n, y.raw_items(n)).conj(a)
+            xy = CycNumber(n, (x * y).raw_items(n)).conj(a)
             assert xa * ya == xy
+
+
+# -- Fraction reference -----------------------------------------------------
+
+
+class Ref:
+    """Q(zeta_N) as {exponent mod N: Fraction}, merged term by term: the
+    reference the int-numerator CycNumber is compared with by modulus and
+    raw terms."""
+
+    def __init__(self, n, terms):
+        self.n = n
+        self.c = {}
+        for k, v in terms.items() if isinstance(terms, dict) else terms:
+            k %= n
+            self.c[k] = self.c.get(k, Fraction(0)) + Fraction(v)
+        self.c = {k: v for k, v in self.c.items() if v}
+
+    def at(self, big):
+        return {k * (big // self.n) % big: v for k, v in self.c.items()}
+
+    def __add__(self, other):
+        big = lcm(self.n, other.n)
+        return Ref(big, [*self.at(big).items(), *other.at(big).items()])
+
+    def __neg__(self):
+        return Ref(self.n, {k: -v for k, v in self.c.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        big = lcm(self.n, other.n)
+        return Ref(big, [(k1 + k2, v1 * v2) for k1, v1 in self.at(big).items()
+                         for k2, v2 in other.at(big).items()])
+
+    def __pow__(self, e):
+        if e < 0:
+            return self.inverse() ** -e
+        if len(self.c) == 1:
+            ((k, v),) = self.c.items()
+            return Ref(self.n, {k * e: v**e})
+        out = Ref(1, {0: 1})
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def power_basis(self):
+        """x**k reduced by long division by the monic Phi_N."""
+        phi = cyclotomic_poly(self.n)
+        deg = len(phi) - 1
+        vec = [Fraction(0)] * max(self.n, deg)
+        for k, v in self.c.items():
+            vec[k] += v
+        for top in range(len(vec) - 1, deg - 1, -1):
+            lead, vec[top] = vec[top], Fraction(0)
+            for j in range(deg):
+                vec[top - deg + j] -= lead * phi[j]
+        return vec[:deg]
+
+    def __eq__(self, other):
+        big = lcm(self.n, other.n)
+        one = Ref(big, {0: 1})
+        return (self * one).power_basis() == (other * one).power_basis()
+
+    def canonical(self):
+        """Coordinates on the roots zeta**k with k mod p^a < phi(p^a) for
+        each prime power p^a of N."""
+        out = Ref(self.n, {})
+        for k, v in self.c.items():
+            parts = [(k, v)]
+            for p, pa, phi_pa, step, m in _crt_factors(self.n):
+                nxt = []
+                for k1, v1 in parts:
+                    e = k1 % pa
+                    if e < phi_pa:
+                        nxt.append((k1, v1))
+                    else:
+                        nxt += [((k1 + (j * step + e - phi_pa - e) * m) % self.n, -v1)
+                                for j in range(p - 1)]
+                parts = nxt
+            out = out + Ref(self.n, parts)
+        return out
+
+    def demote(self):
+        can = self.canonical()
+        if not can.c:
+            return Ref(1, {})
+        g = gcd(self.n, *can.c)
+        return Ref(self.n // g, {k // g: v for k, v in can.c.items()})
+
+    def __str__(self):
+        d = self.demote()
+        parts = []
+        for k, v in sorted(d.canonical().c.items()):
+            z = f"zeta({d.n})" + (f"^{k}" if k != 1 else "")
+            body = str(abs(v)) if k == 0 else z if abs(v) == 1 else f"{abs(v)}*{z}"
+            sign = ("" if v > 0 else "-") if not parts else ("+ " if v > 0 else "- ")
+            parts.append(sign + body)
+        return " ".join(parts) or "0"
+
+    def inverse(self):
+        d = self.demote()
+        if len(d.c) == 1:
+            ((k, v),) = d.c.items()
+            return Ref(d.n, {-k: 1 / v})
+        prod = Ref(1, {0: 1})
+        for a in range(2, d.n):
+            if gcd(a, d.n) == 1:
+                prod = prod * Ref(d.n, {k * a: v for k, v in d.c.items()})
+        (norm,) = (d * prod).canonical().at(1).values()
+        return prod * Ref(1, {0: 1 / norm})
+
+
+def same(x: CycNumber, r: Ref) -> bool:
+    """Equal modulus and raw terms, and the numerators in normal form."""
+    nums, d = x.raw_numerators(x.modulus)
+    normal = d > 0 and gcd(d, *nums.values()) == 1 and (nums or d == 1)
+    return normal and x.modulus == r.n and x.raw_items(x.modulus) == r.c
+
+
+@st.composite
+def ref_pairs(draw):
+    """A CycNumber and its Ref built from the same raw terms: int and
+    Fraction values, repeated exponents and terms that cancel."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15]))
+    terms = draw(st.lists(st.tuples(
+        st.integers(-2 * n, 2 * n),
+        st.one_of(st.integers(-9, 9),
+                  st.fractions(min_value=-9, max_value=9, max_denominator=45)),
+    ), max_size=4))
+    terms += [(k + n, -v) for k, v in terms[:draw(st.integers(0, 1))]]
+    return CycNumber(n, terms), Ref(n, terms)
+
+
+@given(ref_pairs(), ref_pairs(), st.integers(-2, 3))
+@settings(max_examples=200, deadline=None)
+def test_int_numerators_match_the_fraction_reference(xr, yr, e):
+    (x, rx), (y, ry) = xr, yr
+    assert same(x, rx) and same(y, ry)
+    assert same(x + y, rx + ry)
+    assert same(x - y, rx - ry)
+    assert same(x * y, rx * ry)
+    assert same(-x, -rx)
+    assert (x == y) == (rx == ry)
+    assert x.power_basis() == rx.power_basis()
+    assert same(x.demote(), rx.demote())
+    assert str(x) == str(rx)
+    if e >= 0 or not x.is_zero():
+        assert same(x**e, rx**e)
+    if not y.is_zero():
+        assert same(y.inverse(), ry.inverse())
+        assert same(x / y, rx * ry.inverse())
 
 
 def test_scalar_context():

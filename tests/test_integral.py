@@ -27,6 +27,7 @@ from rsexact.integral import (
     integrate_over_K,
     oracle_check,
     j1_average_report,
+    j1_kernel_sum,
     rankin_selberg_I,
     verify_main_theorem,
     z_omega,
@@ -312,6 +313,16 @@ class TestJ1Average:
         out = j1_average_report(pair, log)
         assert out["values"] and out["honest"] and out["translation_law"]
         assert out["lambda_vol"] == 3
+
+    @pytest.mark.parametrize("p, s1, s2", [(3, 1, 1), (3, 1, 0), (5, 1, 1), (5, 1, 2)])
+    def test_class_sum_matches_the_representative_sum(self, p, s1, s2):
+        pair = ram_pair(p, s1, s2)
+        classes = [pair.type1.kernel_class(u) for u in _j1_coset_reps(p)]
+        assert len(set(classes)) < len(classes) == p**5
+        direct = SCAL.zero()
+        for cls in classes:
+            direct = direct + pair.W1.kernel(cls) * pair.W2.kernel(cls)
+        assert j1_kernel_sum(pair, classes) == direct
 
 
 class TestGL3:

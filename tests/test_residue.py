@@ -158,6 +158,38 @@ class TestEmbedding:
         assert s.embed_cyc(CYC.one() + cyc_embed_root(3, 1)) == \
             s.embed_cyc(-(cyc_embed_root(3, 2)))
 
+    def test_matches_the_per_term_fraction_reduction(self):
+        # reference: each raw Fraction coefficient reduced on its own
+        def per_term(s, x):
+            total = s.zero()
+            for e, c in x.raw_items(s.N).items():
+                total = total + s.from_fraction(c) * s.root_of_unity(s.N, e)
+            return total
+
+        rng = random.Random(1414)
+        s = ResidueScalars(7, 12, 0)
+        raised = 0
+        for _ in range(200):
+            x = CYC.zero()
+            for _ in range(rng.randrange(4)):
+                c = Fraction(rng.randrange(-20, 21), rng.choice((1, 2, 3, 4, 6, 7, 14, 49)))
+                x = x + CYC.from_fraction(c) * cyc_embed_root(rng.choice((1, 2, 3, 4, 6, 12)),
+                                                              rng.randrange(12))
+            try:
+                want = per_term(s, x)
+            except NotIntegralAtEll:
+                raised += 1
+                with pytest.raises(NotIntegralAtEll):
+                    s.embed_cyc(x)
+            else:
+                assert s.embed_cyc(x) == want
+        assert 20 < raised < 180
+        # one term over 14 makes the common denominator divisible by 7
+        x = CYC.from_fraction(Fraction(1, 2)) + cyc_embed_root(4, 1) * Fraction(3, 14)
+        with pytest.raises(NotIntegralAtEll):
+            s.embed_cyc(x)
+        assert s.embed_cyc(x * 7) == per_term(s, x * 7)
+
     def test_embed_requires_compatible_conductor(self):
         s = ResidueScalars(7, 3, 0)
         with pytest.raises(ValueError):
