@@ -4,7 +4,10 @@ A regular character Theta of F_{q^n}^x determines an irreducible cuspidal
 character chi_Theta; its values depend only on the eigenvalue pattern of the
 argument, so evaluation goes through classify_conjugacy.  The Bessel
 function attached to (chi, psi) is the psi-average of chi over the upper
-unitriangular subgroup; it is the finite-level Whittaker kernel.
+unitriangular subgroup N; it is the finite-level Whittaker kernel.  As chi
+is a class function, J(u_1 g u_2) = psi(u_1) psi(u_2) J(g) for u_1, u_2 in
+N, so the |N|-sum runs once per monomial matrix m and every other value is
+psi(x) J(m), read off the Bruhat decomposition g = u_1 m u_2.
 
 Correctness of the value tables is certified in the test-suite by structural
 invariants (irreducibility, vanishing of all Borel-induction pairings,
@@ -22,11 +25,11 @@ from .errors import NotRegular
 from .finitefield import AddChar, MultChar, gf
 from .matgroups import (
     FiniteMatrix,
+    bruhat_cell,
     classify_conjugacy,
-    embed_block,
     enumerate_group,
     enumerate_unitriangular,
-    n_coset_reps,
+    mirabolic_reps,
     n_right_coset_canonical,
 )
 
@@ -114,11 +117,21 @@ class BesselFunction:
     """J(g) = |N|^{-1} sum_u psi(u)^{-1} chi(g u), the finite Whittaker kernel,
     with values in the scalar context `scal`.
 
-    The pairs (u, psi(u)^{-1}) and the scalar 1/|N| are built once, and
-    each value is memoized by the int rows of g.
+    For g = u_1 m u_2 with m monomial (matgroups.bruhat_cell), J(g) is
+    psi(x) J(m), x the psi-argument of u_1 u_2, so the sum itself runs once
+    per monomial m.  This is the direct sum rearranged, not only its value:
+    u -> u_2 u u_1 permutes N and g u is conjugate to m u_2 u u_1, so the
+    terms of J(g) are psi(x) times the terms of J(m).  psi(x) has modulus
+    p, which every term already carries, so each value has the raw modulus
+    the direct sum would give it, and at x = 0 the value is J(m) itself.
+
+    The pairs (u, psi(u)^{-1}) and the scalar 1/|N| are built once.  Each
+    cell m keeps its values psi(x) J(m) by x, so every g with the same
+    (m, x) shares one value, and each value is memoized by the int rows of
+    g.
     """
 
-    __slots__ = ("chi", "psi", "scal", "_memo", "_terms", "_inv_order")
+    __slots__ = ("chi", "psi", "scal", "_memo", "_cells", "_terms", "_inv_order")
 
     def __init__(self, chi: CuspidalCharacter, psi: AddChar, scal=CYC):
         if psi.field is not chi.base_field:
@@ -129,6 +142,7 @@ class BesselFunction:
         self.psi = psi
         self.scal = scal
         self._memo = {}
+        self._cells = {}
         psi_inv = psi.inverse()
         self._terms = [(u, psi_of_unipotent(psi_inv, u, scal))
                        for u in enumerate_unitriangular(chi.base_field, chi.n)]
@@ -146,12 +160,25 @@ class BesselFunction:
         cached = self._memo.get(g.ints)
         if cached is not None:
             return cached
+        p = self.field.p
+        m, x = bruhat_cell(g.ints, p)
+        cell = self._cells.get(m)
+        if cell is None:
+            j_m = self._cell_sum(FiniteMatrix._of(self.field, m))
+            cell = self._cells[m] = [j_m] + [None] * (p - 1)
+        out = cell[x]
+        if out is None:
+            out = cell[x] = self.psi.value(x, self.scal) * cell[0]
+        self._memo[g.ints] = out
+        return out
+
+    def _cell_sum(self, m: FiniteMatrix):
+        """J(m) by its definition, the |N|-sum."""
         scal = self.scal
         total = scal.zero()
         for u, psi_inv_u in self._terms:
-            total = total + psi_inv_u * self.chi.value(g * u, scal)
-        out = self._memo[g.ints] = self._inv_order * total
-        return out
+            total = total + psi_inv_u * self.chi.value(m * u, scal)
+        return self._inv_order * total
 
     __call__ = value
 
@@ -165,12 +192,9 @@ def finite_bessel(chi: CuspidalCharacter, psi: AddChar) -> BesselFunction:
 
 def mirabolic_convolution(b1: BesselFunction, b2: BesselFunction, g1, g2):
     """sum over N\\M of J1(g1 m^{-1}) J2(m g2), M the mirabolic subgroup."""
-    field = b1.field
-    n = b1.n
     total = b1.scal.zero()
-    for r in n_coset_reps(field, n - 1):
-        m = embed_block(r, n)
-        total = total + b1.value(g1 * m.inverse()) * b2.value(m * g2)
+    for m, m_inv in mirabolic_reps(b1.field, b1.n):
+        total = total + b1.value(g1 * m_inv) * b2.value(m * g2)
     return total
 
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CYC
+from .matgroups import bruhat_cell
 from .padic import (
     MeasureContext,
     PadicMatrix,
@@ -94,6 +95,8 @@ class RSPair:
         self.nu = volume(MeasureContext(self.p, self.n), ("PK_quot", self.level))
         self.kappa = self.scal.embed_cyc(self.W1.A_eff * self.W2.A_eff)
         self._table = {}
+        self._pair_class = (functools.partial(_monomial_class, type1)
+                            if type1.family == DEPTH_ZERO else type1.kernel_class)
 
     @property
     def q(self) -> int:
@@ -112,16 +115,25 @@ class RSPair:
         share these.  At g = n w_E^i j_0 the product depends only on i, the
         psi_t class of n and the kernel class of j_0, which are the same for
         both types, so it is computed once per class and looked up after.
+        At depth zero the class is coarser: for j_0 = u_1 m u_2 mod p, the
+        Bessel kernels give psi(x) J_1(m) and psi(x)^{-1} J_2(m), because
+        W_2 uses psi^{-1}, so the product is the one at m, term by term,
+        and the key holds the monomial m (__init__ picks the class map).
         """
         dec = support_decompose(self.type1, g)
         if dec is None:
             return None
         i, n_mat, j0 = dec
-        key = (i, psi_t_class(self.type1, n_mat), self.type1.kernel_class(j0))
+        key = (i, psi_t_class(self.type1, n_mat), self._pair_class(j0))
         value = self._table.get(key)
         if value is None:
             value = self._table[key] = self.W1.value_at(*key) * self.W2.value_at(*key)
         return value
+
+
+def _monomial_class(data: SimpleTypeData, j0: PadicMatrix):
+    """The monomial m of the Bruhat cell U m U of j_0 mod p (depth zero)."""
+    return bruhat_cell(data.kernel_class(j0), data.p)[0]
 
 
 def _support_sum(pair: RSPair, points):
@@ -375,7 +387,7 @@ def _j1_coset_reps(p: int):
         for y12 in step:
             for y21 in range(p * p):
                 for y22 in step:
-                    out.append(PadicMatrix([[1 + y11, y12], [y21, 1 + y22]]))
+                    out.append(PadicMatrix.from_ints(((1 + y11, y12), (y21, 1 + y22))))
     return out
 
 

@@ -1,6 +1,7 @@
 """Matrices over a prime field F_p and the group enumerations behind the
 finite-level construction: GL_n(F_p) for n <= 3, unipotent subgroups,
-and conjugacy classification by eigenvalue pattern.
+conjugacy classification by eigenvalue pattern, and the Bruhat
+decomposition g = u_1 m u_2 into unitriangular and monomial factors.
 
 A FiniteMatrix holds its entries as ints mod a prime p, so products,
 determinants, inverses and the enumerations are integer arithmetic.
@@ -312,3 +313,47 @@ def embed_block(h: FiniteMatrix, n: int) -> FiniteMatrix:
         for i in range(n)
     )
     return FiniteMatrix._of(h.field, rows)
+
+
+@cache
+def mirabolic_reps(field: GF, n: int):
+    """The pairs (m, m^-1) for m the representatives of N_{n-1}\\GL_{n-1}
+    embedded in the top-left block of GL_n."""
+    blocks = (embed_block(r, n) for r in n_coset_reps(field, n - 1))
+    return tuple((m, m.inverse()) for m in blocks)
+
+
+def bruhat_cell(rows, p: int):
+    """The Bruhat decomposition g = u_1 m u_2 of g in GL_n(F_p), n <= 3,
+    with u_1, u_2 upper unitriangular and m monomial.
+
+    `rows` are the int rows of g, in [0, p).  Returns the int rows of m and
+    the psi-argument x of u_1 u_2, the sum of its superdiagonal entries mod
+    p.  Rows are cleared from the bottom up: the leftmost nonzero entry of a
+    row is its pivot; the entries to its right are cleared by adding
+    multiples of the pivot column to later columns (right multiplication by
+    N), then the entries above it by adding multiples of the pivot row to
+    earlier rows (left multiplication by N).  Rows below already hold only
+    their own pivots, in other columns, so neither step disturbs them.  An
+    operation on adjacent rows or columns adds its multiplier to x.
+    """
+    n = len(rows)
+    r = [list(row) for row in rows]
+    x = 0
+    for i in range(n - 1, -1, -1):
+        row = r[i]
+        c = next(j for j, e in enumerate(row) if e)
+        inv = pow(row[c], -1, p)
+        for j in range(c + 1, n):
+            if row[j]:
+                b = row[j] * inv % p
+                if j == c + 1:
+                    x += b
+                for k in range(i + 1):
+                    r[k][j] = (r[k][j] - b * r[k][c]) % p
+        for k in range(i):
+            if r[k][c]:
+                if k == i - 1:
+                    x += r[k][c] * inv
+                r[k][c] = 0
+    return tuple(map(tuple, r)), x % p

@@ -23,11 +23,12 @@ evaluated on residue classes: psi_t(n) through the class of its theta
 argument (psi_t_class), the kernel through kernel_class(j_0), which depends
 on j_0 alone.  Each WhittakerFunction keeps its kernel values per class in
 its own scalar context, and RSPair tabulates W_1 * W_2 per class of
-(i, n, j_0).  The class "argument exactly 0" stays apart from "argument 0
-mod p": both give the value 1, but as scal.one() (raw modulus 1) and as
-zeta_p^0 (raw modulus p), and a stored value must be the very product a
-direct evaluation builds, because reports print cyclotomic numbers at their
-raw moduli.
+(i, n, j_0), where at depth zero the class of j_0 is the monomial of its
+Bruhat cell mod p.  The class "argument exactly 0" stays apart from
+"argument 0 mod p": both give the value 1, but as scal.one() (raw modulus
+1) and as zeta_p^0 (raw modulus p), and a stored value must carry the raw
+modulus a direct evaluation gives, because reports print cyclotomic
+numbers at their raw moduli.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -17,7 +18,12 @@ from rsexact.cuspchar import (
 )
 from rsexact.errors import NotRegular
 from rsexact.finitefield import AddChar, MultChar, gf
-from rsexact.matgroups import FiniteMatrix, enumerate_group, enumerate_unitriangular
+from rsexact.matgroups import (
+    FiniteMatrix,
+    enumerate_group,
+    enumerate_unitriangular,
+    small_det,
+)
 from rsexact.padic import PadicMatrix
 from rsexact.residue import ResidueScalars
 from rsexact.simpletypes import DEPTH_ZERO, WhittakerFunction, make_type
@@ -227,6 +233,76 @@ def test_bessel_equivariance_n3():
         for u in N:
             assert J(u * g) == psi_of_unipotent(psi, u) * J(g)
             assert J(g * u) == J(g) * psi_of_unipotent(psi, u)
+
+
+def bessel_by_definition(chi, psi, g):
+    """|N|^-1 sum over all u in N of psi(u)^-1 chi(g u)."""
+    N = enumerate_unitriangular(chi.base_field, chi.n)
+    total = CycNumber.zero()
+    for u in N:
+        arg = sum(u.ints[i][i + 1] for i in range(chi.n - 1))
+        total = total + psi.inverse().value(arg) * chi(g * u)
+    return total * Fraction(1, len(N))
+
+
+def assert_same_bessel_values(chi, points):
+    """J(g) equals the definition for psi and psi^-1, by value, by its
+    printed form and by raw modulus, which reports print; returns the two
+    Bessel functions."""
+    out = []
+    for psi in (AddChar(chi.base_field, 1), AddChar(chi.base_field, -1)):
+        J = finite_bessel(chi, psi)
+        for g in points:
+            got, want = J(g), bessel_by_definition(chi, psi, g)
+            assert got == want and str(got) == str(want), (psi, g)
+            assert got.modulus == want.modulus, (psi, g)
+        out.append(J)
+    return out
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)])
+def test_bessel_matches_the_definition_everywhere(q, n):
+    chi = cuspidal_character(MultChar(gf(q, n), 1))
+    for J in assert_same_bessel_values(chi, enumerate_group(gf(q), n)):
+        # the |N|-sum ran once per monomial matrix
+        assert len(J._cells) == factorial(n) * (q - 1) ** n
+
+
+def test_bessel_matches_the_definition_on_every_gl3_f3_cell():
+    # a seeded sample of GL_3(F_3) (11 232 elements): two points u_1 m u_2
+    # in each of the 48 cells, for every monomial m
+    F = gf(3)
+    chi = cuspidal_character(MultChar(gf(3, 3), 1))
+    N = enumerate_unitriangular(F, 3)
+    rng = random.Random(48)
+    points = []
+    for perm in itertools.permutations(range(3)):
+        for diag in itertools.product((1, 2), repeat=3):
+            m = FiniteMatrix(F, [[diag[i] if j == perm[i] else 0 for j in range(3)]
+                                 for i in range(3)])
+            points += [rng.choice(N) * m * rng.choice(N) for _ in range(2)]
+    for J in assert_same_bessel_values(chi, points):
+        assert len(J._cells) == 48
+
+
+@pytest.mark.parametrize("q,n,trials", [(5, 2, 40), (7, 2, 40), (3, 3, 20)])
+def test_bessel_two_sided_law_on_random_triples(q, n, trials):
+    # J(u_1 g u_2) = psi(u_1) psi(u_2) J(g), stated without the decomposition
+    F = gf(q)
+    chi = cuspidal_character(MultChar(gf(q, n), 1))
+    N = enumerate_unitriangular(F, n)
+    rng = random.Random(100 * q + n)
+    for psi in (AddChar(F, 1), AddChar(F, -1)):
+        J = finite_bessel(chi, psi)
+        done = 0
+        while done < trials:
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+            if not small_det(rows) % q:
+                continue
+            g, u1, u2 = FiniteMatrix(F, rows), rng.choice(N), rng.choice(N)
+            assert J(u1 * g * u2) == (
+                psi_of_unipotent(psi, u1) * psi_of_unipotent(psi, u2) * J(g))
+            done += 1
 
 
 def test_bessel_memo_and_term_table_per_scalar_context(monkeypatch):

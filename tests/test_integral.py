@@ -33,10 +33,16 @@ from rsexact.integral import (
     z_omega,
 )
 from rsexact.lmodular import pair_conductor
-from rsexact.padic import PadicMatrix, pk_cell_reps
+from rsexact.padic import PadicMatrix, nk_cell_reps, pk_cell_reps
 from rsexact.ratfun import Laurent, RationalFunction, series_coefficients
 from rsexact.residue import ResidueScalars
-from rsexact.simpletypes import DEPTH_ZERO, RAMIFIED, make_type, support_decompose
+from rsexact.simpletypes import (
+    DEPTH_ZERO,
+    RAMIFIED,
+    make_type,
+    psi_t_class,
+    support_decompose,
+)
 
 SCAL = CycScalars()
 
@@ -400,6 +406,36 @@ class TestSharedDecomposition:
             assert (zero if value is None else value) == expected, g
             nonzero += expected != zero
         assert nonzero > 0
+
+
+class TestPairTable:
+    """pair_value keeps W_1 W_2 per (i, psi_t class of n, class of j_0): at
+    depth zero the class is the monomial m of the Bruhat cell of j_0 mod p,
+    in the ramified family the kernel class of j_0."""
+
+    @pytest.mark.parametrize("q", [5, 7])
+    def test_depth_zero_table_is_keyed_by_monomials(self, q):
+        t1 = make_type(DEPTH_ZERO, q, theta=1)
+        pair = verify_main_theorem(t1, make_type(**t1.dual_params())).pair
+        assert 0 < len(pair._table) <= 2 * (q - 1) ** 2
+        for _, _, cls in pair._table:
+            assert all(sum(1 for e in line if e) == 1 for line in (*cls, *zip(*cls))), cls
+
+    def test_ramified_keys_are_the_kernel_classes(self):
+        pair = ram_pair(3, 1, 1)
+        p = pair.p
+        keys = set()
+        for v1 in range(-2, 3):
+            for v2 in range(-2, 3):
+                for kbar in nk_cell_reps(p, pair.level):
+                    g = kbar.scale_row(0, Fraction(p) ** v1).scale_row(1, Fraction(p) ** v2)
+                    pair.pair_value(g)
+                    dec = support_decompose(pair.type1, g)
+                    if dec is not None:
+                        i, n_mat, j0 = dec
+                        keys.add((i, psi_t_class(pair.type1, n_mat),
+                                  pair.type1.kernel_class(j0)))
+        assert keys and set(pair._table) == keys
 
 
 class TestPickledPair:

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,10 +10,12 @@ from rsexact.errors import TooLarge
 from rsexact.finitefield import gf
 from rsexact.matgroups import (
     FiniteMatrix,
+    bruhat_cell,
     classify_conjugacy,
     embed_block,
     enumerate_group,
     enumerate_unitriangular,
+    mirabolic_reps,
     n_coset_reps,
     n_orbit_rep,
     order_gl,
@@ -315,3 +318,50 @@ def test_embed_block():
         assert ea.n == 3
         assert ea.ints[2] == (0, 0, 1)
         assert ea * eb == embed_block(a * b, 3)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 3), (5, 3)])
+def test_mirabolic_reps_are_embedded_coset_reps_with_inverses(q, n):
+    F = gf(q)
+    reps = mirabolic_reps(F, n)
+    assert mirabolic_reps(F, n) is reps
+    assert [m for m, _ in reps] == [embed_block(r, n) for r in n_coset_reps(F, n - 1)]
+    eye = FiniteMatrix.identity(F, n)
+    assert all(m * m_inv == eye for m, m_inv in reps)
+
+
+# -- the Bruhat decomposition g = u_1 m u_2 ---------------------------------
+
+
+def is_monomial(rows):
+    """One nonzero entry in every row and every column."""
+    return all(sum(1 for e in line if e) == 1 for line in (*rows, *zip(*rows)))
+
+
+def psi_argument(u):
+    return sum(u.ints[i][i + 1] for i in range(u.n - 1))
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)])
+def test_bruhat_cell_rebuilds_every_element(q, n):
+    # for each u_1 in N, u_2 = m^-1 u_1^-1 g; the decomposition holds when
+    # some u_2 is unitriangular and x is the psi-argument of such a u_1 u_2
+    F = gf(q)
+    N = set(enumerate_unitriangular(F, n))
+    cells = set()
+    for g in enumerate_group(F, n):
+        m_rows, x = bruhat_cell(g.ints, q)
+        assert is_monomial(m_rows) and 0 <= x < q, g
+        m = FiniteMatrix(F, m_rows)
+        assert m.ints == m_rows
+        m_inv = m.inverse()
+        arguments = set()
+        for u1 in N:
+            u2 = m_inv * u1.inverse() * g
+            if u2 in N:
+                assert u1 * m * u2 == g
+                arguments.add((psi_argument(u1) + psi_argument(u2)) % q)
+        assert x in arguments, g
+        cells.add(m_rows)
+    # every monomial matrix is its own cell
+    assert len(cells) == factorial(n) * (q - 1) ** n
