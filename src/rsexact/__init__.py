@@ -18,7 +18,6 @@ from .errors import (
     UnsupportedDescriptor,
     EvenResidualCharacteristic,
     NondegeneracyFailure,
-    NotInU,
     NotInJ,
     FamilyMismatch,
     EllEqualsP,

@@ -273,13 +273,19 @@ def _matrix_ints(g: FiniteMatrix) -> list:
     return [list(row) for row in g.ints]
 
 
-def _depth_zero_table(cfg: RunConfig, t1: SimpleTypeData):
-    terms = order_gl(cfg.p, cfg.n) * cfg.p ** (cfg.n * (cfg.n - 1) // 2)
+def _check_table_size(table: str, terms: int) -> None:
+    """Refuse a bessel-table of more than BESSEL_TERM_LIMIT terms, before
+    any element is built."""
     if terms > BESSEL_TERM_LIMIT:
         raise TooLarge(
-            f"a GL_{cfg.n}(F_{cfg.p}) Bessel table needs about {terms:.1e} terms, "
+            f"{table} needs about {terms:.1e} terms, "
             f"more than the limit of {BESSEL_TERM_LIMIT:.0e}"
         )
+
+
+def _depth_zero_table(cfg: RunConfig, t1: SimpleTypeData):
+    terms = order_gl(cfg.p, cfg.n) * cfg.p ** (cfg.n * (cfg.n - 1) // 2)
+    _check_table_size(f"a GL_{cfg.n}(F_{cfg.p}) Bessel table", terms)
     field = gf(cfg.p)
     psi = AddChar(field, 1)
     J = finite_bessel(t1.chi, psi)
@@ -306,6 +312,8 @@ def _depth_zero_table(cfg: RunConfig, t1: SimpleTypeData):
 
 def _ramified_table(cfg: RunConfig, t1: SimpleTypeData):
     p = cfg.p
+    # one lambda value per row: r in F_p^x times the p^5 J^1/K^2 cosets
+    _check_table_size(f"a ramified lambda table at p = {p}", (p - 1) * p**5)
     reps = [u * r for r in range(1, p) for u in _j1_coset_reps(p)]
     rows = [
         {"g": [[int(j.entry(i, k)) for k in range(2)] for i in range(2)],

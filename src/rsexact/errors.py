@@ -46,10 +46,6 @@ class NondegeneracyFailure(RSExactError):
     """Type data is incompatible with the chosen Whittaker normalization."""
 
 
-class NotInU(RSExactError):
-    """Matrix lies outside the unipotent-extended domain of the character."""
-
-
 class NotInJ(RSExactError):
     """Matrix lies outside the compact-mod-center group of the type."""
 

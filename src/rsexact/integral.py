@@ -11,15 +11,14 @@ the standard lattice indicator Phi.  The inner integral I_0 over N\\P is a
 unit-shell sum: for n = 2,
 
   I_0(kbar) = sum_k b_k(kbar) q^k X^k,
-  b_k(kbar) = sum over units a mod p^m of W_1 W_2(d(p^k a) kbar) q^{-(m-1)},
+  b_k(kbar) = sum over units a mod p of W_1 W_2(d(p^k a) kbar),
 
 with d(x) = diag(x, 1); the factor q^k is the canonical N\\G cell volume of
-the valuation vector (k, 0).  Both test vectors are supported on N <w_E> J,
-and J contains K^1 = 1 + p M_2(Z_p); for kbar in K = GL_2(Z_p), conjugating
-by kbar keeps K^1, so whether d(p^k a) kbar hits the support depends on a
-mod p alone.  b_k therefore tests one lift per unit class mod p and
-evaluates the other lifts only on a hit.  The brute-force oracle keeps its
-point-by-point walk.  For GL_3 the inner integral runs over
+the valuation vector (k, 0).  The measure sums over the units mod p^m with
+weight q^{-(m-1)}, and the p^{m-1} lifts of a unit class mod p give one
+value of W_1 W_2 (b_coefficient carries the proof), so each class counts
+once.  The brute-force oracle keeps its point-by-point walk over every
+lift.  For GL_3 the inner integral runs over
 N_2\\GL_2 cells embedded in the top block, with their own canonical volumes
 carried inside b_k.  Everything is scalar-generic: the same engine reruns
 over a residue field for the mod-ell corollary.
@@ -149,31 +148,33 @@ def _support_sum(pair: RSPair, points):
 def b_coefficient(pair: RSPair, cell: PadicMatrix, k: int):
     """The unit-shell coefficient b_k of the inner mirabolic integral.
 
-    For n = 2 the cell must lie in K = GL_2(Z_p).  The units a mod p^m are
-    tested one class mod p at a time: for a = a_0 (1 + p t),
+    For n = 2 the cell must lie in K = GL_2(Z_p), and b_k is one sum over
+    the unit classes a_0 mod p.  The measure sums W_1 W_2(d(p^k a) kbar)
+    q^{-(m-1)} over the units a mod p^m; the p^{m-1} lifts a = a_0 (1 + p t)
+    of a class all give the value at a_0, which cancels the weight:
 
-      d(p^k a) kbar = d(p^k a_0) kbar * (kbar^-1 d(1 + p t) kbar),
+      d(p^k a) kbar = d(p^k a_0) kbar * u,  u = kbar^-1 d(1 + p t) kbar,
 
-    and the last factor lies in K^1 = 1 + p M_2(Z_p), inside J, because kbar
-    is in K.  The support N <w_E> J is right J-invariant, so the lifts
-    a_0, a_0 + p, ... < p^m of a class all hit or all miss, and a miss at
-    a_0 skips its class.  The values at the lifts are not assumed equal,
-    so each lift of a hit class is evaluated.
+    and u lies in K^1 = 1 + p M_2(Z_p) because kbar is in K.  At depth zero
+    m = 1 and there are no other lifts.  In the ramified family K^1 lies in
+    J^1 = 1 + P_A, and each test vector translates under J^1 by its
+    character, W_i(g u) = W_i(g) lambda_i(u) with
+    lambda_i(1 + y) = theta(s_i tr(w_E^-1 y)): sigma-bar sees only the
+    residue of the diagonal, which is 1 on J^1.  WhittakerFunction forces
+    s_1 = +1 for W_1 and s_2 = -1 for W_2 (the psi_t^-1 model), so
+    lambda_1 lambda_2 = 1 on J^1 and W_1 W_2(g u) = W_1 W_2(g) for every
+    pair an RSPair builds, dual or not, twisted or not (a twist scales A
+    only).
     """
-    scal, p, m = pair.scal, pair.p, pair.level
+    scal, p = pair.scal, pair.p
     if pair.n == 2:
-        total = scal.zero()
-        for a0 in range(1, p):
-            for a in range(a0, p**m, p):
-                value = pair.pair_value(
-                    cell.scale_row(0, a * p**k if k >= 0 else Fraction(a, p**-k)))
-                if value is None:
-                    break
-                total = total + value
-        return total * scal.from_fraction(Fraction(1, p ** (m - 1)))
+        return _support_sum(pair, (
+            cell.scale_row(0, a0 * p**k if k >= 0 else Fraction(a0, p**-k))
+            for a0 in range(1, p)))
     # GL_3: N_3\P_3 = N_2\GL_2 embedded in the upper block, with its
     # canonical cell volumes; the slice of determinant valuation k collects
     # v = (v_1, v_2) with v_1 + v_2 = k.
+    m = pair.level
     w = GL3_WINDOW
     total = scal.zero()
     for v1 in range(-w, w + 1):

@@ -64,35 +64,17 @@ def _vp_deep(n: int, p: int) -> int:
     return v
 
 
-def val_p(x, p: int):
-    """p-adic valuation of a rational; +infinity for zero."""
-    x = Fraction(x)
-    if not x:
-        return math.inf
-    return vp_int(x.numerator, p) - vp_int(x.denominator, p)
-
-
-def int_mod(x, p: int, m: int) -> int:
-    """Reduction of a p-integral rational modulo p^m, as an int in [0, p^m)."""
-    x = Fraction(x)
-    mod = p**m
-    if x.denominator % p == 0:
-        raise ValueError(f"{x} is not p-integral")
-    return x.numerator * pow(x.denominator, -1, mod) % mod
-
-
 def theta_class(p: int, num: int, den: int, cap: int):
     """The class of theta at num / den, for integers num and den != 0 in any
-    common scale: None when num == 0, else (p^(m+1), k) with
-    theta(num / den) = zeta_{p^(m+1)}^k and m = max(0, -val(num / den)).
+    common scale: (p^(m+1), k) with theta(num / den) = zeta_{p^(m+1)}^k and
+    m = max(0, -val(num / den)).
 
-    The class keeps "exactly 0" apart from "0 mod p": theta_at returns the
-    first as scal.one() (modulus 1) and the second as zeta_p^0 (modulus p),
-    and products of the two print differently.  Raises DepthExceeded when m
-    exceeds the session cap.
+    An argument that is exactly 0 has m = 0 and reads (p, 0), the class of
+    every argument in pZ_p, so theta_at gives it the same zeta_p^0.  Raises
+    DepthExceeded when m exceeds the session cap.
     """
     if not num:
-        return None
+        return p, 0
     vden = vp_int(den, p)
     m = max(0, vden - vp_int(num, p))
     if m > cap:
@@ -105,20 +87,8 @@ def theta_class(p: int, num: int, den: int, cap: int):
 
 def theta_at(cls, scal=CYC, sign: int = 1):
     """theta on a class of theta_class, raised to the power sign (+-1)."""
-    if cls is None:
-        return scal.one()
     mod, k = cls
     return scal.root_of_unity(mod, sign * k % mod)
-
-
-def theta_eval(p: int, x, cap: int, scal=CYC):
-    """The additive character of Q_p that is trivial on pZ_p and sends 1 to zeta_p.
-
-    theta(x) = zeta_{p^{m+1}}^{p^m x mod p^{m+1}} with m = max(0, -val(x));
-    raises DepthExceeded when m exceeds the session cap.
-    """
-    x = Fraction(x)
-    return theta_at(theta_class(p, x.numerator, x.denominator, cap), scal)
 
 
 class PadicMatrix:
@@ -170,11 +140,6 @@ class PadicMatrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.num[i][j], self.den)
-
-    def entry_val(self, i: int, j: int, p: int):
-        """Valuation of entry (i, j); +infinity for zero."""
-        e = self.num[i][j]
-        return vp_int(e, p) - vp_int(self.den, p) if e else math.inf
 
     def __eq__(self, other):
         if not isinstance(other, PadicMatrix):
@@ -238,16 +203,6 @@ class PadicMatrix:
     def __repr__(self):
         body = "; ".join(",".join(str(e) for e in row) for row in self.rows)
         return f"[{body}]"
-
-
-def upper_unipotent(entries: dict, n: int) -> PadicMatrix:
-    """Unipotent matrix with given strictly-upper entries {(i, j): value}."""
-    rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for (i, j), v in entries.items():
-        if i >= j:
-            raise ValueError("entries must be strictly upper")
-        rows[i][j] = Fraction(v)
-    return PadicMatrix(rows)
 
 
 def iwasawa_NAK(g: PadicMatrix, p: int):

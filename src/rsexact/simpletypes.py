@@ -21,14 +21,12 @@ support decomposition g = n * w_E^i * j_0.
 psi_t and the kernel factor through finite quotients, so a test vector is
 evaluated on residue classes: psi_t(n) through the class of its theta
 argument (psi_t_class), the kernel through kernel_class(j_0), which depends
-on j_0 alone.  Each WhittakerFunction keeps its kernel values per class in
-its own scalar context, and RSPair tabulates W_1 * W_2 per class of
-(i, n, j_0), where at depth zero the class of j_0 is the monomial of its
-Bruhat cell mod p.  The class "argument exactly 0" stays apart from
-"argument 0 mod p": both give the value 1, but as scal.one() (raw modulus
-1) and as zeta_p^0 (raw modulus p), and a stored value must carry the raw
-modulus a direct evaluation gives, because reports print cyclotomic
-numbers at their raw moduli.
+on j_0 alone.  Every class is a pair: (modulus, k) for a theta argument,
+where an argument that is exactly 0 shares the class (p, 0) of the
+arguments in pZ_p, and (r, k) for the ramified kernel.  Each
+WhittakerFunction keeps its kernel values per class in its own scalar
+context, and RSPair tabulates W_1 * W_2 per class of (i, n, j_0), where at
+depth zero the class of j_0 is the monomial of its Bruhat cell mod p.
 """
 
 from __future__ import annotations
@@ -39,26 +37,10 @@ from functools import cached_property
 
 from .cuspchar import BesselFunction, CuspidalCharacter
 from .cyclo import CYC, CycNumber
-from .errors import (
-    EvenResidualCharacteristic,
-    FamilyMismatch,
-    NondegeneracyFailure,
-    NotInJ,
-    NotInU,
-)
+from .errors import EvenResidualCharacteristic, FamilyMismatch, NondegeneracyFailure, NotInJ
 from .finitefield import AddChar, MultChar, gf
 from .matgroups import FiniteMatrix
-from .padic import (
-    PadicMatrix,
-    int_mod,
-    iwasawa_NAK,
-    theta_at,
-    theta_class,
-    theta_eval,
-    upper_unipotent,
-    val_p,
-    vp_int,
-)
+from .padic import PadicMatrix, iwasawa_NAK, theta_at, theta_class, vp_int
 from .ratfun import EulerFactor, Laurent
 
 DEPTH_ZERO = "depth-zero"
@@ -141,30 +123,7 @@ class SimpleTypeData:
             return False
         return (g.num[0][0] - g.num[1][1]) % self.p == 0
 
-    def in_J1(self, g: PadicMatrix) -> bool:
-        p = self.p
-        # y = g - 1 has numerators g.num - den * Id over the same den
-        y = PadicMatrix.from_ints(
-            [
-                [e - g.den if i == j else e for j, e in enumerate(row)]
-                for i, row in enumerate(g.num)
-            ],
-            g.den,
-        )
-        if self.family == DEPTH_ZERO:
-            return all(y.entry_val(i, j, p) >= 1 for i in range(self.n) for j in range(self.n))
-        return (
-            y.entry_val(0, 0, p) >= 1
-            and y.entry_val(0, 1, p) >= 1
-            and y.entry_val(1, 0, p) >= 0
-            and y.entry_val(1, 1, p) >= 1
-        )
-
     # -- characters ------------------------------------------------------
-
-    def beta_trace(self, y: PadicMatrix) -> Fraction:
-        """tr(w_E^{-1} y) = y_21 + y_12 / p for the ramified order."""
-        return y.entry(1, 0) + y.entry(0, 1) / self.p
 
     def kernel_class(self, j0: PadicMatrix):
         """The residue class of j0 in J that the kernel factors through; it
@@ -172,8 +131,7 @@ class SimpleTypeData:
 
         Depth zero: j0 mod p, as int rows.  Ramified: (r, k) with
         r = a / den mod p and k = (p * c + b) / (p * a) mod p, the residue of
-        lambda's theta argument up to the orientation, or None when that
-        argument is exactly 0 (p * c + b == 0).  On J, p | b.
+        lambda's theta argument up to the orientation.  On J, p | b.
         """
         p = self.p
         inv = pow(j0.den, -1, p)
@@ -181,19 +139,18 @@ class SimpleTypeData:
             return tuple(tuple(e * inv % p for e in row) for row in j0.num)
         (a, b), (c, _) = j0.num
         t = p * c + b
-        return a * inv % p, t // p * pow(a, -1, p) % p if t else None
+        return a * inv % p, t // p * pow(a, -1, p) % p
 
     def lam_on_class(self, cls, scal=CYC):
         """lambda on the kernel class (r, k): sigma-bar(r) * zeta_p^(s * k),
-        s the orientation, or sigma-bar(r) when k is None.
+        s the orientation.
 
         On J, j = z (1 + y) with z the Teichmueller lift of r, and the
-        argument s * tr(w_E^{-1} y) of theta is s * k mod p, or exactly 0
-        when k is None.
+        argument s * tr(w_E^{-1} y) of theta is s * k mod p.
         """
         r, k = cls
         value = self.sigma.value(gf(self.p).constant(r), scal)
-        return value if k is None else value * theta_at((self.p, k), scal, self.orientation)
+        return value * theta_at((self.p, k), scal, self.orientation)
 
     def lam(self, j: PadicMatrix, scal=CYC):
         """The character lambda of J in the ramified family."""
@@ -203,9 +160,9 @@ class SimpleTypeData:
             raise NotInJ(f"{j!r} is not in J")
         return self.lam_on_class(self.kernel_class(j), scal)
 
-    def central_unit_value(self, u, scal=CYC):
-        """Central character at a unit u of Z_p."""
-        r = int_mod(Fraction(u), self.p, 1)
+    def central_unit_value(self, u: int, scal=CYC):
+        """Central character at an integer unit u."""
+        r = u % self.p
         if self.family == DEPTH_ZERO:
             return self.chi.central_value(r, scal)
         return self.sigma.value(gf(self.p).constant(r), scal)
@@ -286,46 +243,6 @@ def psi_t_class(data: SimpleTypeData, n_mat: PadicMatrix):
     low = min(0, *shifts)
     arg = sum(p ** (s - low) * num[i][i + 1] for i, s in enumerate(shifts))
     return theta_class(p, arg, n_mat.den * p**-low, data.cap)
-
-
-def psi_t_eval(data: SimpleTypeData, n_mat: PadicMatrix, scal=CYC, sign: int = 1):
-    """psi_t(n) = theta(sum_i p^{t_i - t_{i+1}} n_{i,i+1}), or its inverse."""
-    return theta_at(psi_t_class(data, n_mat), scal, sign)
-
-
-def extended_psi_on_U(data: SimpleTypeData, g: PadicMatrix):
-    """The character of U = N(F) * J^1 restricting to lambda on J^1; NotInU
-    off that set.
-
-    The two restrictions agree on N cap J^1 only for psi_t raised to the
-    orientation sign, so the N-part contributes psi_t^{orientation}.  The
-    J^1 factor is found by clearing the strictly-upper part of g with exact
-    unipotent row operations, then membership is checked strictly.
-    """
-    n = data.n
-    h = g
-    u = PadicMatrix.identity(n)
-    for i in range(n - 2, -1, -1):
-        for j in range(n - 1, i, -1):
-            piv = h.entry(j, j)
-            if val_p(piv, data.p) != 0:
-                raise NotInU(f"{g!r} is not in N * J^1")
-            x = h.entry(i, j) / piv
-            elem = upper_unipotent({(i, j): x}, n)
-            u = u * elem
-            h = elem.inverse() * h
-    if not data.in_J1(h):
-        raise NotInU(f"{g!r} is not in N * J^1")
-    sign = data.orientation if data.family == RAMIFIED else 1
-    value = psi_t_eval(data, u, sign=sign)
-    if data.family == RAMIFIED:
-        y = PadicMatrix(
-            [[h.entry(i, k) - (1 if i == k else 0) for k in range(2)] for i in range(2)]
-        )
-        value = value * theta_eval(
-            data.p, Fraction(data.orientation) * data.beta_trace(y), data.cap
-        )
-    return value
 
 
 # -- support decomposition -----------------------------------------------

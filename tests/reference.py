@@ -1,0 +1,129 @@
+"""Point-by-point reference helpers shared by the tests.
+
+The package evaluates theta, psi_t and lambda on residue classes; these
+helpers evaluate them on single rationals and matrices instead, so the
+tests can compare the two routes.  They also hold the Fraction-level p-adic
+primitives the tests build their points with, and the character of
+U = N(F) * J^1 that the Whittaker translation tests compare with.
+"""
+
+import math
+from fractions import Fraction
+
+from rsexact.cyclo import CYC
+from rsexact.errors import RSExactError
+from rsexact.padic import PadicMatrix, theta_at, theta_class, vp_int
+from rsexact.simpletypes import DEPTH_ZERO, RAMIFIED, SimpleTypeData, psi_t_class
+
+
+class NotInU(RSExactError):
+    """Matrix lies outside the unipotent-extended domain of the character."""
+
+
+def val_p(x, p: int):
+    """p-adic valuation of a rational; +infinity for zero."""
+    x = Fraction(x)
+    if not x:
+        return math.inf
+    return vp_int(x.numerator, p) - vp_int(x.denominator, p)
+
+
+def entry_val(g: PadicMatrix, i: int, j: int, p: int):
+    """Valuation of entry (i, j) of g; +infinity for zero."""
+    e = g.num[i][j]
+    return vp_int(e, p) - vp_int(g.den, p) if e else math.inf
+
+
+def int_mod(x, p: int, m: int) -> int:
+    """Reduction of a p-integral rational modulo p^m, as an int in [0, p^m)."""
+    x = Fraction(x)
+    mod = p**m
+    if x.denominator % p == 0:
+        raise ValueError(f"{x} is not p-integral")
+    return x.numerator * pow(x.denominator, -1, mod) % mod
+
+
+def upper_unipotent(entries: dict, n: int) -> PadicMatrix:
+    """Unipotent matrix with given strictly-upper entries {(i, j): value}."""
+    rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for (i, j), v in entries.items():
+        if i >= j:
+            raise ValueError("entries must be strictly upper")
+        rows[i][j] = Fraction(v)
+    return PadicMatrix(rows)
+
+
+def theta_eval(p: int, x, cap: int, scal=CYC):
+    """The additive character of Q_p that is trivial on pZ_p and sends 1 to zeta_p.
+
+    theta(x) = zeta_{p^{m+1}}^{p^m x mod p^{m+1}} with m = max(0, -val(x));
+    raises DepthExceeded when m exceeds the session cap.
+    """
+    x = Fraction(x)
+    return theta_at(theta_class(p, x.numerator, x.denominator, cap), scal)
+
+
+def psi_t_eval(data: SimpleTypeData, n_mat: PadicMatrix, scal=CYC, sign: int = 1):
+    """psi_t(n) = theta(sum_i p^{t_i - t_{i+1}} n_{i,i+1}), or its inverse."""
+    return theta_at(psi_t_class(data, n_mat), scal, sign)
+
+
+def in_J1(data: SimpleTypeData, g: PadicMatrix) -> bool:
+    """g in J^1: K^1 at depth zero, 1 + P_A for the ramified order."""
+    p = data.p
+    # y = g - 1 has numerators g.num - den * Id over the same den
+    y = PadicMatrix.from_ints(
+        [
+            [e - g.den if i == j else e for j, e in enumerate(row)]
+            for i, row in enumerate(g.num)
+        ],
+        g.den,
+    )
+    if data.family == DEPTH_ZERO:
+        return all(entry_val(y, i, j, p) >= 1 for i in range(data.n) for j in range(data.n))
+    return (
+        entry_val(y, 0, 0, p) >= 1
+        and entry_val(y, 0, 1, p) >= 1
+        and entry_val(y, 1, 0, p) >= 0
+        and entry_val(y, 1, 1, p) >= 1
+    )
+
+
+def beta_trace(data: SimpleTypeData, y: PadicMatrix) -> Fraction:
+    """tr(w_E^{-1} y) = y_21 + y_12 / p for the ramified order."""
+    return y.entry(1, 0) + y.entry(0, 1) / data.p
+
+
+def extended_psi_on_U(data: SimpleTypeData, g: PadicMatrix):
+    """The character of U = N(F) * J^1 restricting to lambda on J^1; NotInU
+    off that set.
+
+    The two restrictions agree on N cap J^1 only for psi_t raised to the
+    orientation sign, so the N-part contributes psi_t^{orientation}.  The
+    J^1 factor is found by clearing the strictly-upper part of g with exact
+    unipotent row operations, then membership is checked strictly.
+    """
+    n = data.n
+    h = g
+    u = PadicMatrix.identity(n)
+    for i in range(n - 2, -1, -1):
+        for j in range(n - 1, i, -1):
+            piv = h.entry(j, j)
+            if val_p(piv, data.p) != 0:
+                raise NotInU(f"{g!r} is not in N * J^1")
+            x = h.entry(i, j) / piv
+            elem = upper_unipotent({(i, j): x}, n)
+            u = u * elem
+            h = elem.inverse() * h
+    if not in_J1(data, h):
+        raise NotInU(f"{g!r} is not in N * J^1")
+    sign = data.orientation if data.family == RAMIFIED else 1
+    value = psi_t_eval(data, u, sign=sign)
+    if data.family == RAMIFIED:
+        y = PadicMatrix(
+            [[h.entry(i, k) - (1 if i == k else 0) for k in range(2)] for i in range(2)]
+        )
+        value = value * theta_eval(
+            data.p, Fraction(data.orientation) * beta_trace(data, y), data.cap
+        )
+    return value

@@ -306,6 +306,17 @@ class TestBesselTableCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    def test_unbounded_ramified_table_is_refused_up_front(self, capsys):
+        # (p - 1) p^5 rows: 1.0e5 at p = 7, 1.6e6 at p = 11
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "bessel-table", "--family", "ramified", "--p", "11", "--sigma", "1")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err.startswith("configuration error:") and "1.6e+06 terms" in err
+        assert "Traceback" not in err
+        assert out == ""
+
 
 # ---------------------------------------------------------------------------
 # reduce

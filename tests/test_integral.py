@@ -16,6 +16,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rsexact.cyclo import CycScalars, cyc_embed_root
 from rsexact.errors import DepthExceeded, FamilyMismatch
@@ -70,6 +72,11 @@ def ram_pair(p, s1, s2, A1=None, A2=None, **kw):
 
 one = SCAL.one()
 minus = SCAL.zero() - SCAL.one()
+
+
+def raw(x):
+    """The representation a report prints: raw modulus and raw numerators."""
+    return x.modulus, x.raw_numerators(x.modulus)
 
 
 class TestDepthZeroEngine:
@@ -139,8 +146,9 @@ class TestRamifiedEngine:
 
 
 class TestUnitClassTest:
-    """b_coefficient tests one lift per unit class mod p; the reference
-    sums pair_value over every unit mod p^m, point by point."""
+    """b_coefficient sums one point per unit class mod p; the reference
+    sums pair_value over every unit mod p^m, point by point, with the
+    weight q^-(m-1)."""
 
     @staticmethod
     def _reference(pair, cell, k):
@@ -160,6 +168,7 @@ class TestUnitClassTest:
             for k in range(-2, pair.n + 2):
                 got, want = b_coefficient(pair, cell, k), self._reference(pair, cell, k)
                 assert got == want and str(got) == str(want), (cell, k)
+                assert raw(got) == raw(want), (cell, k)
                 nonzero += got != zero
         assert nonzero > 0
 
@@ -175,6 +184,52 @@ class TestUnitClassTest:
         rng = random.Random(13)
         reps = [rep for _, rep in pk_cell_reps(3, 2, pair.level)]
         self._check(pair, [rng.choice(reps) * u for u in rng.sample(_j1_coset_reps(3), 40)])
+
+
+J1_PAIRS = {
+    "p3-dual": lambda: ram_pair(3, 1, 1),
+    "p3-nondual": lambda: ram_pair(3, 1, 0),
+    "p5-dual": lambda: ram_pair(5, 1, 3),
+    "p5-nondual": lambda: ram_pair(5, 1, 2),
+    "p5-twisted": lambda: ram_pair(5, 1, 3, A1=cyc_embed_root(4, 1),
+                                   twist=cyc_embed_root(3, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(J1_PAIRS))
+def test_pair_value_is_right_j1_invariant(name):
+    """W_1 W_2(g u) = W_1 W_2(g) for u in J^1, raw representation included:
+    lambda_1 lambda_2 is trivial on J^1, which is what lets b_coefficient
+    evaluate one lift per unit class."""
+    pair = J1_PAIRS[name]()
+    p = pair.p
+    reps = _j1_coset_reps(p)
+    cells = [rep for _, rep in pk_cell_reps(p, 2, pair.level)]
+
+    def outcome(g):
+        try:
+            value = pair.pair_value(g)
+        except DepthExceeded:
+            return "DepthExceeded"
+        return None if value is None else raw(value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def check(data):
+        if data.draw(st.booleans()):  # a point of the engine's unit shells
+            a = data.draw(st.integers(1, p * p - 1).filter(lambda a: a % p))
+            k = data.draw(st.integers(-2, 3))
+            g = data.draw(st.sampled_from(cells)).scale_row(0, Fraction(a) * Fraction(p) ** k)
+        else:
+            g = PadicMatrix.from_ints(
+                [[data.draw(st.integers(-p**3, p**3)) for _ in range(2)] for _ in range(2)],
+                data.draw(st.sampled_from((1, p, 7))))
+            assume(g.det())
+        u = data.draw(st.sampled_from(reps))
+        assert outcome(g * u) == outcome(g), (g, u)
+
+    check()
+    assert pair._table
 
 
 class TestCenterFactor:

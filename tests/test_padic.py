@@ -14,21 +14,19 @@ from rsexact.matgroups import order_gl
 from rsexact.padic import (
     MeasureContext,
     PadicMatrix,
-    int_mod,
     iwasawa_NAK,
     iwasawa_PZK,
     ng_cell_volume,
     nk_cell_count,
     nk_cell_reps,
     pk_cell_reps,
-    theta_eval,
     unimodular_rows,
-    upper_unipotent,
-    val_p,
     volume,
     vp_int,
 )
 from rsexact.simpletypes import DEPTH_ZERO, make_type
+
+from reference import int_mod, theta_eval, upper_unipotent, val_p
 
 # -- valuations and scalar helpers ---------------------------------------
 

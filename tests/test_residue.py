@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from rsexact.cyclo import CycScalars, cyc_embed_root, cyclotomic_poly, is_prime
 from rsexact.errors import NotIntegralAtEll
 from rsexact.finitefield import _is_irreducible, _pmul, _ppow
-from rsexact.padic import theta_eval
 from rsexact.ratfun import Laurent, RationalFunction, series_coefficients
 from rsexact.residue import (
     ResidueScalars,
@@ -19,6 +18,8 @@ from rsexact.residue import (
     _frobenius_matrix,
     cyclotomic_factors,
 )
+
+from reference import theta_eval
 
 CYC = CycScalars()
 

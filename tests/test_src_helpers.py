@@ -26,8 +26,6 @@ REFERENCE_HELPERS = {
         "builds the characters the Bessel and acceptance tests certify",
     "padic.iwasawa_PZK":
         "the mirabolic-center-compact factorization the measure tests check",
-    "simpletypes.extended_psi_on_U":
-        "the character of N J^1 the Whittaker translation tests compare with",
     "finitefield.GF.generator":
         "the fixed generator behind dlog, checked against the unit group order",
     "ratfun.RationalFunction.from_json":
