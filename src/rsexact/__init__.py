@@ -18,7 +18,6 @@ from .errors import (
     UnsupportedDescriptor,
     EvenResidualCharacteristic,
     NondegeneracyFailure,
-    NotInJ,
     FamilyMismatch,
     EllEqualsP,
     NonBanal,

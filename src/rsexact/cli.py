@@ -45,9 +45,11 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
+from math import lcm, prod
 
 from .cuspchar import bessel_convolution_check, finite_bessel
-from .cyclo import is_prime, parse_cyc
+from .cyclo import _prime_powers, is_prime, parse_cyc
 from .errors import NonBanal, NotIntegralAtEll, RSExactError, TooLarge
 from .finitefield import AddChar, gf
 from .integral import (
@@ -62,7 +64,9 @@ from .lmodular import verify_corollary
 from .matgroups import (
     BESSEL_TERM_LIMIT,
     ENGINE_TEST_LIMIT,
+    LITERAL_MODULUS_LIMIT,
     ORACLE_POINT_LIMIT,
+    REDUCE_DEGREE_LIMIT,
     FiniteMatrix,
     enumerate_group,
     order_gl,
@@ -126,10 +130,18 @@ class RunConfig:
 
 
 def _normalize_scalar(text: str | None) -> str | None:
-    """Canonicalize a scalar literal so equal values compare equal."""
+    """Canonicalize a scalar literal so equal values compare equal; a
+    literal whose conductor, the lcm of its zeta(N), exceeds
+    LITERAL_MODULUS_LIMIT is refused before it is reduced."""
     if text is None:
         return None
-    return str(parse_cyc(text))
+    value = parse_cyc(text)
+    if value.modulus > LITERAL_MODULUS_LIMIT:
+        raise TooLarge(
+            f"the literal {text!r} has conductor {value.modulus}, "
+            f"more than the limit of {LITERAL_MODULUS_LIMIT:.0e}"
+        )
+    return str(value)
 
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
@@ -160,6 +172,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ValueError("oracle-check supports n = 2 only")
     if cfg.command in ("verify", "reduce"):
         _check_engine_size(cfg)
+    if cfg.command == "reduce":
+        _check_reduce_degree(cfg)
     if cfg.command == "oracle-check" or (cfg.command == "verify" and _oracle_requested(cfg)):
         _check_oracle_size(cfg)
 
@@ -189,6 +203,34 @@ def _check_engine_size(cfg: RunConfig) -> None:
         raise TooLarge(
             f"the engine at p = {p}, n = {n} needs about {tests:.1e} support tests, "
             f"more than the limit of {ENGINE_TEST_LIMIT:.0e}"
+        )
+
+
+def _conductor(cfg: RunConfig) -> int:
+    """The conductor lmodular.pair_conductor finds for the pair, read off the
+    flags before any type is built: lcm(p^cap, the character modulus
+    q^n - 1 or p - 1, the conductor of each literal)."""
+    p = cfg.p
+    if cfg.family == DEPTH_ZERO:
+        N = lcm(p, p**cfg.n - 1)
+    else:
+        N = lcm(p**2, p - 1)
+    for text in (cfg.A, cfg.A2, cfg.twist):
+        if text is not None:
+            N = lcm(N, parse_cyc(text).modulus)
+    return N
+
+
+def _check_reduce_degree(cfg: RunConfig) -> None:
+    """Refuse a reduce run whose conductor N has phi(N) above
+    REDUCE_DEGREE_LIMIT: reduce factors Phi_N mod ell and reruns the engine
+    in a residue field of degree up to phi(N)."""
+    N = _conductor(cfg)
+    degree = prod(phi for _, _, phi, _ in _prime_powers(N))
+    if degree > REDUCE_DEGREE_LIMIT:
+        raise TooLarge(
+            f"reduce at conductor {N} works in Q(zeta_{N}) of degree {degree}, "
+            f"more than the limit of {REDUCE_DEGREE_LIMIT}"
         )
 
 
@@ -315,18 +357,28 @@ def _ramified_table(cfg: RunConfig, t1: SimpleTypeData):
     # one lambda value per row: r in F_p^x times the p^5 J^1/K^2 cosets
     _check_table_size(f"a ramified lambda table at p = {p}", (p - 1) * p**5)
     reps = [u * r for r in range(1, p) for u in _j1_coset_reps(p)]
+    classes = [t1.kernel_class(j) for j in reps]
+    t2 = make_type(**t1.dual_params())
+    # lambda factors through the kernel class, which a type and its dual
+    # share: one value per class and type, and one string per class
+    lam1, lam2 = cache(t1.lam_on_class), cache(t2.lam_on_class)
+    text = {cls: str(lam1(cls)) for cls in dict.fromkeys(classes)}
     rows = [
         {"g": [[int(j.entry(i, k)) for k in range(2)] for i in range(2)],
-         "value": str(t1.lam(j))}
-        for j in reps
+         "value": text[cls]}
+        for j, cls in zip(reps, classes)
     ]
 
-    t2 = make_type(**t1.dual_params())
-    identity_ok = t1.lam(PadicMatrix.identity(2)) == 1
-    duality_ok = all(t2.lam(j) == t1.lam(j.inverse()) for j in reps)
+    cls_of = t1.kernel_class
+    identity_ok = lam1(cls_of(PadicMatrix.identity(2))) == 1
+    duality_ok = all(
+        lam2(cls) == lam1(cls_of(j.inverse())) for j, cls in zip(reps, classes)
+    )
     rng = random.Random(1009 * p + 3)
     pairs = [(rng.choice(reps), rng.choice(reps)) for _ in range(100)]
-    conv_ok = all(t1.lam(j1 * j2) == t1.lam(j1) * t1.lam(j2) for j1, j2 in pairs)
+    conv_ok = all(
+        lam1(cls_of(j1 * j2)) == lam1(cls_of(j1)) * lam1(cls_of(j2)) for j1, j2 in pairs
+    )
     checks = {
         "identity": identity_ok,
         "duality": duality_ok,

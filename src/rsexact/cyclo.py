@@ -119,24 +119,6 @@ def _crt_factors(n: int):
     )
 
 
-@cache
-def _power_rows(n: int):
-    """Row k is the integer coefficient vector of x**k modulo the monic n-th
-    cyclotomic polynomial."""
-    phi = cyclotomic_poly(n)
-    deg = len(phi) - 1
-    rows = [[int(i == j) for i in range(deg)] for j in range(deg)]
-    for k in range(deg, n):
-        prev = rows[k - 1]
-        carry = prev[-1]
-        row = [0] + prev[:-1]
-        if carry:
-            for j in range(deg):
-                row[j] -= carry * phi[j]
-        rows.append(row)
-    return rows
-
-
 def _coerce(value):
     if isinstance(value, CycNumber):
         return value
@@ -344,12 +326,6 @@ class CycNumber:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -403,29 +379,25 @@ class CycNumber:
         norm = (d * prod).rational_value()  # full Galois norm, always in Q
         return prod * CycNumber.from_fraction(1 / norm)
 
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
     # -- boundary representations ----------------------------------------
 
     def power_basis(self) -> list[Fraction]:
-        """Coefficients on 1, zeta, ..., zeta**(phi(N)-1) modulo Phi_N."""
-        rows = _power_rows(self._N)
-        vec = [0] * len(rows[0])
+        """Coefficients on 1, zeta, ..., zeta**(phi(N)-1) modulo Phi_N: the
+        int numerators are divided by the monic Phi_N from the top exponent
+        down, and the remainder is put over the denominator once."""
+        phi = cyclotomic_poly(self._N)
+        deg = len(phi) - 1
+        # x**k = -x**(k - deg) * sum(a_j x**j, j < deg) modulo Phi_N
+        tail = [(j - deg, a) for j, a in enumerate(phi[:deg]) if a]
+        vec = [0] * self._N
         for k, v in self._c.items():
-            for j, r in enumerate(rows[k]):
-                if r:
-                    vec[j] += v * r
-        return [Fraction(x, self._d) for x in vec]
+            vec[k] = v
+        for k in range(self._N - 1, deg - 1, -1):
+            c = vec[k]
+            if c:
+                for j, a in tail:
+                    vec[k + j] -= c * a
+        return [Fraction(x, self._d) for x in vec[:deg]]
 
     @classmethod
     def from_power_basis(cls, modulus: int, coords) -> "CycNumber":

@@ -46,10 +46,6 @@ class NondegeneracyFailure(RSExactError):
     """Type data is incompatible with the chosen Whittaker normalization."""
 
 
-class NotInJ(RSExactError):
-    """Matrix lies outside the compact-mod-center group of the type."""
-
-
 class FamilyMismatch(RSExactError):
     """The two types belong to different construction families."""
 

@@ -227,9 +227,6 @@ class FFElement:
     def __hash__(self):
         return hash((self.field.p, self.field.poly, self.c))
 
-    def is_zero(self):
-        return not any(self.c)
-
     def __bool__(self):
         return any(self.c)
 
@@ -251,12 +248,6 @@ class FFElement:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -286,18 +277,6 @@ class FFElement:
         inv_lead = pow(r0[-1], -1, f.p)
         s0 = tuple(v * inv_lead % f.p for v in s0)
         return f.element(_pmod(s0, f.poly, f.p))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
 
     def __pow__(self, n):
         if not isinstance(n, int):

@@ -32,6 +32,11 @@ ORACLE_POINT_LIMIT = 10**6
 # the engine and its per-cell report may make; a slice tests p - 1 unit
 # classes for n = 2 and its window pairs times |(N cap K)\K/K| for n = 3
 ENGINE_TEST_LIMIT = 10**6
+# the conductor of a --A, --A2 or --twist literal: the lcm of its zeta(N)
+LITERAL_MODULUS_LIMIT = 10**4
+# phi(N), the degree of the pair's cyclotomic field Q(zeta_N), that reduce
+# factors mod ell and reruns the engine in
+REDUCE_DEGREE_LIMIT = 600
 
 
 def small_det(r):

@@ -163,11 +163,6 @@ class PadicMatrix:
             )
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
     def scale_row(self, i: int, x) -> "PadicMatrix":
         """diag(1, .., x, .., 1) * self: row i multiplied by x, an int or a
         Fraction."""

@@ -69,12 +69,6 @@ class Laurent:
     def __add__(self, other):
         return Laurent(self.scal, [*self._c.items(), *other._c.items()])
 
-    def __neg__(self):
-        return Laurent(self.scal, {k: -v for k, v in self._c.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         b = other._c.items()
         terms = []
@@ -185,10 +179,6 @@ class RationalFunction:
     def from_laurent(cls, poly: Laurent) -> "RationalFunction":
         return cls(poly, Laurent.from_const(poly.scal, poly.scal.one()))
 
-    @classmethod
-    def constant(cls, scal, value) -> "RationalFunction":
-        return cls.from_laurent(Laurent.from_const(scal, value))
-
     @property
     def scal(self):
         return self.num.scal
@@ -211,25 +201,6 @@ class RationalFunction:
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __add__(self, other):
-        if isinstance(other, Laurent):
-            other = RationalFunction.from_laurent(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, Laurent):
-            other = RationalFunction.from_laurent(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self + (-other)
 
     def __str__(self) -> str:
         if self.den == Laurent.from_const(self.scal, self.scal.one()):
@@ -289,9 +260,6 @@ class EulerFactor:
     @classmethod
     def one(cls, scal) -> "EulerFactor":
         return cls(Laurent.from_const(scal, scal.one()))
-
-    def degree(self) -> int:
-        return self.poly.max_degree()
 
     def __eq__(self, other):
         if not isinstance(other, EulerFactor):

@@ -37,7 +37,7 @@ from functools import cached_property
 
 from .cuspchar import BesselFunction, CuspidalCharacter
 from .cyclo import CYC, CycNumber
-from .errors import EvenResidualCharacteristic, FamilyMismatch, NondegeneracyFailure, NotInJ
+from .errors import EvenResidualCharacteristic, FamilyMismatch, NondegeneracyFailure
 from .finitefield import AddChar, MultChar, gf
 from .matgroups import FiniteMatrix
 from .padic import PadicMatrix, iwasawa_NAK, theta_at, theta_class, vp_int
@@ -151,14 +151,6 @@ class SimpleTypeData:
         r, k = cls
         value = self.sigma.value(gf(self.p).constant(r), scal)
         return value * theta_at((self.p, k), scal, self.orientation)
-
-    def lam(self, j: PadicMatrix, scal=CYC):
-        """The character lambda of J in the ramified family."""
-        if self.family != RAMIFIED:
-            raise FamilyMismatch("lambda is only defined for the ramified family")
-        if not self.in_J(j):
-            raise NotInJ(f"{j!r} is not in J")
-        return self.lam_on_class(self.kernel_class(j), scal)
 
     def central_unit_value(self, u: int, scal=CYC):
         """Central character at an integer unit u."""

@@ -3,14 +3,16 @@
 The package evaluates theta, psi_t and lambda on residue classes; these
 helpers evaluate them on single rationals and matrices instead, so the
 tests can compare the two routes.  They also hold the Fraction-level p-adic
-primitives the tests build their points with, and the character of
-U = N(F) * J^1 that the Whittaker translation tests compare with.
+primitives the tests build their points with, the character of
+U = N(F) * J^1 that the Whittaker translation tests compare with, and the
+table of x**k modulo a cyclotomic polynomial that power bases are checked
+against.
 """
 
 import math
 from fractions import Fraction
 
-from rsexact.cyclo import CYC
+from rsexact.cyclo import CYC, cyclotomic_poly
 from rsexact.errors import RSExactError
 from rsexact.padic import PadicMatrix, theta_at, theta_class, vp_int
 from rsexact.simpletypes import DEPTH_ZERO, RAMIFIED, SimpleTypeData, psi_t_class
@@ -61,6 +63,30 @@ def theta_eval(p: int, x, cap: int, scal=CYC):
     """
     x = Fraction(x)
     return theta_at(theta_class(p, x.numerator, x.denominator, cap), scal)
+
+
+def power_rows(n: int):
+    """Row k is the integer coefficient vector of x**k modulo the monic n-th
+    cyclotomic polynomial, by the recurrence x**k = x * x**(k - 1)."""
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    rows = [[int(i == j) for i in range(deg)] for j in range(deg)]
+    for k in range(deg, n):
+        prev = rows[k - 1]
+        carry = prev[-1]
+        row = [0] + prev[:-1]
+        if carry:
+            for j in range(deg):
+                row[j] -= carry * phi[j]
+        rows.append(row)
+    return rows
+
+
+def lam(data: SimpleTypeData, j: PadicMatrix, scal=CYC):
+    """lambda of a ramified type at j, read on the kernel class of j; the
+    class cannot tell whether j lies in J, so that is asserted here."""
+    assert data.in_J(j), j
+    return data.lam_on_class(data.kernel_class(j), scal)
 
 
 def psi_t_eval(data: SimpleTypeData, n_mat: PadicMatrix, scal=CYC, sign: int = 1):

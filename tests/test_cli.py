@@ -18,8 +18,9 @@ import rsexact
 from rsexact import cli
 from rsexact.cli import ORACLE_KMAX, RunConfig, build_parser, config_from_args, main
 from rsexact.errors import TooLarge
+from rsexact.lmodular import pair_conductor
 from rsexact.padic import PadicMatrix
-from rsexact.simpletypes import RAMIFIED, make_type
+from rsexact.simpletypes import RAMIFIED, SimpleTypeData, make_type
 
 
 def run_cli(capsys, *argv):
@@ -280,6 +281,27 @@ class TestBesselTableCommand:
         assert all(t.in_J(PadicMatrix(g)) for g in gs)
         assert len({str(g) for g in gs}) == (p - 1) * p**5
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_ramified_table_reads_lambda_only_on_J(self, capsys, monkeypatch, p):
+        # lambda is read on kernel classes, and kernel_class does not test
+        # membership: every matrix the table classifies (each representative,
+        # its inverse and each sampled product) must lie in J
+        seen = []
+        kernel_class = SimpleTypeData.kernel_class
+
+        def spy(t, j):
+            seen.append((t, j))
+            return kernel_class(t, j)
+
+        monkeypatch.setattr(SimpleTypeData, "kernel_class", spy)
+        code, _, _ = run_cli(
+            capsys, "bessel-table", "--family", "ramified", "--p", str(p), "--sigma", "1")
+        assert code == 0
+        reps = (p - 1) * p**5
+        # rows, the identity, one inverse per row, three per sampled pair
+        assert len(seen) == reps + 1 + reps + 3 * 100
+        assert all(t.in_J(j) for t, j in seen)
+
     def test_gl3_table(self, capsys):
         code, out, _ = run_cli(
             capsys, "bessel-table", "--q", "2", "--n", "3", "--gl3",
@@ -520,6 +542,67 @@ class TestEngineSizeBound:
             else:
                 with pytest.raises(TooLarge):
                     cli._check_engine_size(cfg)
+
+
+class TestConductorBound:
+    @pytest.mark.parametrize("argv,message", [
+        (["reduce", "--q", "3", "--theta", "1", "--ell", "13", "--A", "zeta(1000003)"],
+         "has conductor 1000003"),
+        (["verify", "--q", "3", "--theta", "1", "--A2", "zeta(1000003)"],
+         "has conductor 1000003"),
+        (["bessel-table", "--q", "3", "--theta", "1", "--A", "zeta(1000003)^1000002"],
+         "has conductor 1000003"),
+        (["reduce", "--q", "17", "--theta", "1", "--ell", "5"], "of degree 1536"),
+        (["reduce", "--q", "3", "--theta", "1", "--ell", "13", "--A2", "zeta(101)"],
+         "of degree 800"),
+    ])
+    def test_oversized_conductor_is_refused_up_front(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err.startswith("configuration error:") and message in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_literal_limit(self):
+        assert cli._normalize_scalar("zeta(9973)^2") == "zeta(9973)^2"
+        assert cli._normalize_scalar("zeta(2) * zeta(5000)") == "-zeta(5000)"
+        with pytest.raises(TooLarge):
+            cli._normalize_scalar("zeta(10007)")
+        with pytest.raises(TooLarge):  # the lcm of the literal's moduli
+            cli._normalize_scalar("zeta(101) + zeta(103)")
+
+    @pytest.mark.parametrize("argv", [
+        ["--q", "3", "--theta", "1"],
+        ["--q", "5", "--theta", "2", "--A", "zeta(8)^3", "--A2", "zeta(12)"],
+        ["--q", "2", "--n", "3", "--gl3", "--theta", "1", "--twist", "1/2 * zeta(9)"],
+        ["--family", "ramified", "--p", "3", "--sigma", "1"],
+        ["--family", "ramified", "--p", "5", "--sigma", "1", "--A", "2 + zeta(7)",
+         "--twist", "zeta(4)"],
+    ])
+    def test_flag_conductor_is_the_pair_conductor(self, argv):
+        cfg = config_from_args(build_parser().parse_args(["reduce", *argv, "--ell", "5"]))
+        assert cli._conductor(cfg) == pair_conductor(*cli._make_types(cfg))
+
+    @pytest.mark.parametrize("family,p,n,A2,admitted", [
+        # phi of the conductor: 576, 440, 240, 416 and 600 are admitted
+        ("depth-zero", 13, 2, None, True), ("ramified", 11, 2, None, True),
+        ("depth-zero", 5, 3, None, True), ("depth-zero", 3, 2, "zeta(53)", True),
+        ("ramified", 3, 2, "zeta(101)", True),
+        # 1536, 1728 and 768 are refused
+        ("depth-zero", 17, 2, None, False), ("depth-zero", 19, 2, None, False),
+        ("depth-zero", 3, 2, "zeta(97)", False),
+    ])
+    def test_reduce_degree_limit_sits_between_the_admitted_and_refused_sizes(
+            self, family, p, n, A2, admitted):
+        cfg = RunConfig(command="reduce", family=family, p=p, n=n, gl3=n == 3,
+                        A2=A2, ell=5)
+        if admitted:
+            cli._check_reduce_degree(cfg)
+        else:
+            with pytest.raises(TooLarge):
+                cli._check_reduce_degree(cfg)
 
 
 # ---------------------------------------------------------------------------

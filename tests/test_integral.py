@@ -535,5 +535,5 @@ def test_oracle_check_reuses_engine_integral_and_mapper():
     assert calls == [[0, 1, 2, 3]]
     assert rows == oracle_check(pair, kmax=3)
     # the rows compare against the integral they are given
-    wrong = oracle_check(pair, kmax=3, I=I + I)
+    wrong = oracle_check(pair, kmax=3, I=I * Laurent.from_const(SCAL, SCAL.from_fraction(2)))
     assert not wrong[0]["match"]

@@ -133,7 +133,7 @@ class TestEmbedding:
     def test_vanishing_sum_of_roots(self):
         s = ResidueScalars(7, 3, 0)
         val = CYC.one() + cyc_embed_root(3, 1) + cyc_embed_root(3, 2)
-        assert s.embed_cyc(val).is_zero()
+        assert not s.embed_cyc(val)
 
     def test_embedding_is_a_ring_map(self):
         rng = random.Random(71)
@@ -217,7 +217,7 @@ class TestFieldArithmetic:
             a, b, c = rand(), rand(), rand()
             assert a * (b + c) == a * b + a * c
             assert (a - b) + b == a
-            if not a.is_zero():
+            if a:
                 assert a * a.inverse() == s.one()
 
     def test_frobenius_fixes_prime_field(self):
