@@ -186,7 +186,12 @@ def _check_engine_size(cfg: RunConfig) -> None:
     tested at the n + 4 slices k = -2..n+1 of the engine and
     cell_support_report; a slice tests p - 1 unit classes for n = 2, and
     for n = 3 each window pair (v1, v2) with v1 + v2 = k times the
-    (N cap K)\\K/K cells.
+    (N cap K)\\K/K cells.  At depth zero those points are decomposed once
+    per pair, and each cell tests every point against that table: a miss
+    is a lookup, a hit costs a product k_0 * cell and a class lookup.  So
+    the estimate adds the per-pair decompositions to one test per (cell,
+    point); the Bessel and Laurent work that now dominates a depth-zero run
+    is not counted yet.
     """
     p, n = cfg.p, cfg.n
     level = 1 if cfg.family == DEPTH_ZERO else 2
@@ -199,6 +204,8 @@ def _check_engine_size(cfg: RunConfig) -> None:
         pairs = sum(k - v1 in window for k in slices for v1 in window)
         per_cell = pairs * nk_cell_count(p, 1)
     tests = rows * per_cell
+    if cfg.family == DEPTH_ZERO:
+        tests += per_cell
     if tests > ENGINE_TEST_LIMIT:
         raise TooLarge(
             f"the engine at p = {p}, n = {n} needs about {tests:.1e} support tests, "

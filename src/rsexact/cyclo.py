@@ -19,7 +19,7 @@ power-basis vector modulo the N-th cyclotomic polynomial is produced only at
 serialization boundaries.
 
 The printable grammar is sums of terms ``a/b * zeta(N)^k``; ``parse`` and
-``str`` round-trip.
+``str`` round-trip, and an element formats its text once and keeps it.
 
 The integer helpers the package shares live here too: the prime-power
 splitting of N, a deterministic primality test and the integer cyclotomic
@@ -130,7 +130,7 @@ def _coerce(value):
 class CycNumber:
     """An element of Q(zeta_N), immutable."""
 
-    __slots__ = ("_N", "_c", "_d", "_canon")
+    __slots__ = ("_N", "_c", "_d", "_canon", "_text")
 
     def __init__(self, modulus: int, coeffs, den: int = 1):
         """The element sum(v * zeta_N**k) / den, for coeffs a dict or an
@@ -174,6 +174,7 @@ class CycNumber:
         self._c = c
         self._d = den
         self._canon: dict[int, tuple] = {}
+        # _text, str(self), is set by the first str() call
 
     # -- constructors ----------------------------------------------------
 
@@ -404,6 +405,15 @@ class CycNumber:
         return cls(modulus, enumerate(coords))
 
     def __str__(self) -> str:
+        try:
+            return self._text
+        except AttributeError:  # the first call formats and keeps the text
+            self._text = text = self._format()
+            return text
+
+    def _format(self) -> str:
+        """The canonical terms of the demoted element, in the grammar of
+        parse."""
         d = self.demote()
         terms = d._combined_canonical()
         if not terms:

@@ -23,6 +23,13 @@ N_2\\GL_2 cells embedded in the top block, with their own canonical volumes
 carried inside b_k.  Everything is scalar-generic: the same engine reruns
 over a residue field for the mod-ell corollary.
 
+At depth zero every point of b_k(kbar) is h * kbar with h cell-free
+(d(p^k a) for n = 2, an embedded diag(p^v) times a GL_2 cell for n = 3),
+and the support N Z K is right-K-invariant.  So each h is decomposed once
+per pair, h = n z^i k_0 or off the support, and every cell reuses that:
+a miss is skipped, a hit is evaluated at n z^i (k_0 kbar).  The ramified
+support is not right-K-invariant, and there each point is decomposed.
+
 An independent brute-force oracle sums W_1 W_2 Phi directly over canonical
 N\\G cells (valuation vectors in a window times (N cap K)\\K/K^m), carrying
 the explicit factor (q - 1) that relates the canonical normalization to the
@@ -73,6 +80,10 @@ def _embed_gl2(g: PadicMatrix) -> PadicMatrix:
     return PadicMatrix.from_ints([[a, b, 0], [c, d, 0], [0, 0, g.den]], g.den)
 
 
+# the _support entry of a point not decomposed yet (None marks a miss)
+_UNSEEN = object()
+
+
 class RSPair:
     """A pair of test vectors (W_1 in the psi_t model of type1, W_2 in the
     psi_t^{-1} model of type2, optionally twisted) with shared measure data."""
@@ -94,6 +105,10 @@ class RSPair:
         self.nu = volume(MeasureContext(self.p, self.n), ("PK_quot", self.level))
         self.kappa = self.scal.embed_cyc(self.W1.A_eff * self.W2.A_eff)
         self._table = {}
+        # depth zero: the points h of b_coefficient per slice k, and
+        # support_decompose(type1, h) per point, both kept for every cell
+        self._points = {}
+        self._support = {}
         self._pair_class = (functools.partial(_monomial_class, type1)
                             if type1.family == DEPTH_ZERO else type1.kernel_class)
 
@@ -105,9 +120,10 @@ class RSPair:
     def n_over_e(self) -> int:
         return self.n // self.e
 
-    def pair_value(self, g: PadicMatrix):
-        """W_1(g) W_2(g) from one support decomposition, or None off the
-        support, so that a sum over points skips it instead of adding zero.
+    def pair_value(self, g: PadicMatrix, cell: PadicMatrix | None = None):
+        """W_1 W_2 at g, or at g * cell when a cell is given, from one
+        support decomposition, or None off the support, so that a sum over
+        points skips it instead of adding zero.
 
         Both test vectors are supported on N <w_E> J, which depends only on
         the family, p and n; is_dual_pair has checked that the two types
@@ -118,11 +134,23 @@ class RSPair:
         Bessel kernels give psi(x) J_1(m) and psi(x)^{-1} J_2(m), because
         W_2 uses psi^{-1}, so the product is the one at m, term by term,
         and the key holds the monomial m (__init__ picks the class map).
+
+        A cell is for depth zero only and must lie in K: then g is
+        decomposed once per pair, kept in _support, and g * cell is read as
+        n z^i (k_0 * cell) from g = n z^i k_0 (b_coefficient has the
+        reason).
         """
-        dec = support_decompose(self.type1, g)
+        if cell is None:
+            dec = support_decompose(self.type1, g)
+        else:
+            dec = self._support.get(g, _UNSEEN)
+            if dec is _UNSEEN:
+                dec = self._support[g] = support_decompose(self.type1, g)
         if dec is None:
             return None
         i, n_mat, j0 = dec
+        if cell is not None:
+            j0 = j0 * cell
         key = (i, psi_t_class(self.type1, n_mat), self._pair_class(j0))
         value = self._table.get(key)
         if value is None:
@@ -135,14 +163,46 @@ def _monomial_class(data: SimpleTypeData, j0: PadicMatrix):
     return bruhat_cell(data.kernel_class(j0), data.p)[0]
 
 
-def _support_sum(pair: RSPair, points):
-    """The sum of W_1 W_2 over the points, skipping those off the support."""
+def _support_sum(pair: RSPair, points, cell: PadicMatrix | None = None):
+    """The sum of W_1 W_2 over the points (times the cell, if one is
+    given), skipping those off the support."""
     total = pair.scal.zero()
     for g in points:
-        value = pair.pair_value(g)
+        value = pair.pair_value(g, cell)
         if value is not None:
             total = total + value
     return total
+
+
+def _cell_free_points(pair: RSPair, k: int):
+    """The points h of slice k at depth zero, whose products h * kbar with
+    a cell kbar b_coefficient sums; kept per pair.
+
+    For n = 2 the list of d(p^k a_0) = diag(p^k a_0, 1), one per unit
+    class a_0 mod p.  For n = 3 one (weight, points) pair per window pair
+    (v_1, v_2) with v_1 + v_2 = k: the canonical N_2\\GL_2 cell volume and
+    the points diag(p^v_1, p^v_2) * inner, embedded in the upper block, one
+    per (N cap K)\\K/K^m cell inner of GL_2.
+    """
+    points = pair._points.get(k)
+    if points is not None:
+        return points
+    p = pair.p
+    if pair.n == 2:
+        points = [PadicMatrix.diagonal([Fraction(p) ** k * a0, 1]) for a0 in range(1, p)]
+    else:
+        m, w = pair.level, GL3_WINDOW
+        points = []
+        for v1 in range(-w, w + 1):
+            v2 = k - v1
+            if abs(v2) > w:
+                continue
+            x1, x2 = Fraction(p) ** v1, Fraction(p) ** v2
+            weight = pair.scal.from_fraction(ng_cell_volume(p, 2, m, (v1, v2)))
+            points.append((weight, [_embed_gl2(inner.scale_row(0, x1).scale_row(1, x2))
+                                    for inner in nk_cell_reps(p, m)]))
+    pair._points[k] = points
+    return points
 
 
 def b_coefficient(pair: RSPair, cell: PadicMatrix, k: int):
@@ -165,28 +225,30 @@ def b_coefficient(pair: RSPair, cell: PadicMatrix, k: int):
     lambda_1 lambda_2 = 1 on J^1 and W_1 W_2(g u) = W_1 W_2(g) for every
     pair an RSPair builds, dual or not, twisted or not (a twist scales A
     only).
+
+    At depth zero the support N Z K of both test vectors is right-K-
+    invariant, and every cell kbar lies in K.  So whether h * kbar is on
+    the support depends on the cell-free point h alone, and
+    h = n z^i k_0 gives h * kbar = n z^i (k_0 kbar): each h is decomposed
+    once per pair (RSPair.pair_value with a cell) and a cell only forms
+    k_0 kbar for the hits.  The ramified support N <w_E> J is not
+    right-K-invariant (J is not K), so there each point h * kbar is
+    decomposed on its own.
     """
     scal, p = pair.scal, pair.p
-    if pair.n == 2:
+    if pair.type1.family != DEPTH_ZERO:
         return _support_sum(pair, (
             cell.scale_row(0, a0 * p**k if k >= 0 else Fraction(a0, p**-k))
             for a0 in range(1, p)))
+    points = _cell_free_points(pair, k)
+    if pair.n == 2:
+        return _support_sum(pair, points, cell)
     # GL_3: N_3\P_3 = N_2\GL_2 embedded in the upper block, with its
     # canonical cell volumes; the slice of determinant valuation k collects
     # v = (v_1, v_2) with v_1 + v_2 = k.
-    m = pair.level
-    w = GL3_WINDOW
     total = scal.zero()
-    for v1 in range(-w, w + 1):
-        v2 = k - v1
-        if abs(v2) > w:
-            continue
-        x1, x2 = Fraction(p) ** v1, Fraction(p) ** v2
-        weight = scal.from_fraction(ng_cell_volume(p, 2, m, (v1, v2)))
-        total = total + weight * _support_sum(pair, (
-            _embed_gl2(inner.scale_row(0, x1).scale_row(1, x2)) * cell
-            for inner in nk_cell_reps(p, m)
-        ))
+    for weight, shell in points:
+        total = total + weight * _support_sum(pair, shell, cell)
     return total
 
 

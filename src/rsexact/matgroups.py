@@ -6,10 +6,11 @@ decomposition g = u_1 m u_2 into unitriangular and monomial factors.
 A FiniteMatrix holds its entries as ints mod a prime p, so products,
 determinants, inverses and the enumerations are integer arithmetic.
 
-Eigenvalues are located by scanning the field (and its quadratic/cubic
-extension) for roots of the characteristic polynomial, once per
-polynomial, which avoids any discriminant casework and works uniformly in
-characteristic 2.
+Eigenvalues in F_p are located by scanning the field for roots of the
+characteristic polynomial, once per polynomial, which avoids any
+discriminant casework and works uniformly in characteristic 2.  The roots
+of an irreducible one are read from a table of the Frobenius orbits of the
+degree-n extension, built in one pass per (p, n).
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ BESSEL_TERM_LIMIT = 10**6
 ORACLE_POINT_LIMIT = 10**6
 # support tests, |unimodular rows mod p^m| * (n + 4) slices * tests per slice,
 # the engine and its per-cell report may make; a slice tests p - 1 unit
-# classes for n = 2 and its window pairs times |(N cap K)\K/K| for n = 3
+# classes for n = 2 and its window pairs times |(N cap K)\K/K| for n = 3;
+# at depth zero, plus one decomposition per point for the whole pair
 ENGINE_TEST_LIMIT = 10**6
 # the conductor of a --A, --A2 or --twist literal: the lcm of its zeta(N)
 LITERAL_MODULUS_LIMIT = 10**4
@@ -188,12 +190,45 @@ def enumerate_unitriangular(field: GF, n: int):
 
 
 def _horner(coeffs, x):
-    """The polynomial with coefficients `coeffs`, low to high, at x (an
-    int or an element of an extension field)."""
+    """The polynomial with int coefficients `coeffs`, low to high, at the
+    int x."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+# sort key: the coordinates of a field element, in enumeration order
+_coords = operator.attrgetter("c")
+
+
+@cache
+def _elliptic_roots(p: int, n: int) -> dict:
+    """The root sets of the monic irreducible polynomials of degree n in
+    {2, 3} over F_p, keyed by their int coefficients mod p, low to high.
+
+    One pass over the Frobenius orbits {x, x^p, .., x^(p^(n-1))} of the
+    elements x of F_{p^n} outside F_p, its only proper subfield for n
+    prime: the orbit is the root set of prod(X - x^(p^i)), whose
+    coefficients lie in F_p.  Each set is built in the field's enumeration
+    order, the order a scan of the field finds its roots in.
+    """
+    field = gf(p, n)
+    table = {}
+    seen = set()
+    for x in field:
+        if x in seen or not any(x.c[1:]):
+            continue
+        orbit = [x]
+        for _ in range(n - 1):
+            orbit.append(orbit[-1] ** p)
+        seen.update(orbit)
+        poly = [field.one()]  # low to high
+        for root in orbit:  # times (X - root)
+            poly = [-root * poly[0]] + [
+                a - root * b for a, b in zip(poly, poly[1:])] + [poly[-1]]
+        table[tuple(c.c[0] for c in poly)] = frozenset(sorted(orbit, key=_coords))
+    return table
 
 
 @cache
@@ -209,8 +244,7 @@ def _eigenvalue_pattern(field: GF, coeffs: tuple):
     n = len(coeffs) - 1
     roots = [x for x in range(p) if not _horner(coeffs, x) % p]
     if not roots:
-        ext = [x for x in gf(p, n) if not _horner(coeffs, x)]
-        return ("elliptic", frozenset(ext))
+        return ("elliptic", _elliptic_roots(p, n)[coeffs])
     z = roots[0]
     power = tuple(comb(n, k) * (-z) ** (n - k) % p for k in range(n + 1))  # (x - z)^n
     if len(roots) == 1 and coeffs == power:

@@ -1,3 +1,4 @@
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -207,6 +208,27 @@ def test_format_examples():
     x = -cyc_embed_root(5, 2) + 2
     s = str(x)
     assert "zeta(5)" in s and parse_cyc(s) == x
+
+
+def test_str_is_formatted_once_per_element(monkeypatch):
+    """An element keeps its printed form: a second str formats nothing, and
+    an equal element built by arithmetic formats its own, to the same text."""
+    calls = []
+    real = CycNumber._format
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CycNumber, "_format", counted)
+    x = cyc_embed_root(12, 5) * Fraction(1, 2) - cyc_embed_root(8, 1) * 3 + 2
+    text = str(x)
+    assert str(x) is text and repr(x) == f"CycNumber.parse({text!r})"
+    assert len(calls) == 1
+    y = x + cyc_embed_root(4, 1) - cyc_embed_root(4, 1)
+    assert str(y) == text and len(calls) == 2
+    assert parse_cyc(text) == x
+    assert str(pickle.loads(pickle.dumps(x))) == text
 
 
 @st.composite

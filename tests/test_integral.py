@@ -19,10 +19,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rsexact import integral
 from rsexact.cyclo import CycScalars, cyc_embed_root
 from rsexact.errors import DepthExceeded, FamilyMismatch
+from rsexact.finitefield import gf
 from rsexact.integral import (
+    GL3_WINDOW,
     RSPair,
+    _cell_free_points,
+    _embed_gl2,
     _j1_coset_reps,
     b_coefficient,
     c_k_bruteforce,
@@ -35,7 +40,8 @@ from rsexact.integral import (
     z_omega,
 )
 from rsexact.lmodular import pair_conductor
-from rsexact.padic import PadicMatrix, nk_cell_reps, pk_cell_reps
+from rsexact.matgroups import enumerate_group
+from rsexact.padic import PadicMatrix, ng_cell_volume, nk_cell_reps, pk_cell_reps
 from rsexact.ratfun import Laurent, RationalFunction, series_coefficients
 from rsexact.residue import ResidueScalars
 from rsexact.simpletypes import (
@@ -230,6 +236,157 @@ def test_pair_value_is_right_j1_invariant(name):
 
     check()
     assert pair._table
+
+
+def dz_dual_types(q, n=2):
+    t = make_type(DEPTH_ZERO, q, n=n, theta=1)
+    return t, make_type(**t.dual_params())
+
+
+def _cell_free_flat(pair, ks):
+    """Every cell-free point of the slices ks, in engine order."""
+    out = []
+    for k in ks:
+        points = _cell_free_points(pair, k)
+        out += points if pair.n == 2 else [h for _, shell in points for h in shell]
+    return out
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3)])
+def test_depth_zero_support_is_right_K_invariant(q, n):
+    """support_decompose(h c) is None exactly when support_decompose(h) is,
+    for c in K: N Z K is right-K-invariant, which is what lets the engine
+    decompose each cell-free point once for every cell."""
+    pair = RSPair(*dz_dual_types(q, n))
+    t = pair.type1
+    engine_points = _cell_free_flat(pair, range(-2, n + 2))
+    entries = st.integers(-q**3, q**3)
+
+    def matrix(data, den):
+        return PadicMatrix.from_ints(
+            [[data.draw(entries) for _ in range(n)] for _ in range(n)], den)
+
+    residues = [g.ints for g in enumerate_group(gf(q), n)]
+
+    def k_element(data):
+        """A random element of K: a lift of an element of GL_n(F_q) plus q
+        times a random integral matrix."""
+        base, deep = data.draw(st.sampled_from(residues)), matrix(data, 1)
+        return PadicMatrix.from_ints(
+            [[b + q * d for b, d in zip(brow, drow)] for brow, drow in zip(base, deep.num)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def check(data):
+        source = data.draw(st.sampled_from(("engine", "support", "random")))
+        if source == "engine":
+            h = data.draw(st.sampled_from(engine_points))
+        elif source == "support":  # n p^i k with n unipotent, off K in general
+            unip = PadicMatrix([
+                [Fraction(int(i == j)) if j <= i else
+                 Fraction(data.draw(entries), q ** data.draw(st.integers(0, 2)))
+                 for j in range(n)] for i in range(n)])
+            h = unip * Fraction(q) ** data.draw(st.integers(-2, 2)) * k_element(data)
+        else:
+            h = matrix(data, data.draw(st.sampled_from((1, q, q * q))))
+            assume(h.det())
+        c = k_element(data)
+        dec = support_decompose(t, h)
+        assert (support_decompose(t, h * c) is None) == (dec is None), (h, c)
+        if source == "support":
+            assert dec is not None
+
+    check()
+
+
+def _point_walk(pair, cell, k):
+    """b_k as one support decomposition per point h * cell, the walk the
+    engine made before it decomposed the cell-free points once per pair."""
+    scal, p = pair.scal, pair.p
+
+    def walk(points):
+        total = scal.zero()
+        for g in points:
+            value = pair.pair_value(g)
+            if value is not None:
+                total = total + value
+        return total
+
+    if pair.n == 2:
+        return walk(cell.scale_row(0, a0 * Fraction(p) ** k) for a0 in range(1, p))
+    total = scal.zero()
+    for v1 in range(-GL3_WINDOW, GL3_WINDOW + 1):
+        v2 = k - v1
+        if abs(v2) > GL3_WINDOW:
+            continue
+        x1, x2 = Fraction(p) ** v1, Fraction(p) ** v2
+        weight = scal.from_fraction(ng_cell_volume(p, 2, pair.level, (v1, v2)))
+        total = total + weight * walk(
+            _embed_gl2(inner.scale_row(0, x1).scale_row(1, x2)) * cell
+            for inner in nk_cell_reps(p, pair.level))
+    return total
+
+
+class TestCellFreeSupport:
+    """At depth zero b_coefficient decomposes each cell-free point h once
+    per pair and forms k_0 * cell for the hits only."""
+
+    @pytest.mark.parametrize("q, n, t1, t2", [
+        (2, 2, 1, 2), (3, 2, 1, 5), (3, 2, 1, 2), (5, 2, 1, 19), (5, 2, 1, 2),
+        (7, 2, 1, 47), (7, 2, 1, 2), (2, 3, 1, 6), (2, 3, 1, 1), (3, 3, 1, 25),
+        (3, 3, 1, 2),
+    ])
+    def test_every_cell_matches_the_point_walk(self, q, n, t1, t2):
+        types = (make_type(DEPTH_ZERO, q, n=n, theta=t1),
+                 make_type(DEPTH_ZERO, q, n=n, theta=t2))
+        pair, walk_pair = RSPair(*types), RSPair(*types)
+        zero = pair.scal.zero()
+        nonzero = 0
+        for _, cell in pk_cell_reps(q, n, pair.level):
+            for k in range(-2, n + 2):
+                got, want = b_coefficient(pair, cell, k), _point_walk(walk_pair, cell, k)
+                assert raw(got) == raw(want), (cell, k)
+                nonzero += got != zero
+        assert nonzero > 0
+
+    def test_gl2_q7_makes_36_support_tests(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        report = verify_main_theorem(*dz_dual_types(7))
+        assert report.passed
+        assert len(calls) == 36 == 6 * (7 - 1)  # slices -2..3, 6 unit classes each
+
+    def test_gl3_q3_tests_each_cell_free_point_once(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        report = verify_main_theorem(*dz_dual_types(3, 3))
+        assert report.passed
+        points = _cell_free_flat(report.pair, range(-2, 5))
+        # 22 window pairs with v_1 + v_2 in -2..4, 16 GL_2 cells each
+        assert len(calls) == len(set(points)) == len(points) == 22 * 16
+        assert set(calls) == set(points)
+
+    @pytest.mark.parametrize("q, n", [(7, 2), (3, 3)])
+    def test_every_hit_lies_in_K(self, q, n):
+        """A hit h is in K, so it decomposes as (0, 1, h) and h * cell as
+        (0, 1, h * cell): the table keys are the point walk's."""
+        pair = RSPair(*dz_dual_types(q, n))
+        integrate_over_K(pair)
+        hits = {h: dec for h, dec in pair._support.items() if dec is not None}
+        assert hits
+        for h, dec in hits.items():
+            assert h.in_K(q) and dec == (0, PadicMatrix.identity(n), h)
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Record every support_decompose call the engine makes."""
+        calls = []
+        real = integral.support_decompose
+
+        def counted(data, g):
+            calls.append(g)
+            return real(data, g)
+
+        monkeypatch.setattr(integral, "support_decompose", counted)
+        return calls
 
 
 class TestCenterFactor:

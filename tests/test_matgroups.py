@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from math import factorial
@@ -10,6 +11,8 @@ from rsexact.errors import TooLarge
 from rsexact.finitefield import gf
 from rsexact.matgroups import (
     FiniteMatrix,
+    _eigenvalue_pattern,
+    _elliptic_roots,
     bruhat_cell,
     classify_conjugacy,
     embed_block,
@@ -257,6 +260,36 @@ def test_classify_elliptic_orbit_structure():
         if kind == "elliptic":
             (x, y) = sorted(data, key=lambda e: e.c)
             assert y == x**3 or x == y**3
+
+
+@pytest.mark.parametrize("q,n", [(q, 2) for q in (2, 3, 5, 7, 11, 13)]
+                         + [(q, 3) for q in (2, 3, 5)])
+def test_elliptic_table_matches_a_root_scan(q, n):
+    """Every monic polynomial of degree n over F_q: an irreducible one reads
+    the root set a scan of F_{q^n} finds, in the same iteration order, and
+    one with a root in F_q is not in the Frobenius-orbit table."""
+    big = gf(q, n)
+    table = _elliptic_roots(q, n)
+    irreducible = 0
+    for tail in itertools.product(range(q), repeat=n):
+        coeffs = (*tail, 1)
+
+        def at(x):
+            acc = big.zero()
+            for c in reversed(coeffs):
+                acc = acc * x + c
+            return acc
+
+        if any(not at(big.constant(x)) for x in range(q)):
+            assert coeffs not in table, coeffs
+            continue
+        irreducible += 1
+        scan = frozenset(x for x in big if not at(x))
+        assert len(scan) == n
+        assert table[coeffs] == scan and list(table[coeffs]) == list(scan), coeffs
+        assert _eigenvalue_pattern(gf(q), coeffs) == ("elliptic", scan)
+    # (q^n - q) / n monic irreducibles of prime degree n
+    assert irreducible == len(table) == (q**n - q) // n
 
 
 def test_classify_central_matches_scalar():
