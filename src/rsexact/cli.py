@@ -46,7 +46,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
-from math import lcm, prod
+from math import prod
 
 from .cuspchar import bessel_convolution_check, finite_bessel
 from .cyclo import _prime_powers, is_prime, parse_cyc
@@ -60,17 +60,8 @@ from .integral import (
     oracle_rows_json,
     verify_main_theorem,
 )
-from .lmodular import verify_corollary
-from .matgroups import (
-    BESSEL_TERM_LIMIT,
-    ENGINE_TEST_LIMIT,
-    LITERAL_MODULUS_LIMIT,
-    ORACLE_POINT_LIMIT,
-    REDUCE_DEGREE_LIMIT,
-    FiniteMatrix,
-    enumerate_group,
-    order_gl,
-)
+from .lmodular import conductor, verify_corollary
+from .matgroups import FiniteMatrix, enumerate_group, order_gl
 from .padic import PadicMatrix, nk_cell_count
 from .simpletypes import DEPTH_ZERO, RAMIFIED, SimpleTypeData, make_type
 
@@ -129,6 +120,10 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
+# the conductor of a --A, --A2 or --twist literal: the lcm of its zeta(N)
+LITERAL_MODULUS_LIMIT = 10**4
+
+
 def _normalize_scalar(text: str | None) -> str | None:
     """Canonicalize a scalar literal so equal values compare equal; a
     literal whose conductor, the lcm of its zeta(N), exceeds
@@ -178,6 +173,13 @@ def _validate(cfg: RunConfig) -> None:
         _check_oracle_size(cfg)
 
 
+# support tests, |unimodular rows mod p^m| * (n + 4) slices * tests per slice,
+# the engine and its per-cell report may make; a slice tests p - 1 unit
+# classes for n = 2 and its window pairs times |(N cap K)\K/K| for n = 3;
+# at depth zero, plus one decomposition per point for the whole pair
+ENGINE_TEST_LIMIT = 10**6
+
+
 def _check_engine_size(cfg: RunConfig) -> None:
     """Refuse a verify or reduce run whose support tests, estimated before
     any type is built, exceed ENGINE_TEST_LIMIT.
@@ -215,17 +217,15 @@ def _check_engine_size(cfg: RunConfig) -> None:
 
 def _conductor(cfg: RunConfig) -> int:
     """The conductor lmodular.pair_conductor finds for the pair, read off the
-    flags before any type is built: lcm(p^cap, the character modulus
-    q^n - 1 or p - 1, the conductor of each literal)."""
-    p = cfg.p
-    if cfg.family == DEPTH_ZERO:
-        N = lcm(p, p**cfg.n - 1)
-    else:
-        N = lcm(p**2, p - 1)
-    for text in (cfg.A, cfg.A2, cfg.twist):
-        if text is not None:
-            N = lcm(N, parse_cyc(text).modulus)
-    return N
+    flags before any type is built."""
+    literals = (cfg.A, cfg.A2, cfg.twist)
+    return conductor(cfg.family, cfg.p, cfg.n,
+                     *(parse_cyc(text).modulus for text in literals if text is not None))
+
+
+# phi(N), the degree of the pair's cyclotomic field Q(zeta_N), that reduce
+# factors mod ell and reruns the engine in
+REDUCE_DEGREE_LIMIT = 600
 
 
 def _check_reduce_degree(cfg: RunConfig) -> None:
@@ -239,6 +239,11 @@ def _check_reduce_degree(cfg: RunConfig) -> None:
             f"reduce at conductor {N} works in Q(zeta_{N}) of degree {degree}, "
             f"more than the limit of {REDUCE_DEGREE_LIMIT}"
         )
+
+
+# pair points, (kmax + 1) * (window + 1) * |(N cap K)\K/K^m|, the brute-force
+# oracle may visit
+ORACLE_POINT_LIMIT = 10**6
 
 
 def _check_oracle_size(cfg: RunConfig) -> None:
@@ -320,6 +325,10 @@ def _fail_note(names) -> None:
 
 def _matrix_ints(g: FiniteMatrix) -> list:
     return [list(row) for row in g.ints]
+
+
+# Bessel terms, |GL_n(F_q)| * q^(n(n-1)/2), a full depth-zero table may cost
+BESSEL_TERM_LIMIT = 10**6
 
 
 def _check_table_size(table: str, terms: int) -> None:

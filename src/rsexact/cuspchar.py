@@ -72,10 +72,7 @@ class CuspidalCharacter:
                 return -self.central_value(data, scal)
             if kind == "split":
                 return scal.zero()
-            total = scal.zero()
-            for x in data:
-                total = total + self.theta.value(x, scal)
-            return -total
+            return -scal.sum(self.theta.value(x, scal) for x in data)
         if kind == "central":
             c = (q - 1) * (q * q - 1)
             return scal.from_fraction(c) * self.central_value(data, scal)
@@ -84,10 +81,7 @@ class CuspidalCharacter:
         if kind == "u3":
             return self.central_value(data, scal)
         if kind == "elliptic":
-            total = scal.zero()
-            for x in data:
-                total = total + self.theta.value(x, scal)
-            return total
+            return scal.sum(self.theta.value(x, scal) for x in data)
         return scal.zero()
 
     __call__ = value
@@ -175,10 +169,8 @@ class BesselFunction:
     def _cell_sum(self, m: FiniteMatrix):
         """J(m) by its definition, the |N|-sum."""
         scal = self.scal
-        total = scal.zero()
-        for u, psi_inv_u in self._terms:
-            total = total + psi_inv_u * self.chi.value(m * u, scal)
-        return self._inv_order * total
+        return self._inv_order * scal.sum(psi_inv_u * self.chi.value(m * u, scal)
+                                          for u, psi_inv_u in self._terms)
 
     __call__ = value
 
@@ -192,10 +184,8 @@ def finite_bessel(chi: CuspidalCharacter, psi: AddChar) -> BesselFunction:
 
 def mirabolic_convolution(b1: BesselFunction, b2: BesselFunction, g1, g2):
     """sum over N\\M of J1(g1 m^{-1}) J2(m g2), M the mirabolic subgroup."""
-    total = b1.scal.zero()
-    for m, m_inv in mirabolic_reps(b1.field, b1.n):
-        total = total + b1.value(g1 * m_inv) * b2.value(m * g2)
-    return total
+    return b1.scal.sum(b1.value(g1 * m_inv) * b2.value(m * g2)
+                       for m, m_inv in mirabolic_reps(b1.field, b1.n))
 
 
 def character_invariants(chi: CuspidalCharacter) -> dict:
@@ -221,17 +211,9 @@ def character_invariants(chi: CuspidalCharacter) -> dict:
     val = {g: chi.value(g) for g in G}
     eye = FiniteMatrix.identity(F, n)
 
-    inner = CYC.zero()
-    for g in G:
-        inner = inner + val[g] * val[g.inverse()]
-    norm_one = inner == len(G)
-
+    norm_one = CYC.sum(val[g] * val[g.inverse()] for g in G) == len(G)
     degree_ok = val[eye] == chi.degree_value()
-
-    total = CYC.zero()
-    for g in G:
-        total = total + val[g]
-    sum_zero = total.is_zero()
+    sum_zero = CYC.sum(val.values()).is_zero()
 
     central_ok = True
     for z in range(1, chi.q):
@@ -243,14 +225,12 @@ def character_invariants(chi: CuspidalCharacter) -> dict:
         if not central_ok:
             break
 
-    coset_sums: dict = {}
+    cosets: dict = {}
     for g in G:
-        key = n_right_coset_canonical(g)
-        s = coset_sums.get(key)
-        coset_sums[key] = val[g] if s is None else s + val[g]
+        cosets.setdefault(n_right_coset_canonical(g), []).append(val[g])
     n_size = len(enumerate_unitriangular(F, n))
-    cuspidal = len(coset_sums) == len(G) // n_size and all(
-        v.is_zero() for v in coset_sums.values()
+    cuspidal = len(cosets) == len(G) // n_size and all(
+        CYC.sum(values).is_zero() for values in cosets.values()
     )
 
     return {

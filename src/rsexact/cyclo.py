@@ -5,9 +5,11 @@ unity, stored as int numerators ``{exponent mod N: int}`` over one positive
 int denominator d, with gcd(d, numerators) = 1 (zero has d = 1); the
 constructor is the one place that reduces exponents, sums equal ones, drops
 what cancels and divides out the gcd.  Ring operations therefore run on
-ints: a product multiplies numerators and denominators, a sum scales both
-sides to the lcm of their denominators.  ``Fraction`` appears only at the
-boundaries (``raw_items``, ``power_basis``, ``rational_value``, ``str``).
+ints: a product multiplies numerators and denominators, and a sum, of two
+elements or of a whole sequence (``CycScalars.sum``), is one construction
+at the lcm of the moduli and of the denominators.  ``Fraction`` appears
+only at the boundaries (``raw_items``, ``power_basis``,
+``rational_value``, ``str``).
 Arithmetic never forces a canonical form; equality and zero tests reduce
 lazily to the basis of the roots zeta_N^k whose exponent k, taken mod each
 prime power p^a of N, is below phi(p^a).  That is the tensor product of the
@@ -31,6 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import gcd, lcm
 
 @cache
@@ -173,8 +176,8 @@ class CycNumber:
         self._N = modulus
         self._c = c
         self._d = den
-        self._canon: dict[int, tuple] = {}
-        # _text, str(self), is set by the first str() call
+        # _canon, canonical forms by conductor, is set by the first
+        # _canonical_at call and _text, str(self), by the first str() call
 
     # -- constructors ----------------------------------------------------
 
@@ -226,7 +229,11 @@ class CycNumber:
         k mod p^a < phi(p^a) for every prime power p^a of big, as int
         numerators keyed by k over one denominator, in normal form, so
         equal elements give equal pairs."""
-        cached = self._canon.get(big)
+        try:
+            cached = self._canon.get(big)
+        except AttributeError:  # the first canonical form of this element
+            self._canon = {}
+            cached = None
         if cached is not None:
             return cached
         pps = _crt_factors(big)
@@ -304,17 +311,7 @@ class CycNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        big = lcm(self._N, other._N)
-        a = self._raw_at(big).items()
-        b = other._raw_at(big).items()
-        d1, d2 = self._d, other._d
-        if d1 == d2:
-            return CycNumber(big, [*a, *b], d1)
-        den = lcm(d1, d2)
-        s1, s2 = den // d1, den // d2
-        terms = [(k, v * s1) for k, v in a]
-        terms += [(k, v * s2) for k, v in b]
-        return CycNumber(big, terms, den)
+        return _merge((self, other))
 
     __radd__ = __add__
 
@@ -439,6 +436,32 @@ class CycNumber:
         return _Parser(_tokenize(text)).parse()
 
 
+def _merge(values) -> CycNumber:
+    """The sum of a sequence of CycNumbers in one construction: every raw
+    term is read at the lcm of the moduli and scaled to the lcm of the
+    denominators.  At a fixed modulus the raw terms of an element are
+    unique (int numerators over the reduced denominator, cancelled
+    exponents dropped), so this is raw-equal to any order of pairwise
+    additions; one element is returned as it is."""
+    if len(values) == 1:
+        return values[0]
+    big = lcm(*[v._N for v in values])
+    den = lcm(*[v._d for v in values])
+    return CycNumber(big, chain.from_iterable(_scaled_terms(values, big, den)), den)
+
+
+def _scaled_terms(values, big: int, den: int):
+    """The raw terms of each value at modulus big over denominator den,
+    one value at a time, so a merge holds only its result and one value's
+    terms; the constructor reduces the exponents mod big."""
+    for v in values:
+        t, s = big // v._N, den // v._d
+        if t == 1 and s == 1:
+            yield v._c.items()
+        else:
+            yield [(k * t, c * s) for k, c in v._c.items()]
+
+
 def cyc_embed_root(modulus: int, k: int) -> CycNumber:
     """The root of unity zeta_modulus**k."""
     return CycNumber(modulus, {k: 1})
@@ -484,14 +507,14 @@ class _Parser:
         return tok
 
     def parse(self) -> CycNumber:
-        value = self.term()
+        terms = [self.term()]
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            terms.append(rhs if op == "+" else -rhs)
         if self.peek() is not None:
             raise ValueError(f"trailing input at {self.tokens[self.i:]!r}")
-        return value
+        return _merge(terms)
 
     def term(self) -> CycNumber:
         sign = 1
@@ -547,6 +570,11 @@ class CycScalars:
 
     def embed_cyc(self, value: CycNumber) -> CycNumber:
         return value
+
+    def sum(self, values) -> CycNumber:
+        """The sum of the values, in one merge (_merge); the only way the
+        package adds a sequence of cyclotomic numbers."""
+        return _merge(tuple(values))
 
 
 # the characteristic-zero context; every `scal` parameter defaults to it

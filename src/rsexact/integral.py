@@ -166,12 +166,8 @@ def _monomial_class(data: SimpleTypeData, j0: PadicMatrix):
 def _support_sum(pair: RSPair, points, cell: PadicMatrix | None = None):
     """The sum of W_1 W_2 over the points (times the cell, if one is
     given), skipping those off the support."""
-    total = pair.scal.zero()
-    for g in points:
-        value = pair.pair_value(g, cell)
-        if value is not None:
-            total = total + value
-    return total
+    return pair.scal.sum(v for g in points
+                         if (v := pair.pair_value(g, cell)) is not None)
 
 
 def _cell_free_points(pair: RSPair, k: int):
@@ -246,25 +242,12 @@ def b_coefficient(pair: RSPair, cell: PadicMatrix, k: int):
     # GL_3: N_3\P_3 = N_2\GL_2 embedded in the upper block, with its
     # canonical cell volumes; the slice of determinant valuation k collects
     # v = (v_1, v_2) with v_1 + v_2 = k.
-    total = scal.zero()
-    for weight, shell in points:
-        total = total + weight * _support_sum(pair, shell, cell)
-    return total
+    return scal.sum(weight * _support_sum(pair, shell, cell) for weight, shell in points)
 
 
 def cell_slices(pair: RSPair, cell: PadicMatrix) -> dict:
     """b_k for k in one determinant period [0, n)."""
     return {k: b_coefficient(pair, cell, k) for k in range(pair.n)}
-
-
-def inner_poly(pair: RSPair, slices: dict) -> Laurent:
-    """I_0 as a polynomial in X; for n = 2 the cell-volume factor q^k is
-    appended here, for n = 3 it is already inside b_k."""
-    scal = pair.scal
-    if pair.n == 3:
-        return Laurent(scal, slices)
-    return Laurent(scal, {k: b * scal.from_fraction(Fraction(pair.q) ** k)
-                          for k, b in slices.items()})
 
 
 @dataclass
@@ -275,25 +258,28 @@ class CellRecord:
 
 
 def integrate_over_K(pair: RSPair):
-    """T(X) = sum over (P cap K)\\K/K^m cells of nu_m * I_0; returns (T, log)."""
+    """T(X) = sum over (P cap K)\\K/K^m cells of nu_m * I_0; returns (T, log).
+
+    I_0 = sum_k b_k q^k X^k for n = 2; for n = 3 the cell volumes are
+    already inside b_k and the factor q^k is left out.  The nonzero b_k of
+    every cell go into one Laurent, so each degree is one sum over the
+    cells, which nu_m q^k then multiplies once."""
     scal = pair.scal
-    nu = scal.from_fraction(pair.nu)
-    total = Laurent.zero(scal)
-    log = []
-    for row, rep in pk_cell_reps(pair.p, pair.n, pair.level):
-        slices = cell_slices(pair, rep)
-        log.append(CellRecord(row=row, rep=rep, slices=slices))
-        total = total + inner_poly(pair, slices).scale(nu)
-    return total, log
+    log = [CellRecord(row=row, rep=rep, slices=cell_slices(pair, rep))
+           for row, rep in pk_cell_reps(pair.p, pair.n, pair.level)]
+    sums = Laurent(scal, [(k, b) for rec in log for k, b in rec.slices.items() if b])
+    T = Laurent(scal, {
+        k: b * scal.from_fraction(pair.nu * (pair.q**k if pair.n == 2 else 1))
+        for k, b in sums.items()})
+    return T, log
 
 
 def z_omega(pair: RSPair) -> RationalFunction:
     """Center integral against omega_1 omega_2 |det|^s and the standard Phi."""
     scal = pair.scal
-    unit_sum = scal.zero()
-    for u in range(1, pair.p):
-        unit_sum = unit_sum + pair.type1.central_unit_value(u, scal) * \
-            pair.type2.central_unit_value(u, scal)
+    unit_sum = scal.sum(pair.type1.central_unit_value(u, scal)
+                        * pair.type2.central_unit_value(u, scal)
+                        for u in range(1, pair.p))
     omega_p = pair.kappa**pair.e
     num = Laurent.from_const(scal, unit_sum)
     den = Laurent(scal, {0: scal.one(), pair.n: scal.zero() - omega_p})
@@ -321,8 +307,8 @@ def c_k_bruteforce(pair: RSPair, k: int, window: int = 4):
     if pair.n != 2:
         raise ValueError("the brute-force oracle is implemented for n = 2")
     scal, p, m = pair.scal, pair.p, pair.level
-    total = scal.zero()
     reps = nk_cell_reps(p, m)
+    shells = []
     for v1 in range(-window, window + 1):
         v2 = k - v1
         if abs(v2) > window:
@@ -331,9 +317,9 @@ def c_k_bruteforce(pair: RSPair, k: int, window: int = 4):
             continue  # Phi(e_2 g) = 0 unless the bottom row is integral
         x1, x2 = Fraction(p) ** v1, Fraction(p) ** v2
         vol = scal.from_fraction(ng_cell_volume(p, 2, m, (v1, v2)))
-        total = total + vol * _support_sum(
-            pair, (kbar.scale_row(0, x1).scale_row(1, x2) for kbar in reps))
-    return total * scal.from_fraction(Fraction(p - 1))
+        shells.append(vol * _support_sum(
+            pair, (kbar.scale_row(0, x1).scale_row(1, x2) for kbar in reps)))
+    return scal.sum(shells) * scal.from_fraction(Fraction(p - 1))
 
 
 def oracle_check(pair: RSPair, kmax: int = 6, window: int = 4, *,
@@ -458,10 +444,8 @@ def j1_kernel_sum(pair: RSPair, classes):
     """The sum of W1.kernel * W2.kernel over the J^1/K^2 representatives
     whose kernel classes are `classes`: each distinct class's product once,
     times its number of representatives."""
-    total = pair.scal.zero()
-    for cls, count in Counter(classes).items():
-        total = total + pair.W1.kernel(cls) * pair.W2.kernel(cls) * count
-    return total
+    return pair.scal.sum(pair.W1.kernel(cls) * pair.W2.kernel(cls) * count
+                         for cls, count in Counter(classes).items())
 
 
 def j1_average_report(pair: RSPair, cell_log) -> dict:
@@ -516,9 +500,7 @@ def j1_average_report(pair: RSPair, cell_log) -> dict:
     honest_ok = True
     for rec in cell_log[:2 if p == 3 else 0]:
         for k in range(pair.n):
-            direct = scal.zero()
-            for u in reps:
-                direct = direct + b_coefficient(pair, rec.rep * u, k) * coset_vol
+            direct = scal.sum(b_coefficient(pair, rec.rep * u, k) for u in reps) * coset_vol
             if direct != char_sum * rec.slices[k]:
                 honest_ok = False
     return {"values": values_ok, "lambda_vol": pair.type1.vol_J1,

@@ -33,7 +33,7 @@ from .integral import RSPair, integrate_over_K, rankin_selberg_I
 from .padic import vp_int
 from .ratfun import EulerFactor, Laurent, RationalFunction, euler_normalize
 from .residue import ResidueScalars
-from .simpletypes import SimpleTypeData, l_factor
+from .simpletypes import DEPTH_ZERO, SimpleTypeData, l_factor
 
 # -- the banal range ------------------------------------------------------
 
@@ -66,11 +66,18 @@ def require_banal(type1: SimpleTypeData, ell: int) -> None:
 # -- conductors and elementwise reduction ---------------------------------
 
 
-def type_conductor(t: SimpleTypeData) -> int:
+def conductor(family: str, p: int, n: int, *moduli: int) -> int:
     """Conductor of the cyclotomic field hosting every value the engine can
-    produce for this type (additive-character depth, kernel values, A)."""
-    char = t.theta or t.sigma
-    return lcm(t.p**t.cap, char.modulus, t.A.modulus)
+    produce for a pair of the family at p and n whose literals (A, A2,
+    twist) have the given moduli: lcm(p^e, p^(n/e) - 1, moduli), from the
+    additive-character depth p^e and the character modulus p^(n/e) - 1."""
+    e = 1 if family == DEPTH_ZERO else 2
+    return lcm(p**e, p ** (n // e) - 1, *moduli)
+
+
+def type_conductor(t: SimpleTypeData) -> int:
+    """The conductor of the type's own values and its A."""
+    return conductor(t.family, t.p, t.n, t.A.modulus)
 
 
 def pair_conductor(type1: SimpleTypeData, type2: SimpleTypeData,

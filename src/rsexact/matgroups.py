@@ -24,21 +24,6 @@ from .errors import TooLarge
 from .finitefield import GF, _prime, gf
 
 _ENUM_LIMIT = 10**8
-# Bessel terms, |GL_n(F_q)| * q^(n(n-1)/2), a full depth-zero table may cost
-BESSEL_TERM_LIMIT = 10**6
-# pair points, (kmax + 1) * (window + 1) * |(N cap K)\K/K^m|, the brute-force
-# oracle may visit
-ORACLE_POINT_LIMIT = 10**6
-# support tests, |unimodular rows mod p^m| * (n + 4) slices * tests per slice,
-# the engine and its per-cell report may make; a slice tests p - 1 unit
-# classes for n = 2 and its window pairs times |(N cap K)\K/K| for n = 3;
-# at depth zero, plus one decomposition per point for the whole pair
-ENGINE_TEST_LIMIT = 10**6
-# the conductor of a --A, --A2 or --twist literal: the lcm of its zeta(N)
-LITERAL_MODULUS_LIMIT = 10**4
-# phi(N), the degree of the pair's cyclotomic field Q(zeta_N), that reduce
-# factors mod ell and reruns the engine in
-REDUCE_DEGREE_LIMIT = 600
 
 
 def small_det(r):

@@ -2,9 +2,10 @@
 
 Coefficients live in a scalar context (cyclotomic numbers or a residue
 field); the code only uses ``+ - *``, ``inverse()``, truthiness and ``==`` on
-them.  RationalFunction keeps a canonical form -- numerator carries the X
-power, denominator is a polynomial with constant term 1 and no common factor
-with the numerator -- so structural equality is equality of functions.
+them, and the context's ``sum`` to add a sequence.  RationalFunction keeps
+a canonical form -- numerator carries the X power, denominator is a
+polynomial with constant term 1 and no common factor with the numerator --
+so structural equality is equality of functions.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ class Laurent:
 
     def __init__(self, scal, coeffs):
         """coeffs is a dict or an iterable of (degree, coefficient) pairs;
-        equal degrees are summed here and nowhere else, and each summed
-        coefficient is zero-tested once."""
+        the coefficients of each degree are added by one scal.sum, here and
+        nowhere else, and each sum is zero-tested once."""
         self.scal = scal
-        c: dict = {}
-        for k, v in coeffs.items() if isinstance(coeffs, dict) else coeffs:
-            w = c.get(k)
-            c[k] = v if w is None else w + v
-        self._c = {k: v for k, v in c.items() if v}
+        if not isinstance(coeffs, dict):
+            by_degree: dict = {}
+            for k, v in coeffs:
+                by_degree.setdefault(k, []).append(v)
+            coeffs = {k: scal.sum(vs) for k, vs in by_degree.items()}
+        self._c = {k: v for k, v in coeffs.items() if v}
 
     @classmethod
     def from_const(cls, scal, value) -> "Laurent":
@@ -297,12 +299,9 @@ def series_coefficients(f: RationalFunction, kmax: int):
     if not f.is_zero() and f.num.min_degree() < 0:
         raise NotExpandable("negative X powers survive in the numerator")
     scal = f.scal
+    den = [(j, d) for j, d in f.den.items() if j > 0]
     out = []
     for k in range(kmax + 1):
-        c = f.num.coeff(k)
-        for j in range(1, k + 1):
-            d = f.den.coeff(j)
-            if d:
-                c = c - d * out[k - j]
-        out.append(c)
+        tail = scal.sum(d * out[k - j] for j, d in den if j <= k)
+        out.append(f.num.coeff(k) - tail)
     return out

@@ -9,8 +9,8 @@ order of ell mod N.  Choosing one factor f0 fixes a ring morphism
 i.e. a choice of prime above ell.  The target field is the finitefield
 ``gf(ell, d, f0)`` and its elements are ``FFElement``s.  ResidueScalars
 wraps it in the same scalar-provider protocol the cyclotomic scalars
-implement (zero/one/from_fraction/root_of_unity/embed_cyc), so the whole
-integral engine can be rerun verbatim over the residue field.
+implement (zero/one/from_fraction/root_of_unity/embed_cyc/sum), so the
+whole integral engine can be rerun verbatim over the residue field.
 
 The factors come from the equal-degree splitting of Cantor and Zassenhaus
 (Math. Comp. 36, 1981) with a fixed-seed generator.  They are ordered by
@@ -151,7 +151,10 @@ class ResidueScalars:
             raise NotIntegralAtEll(
                 f"denominator {d} of {value} is divisible by ell={self.ell}"
             )
-        total = self.zero()
-        for e, c in nums.items():
-            total = total + self._omega_power(e) * c
+        total = self.sum(self._omega_power(e) * c for e, c in nums.items())
         return total * pow(d, -1, self.ell)
+
+    def sum(self, values) -> FFElement:
+        """The sum of the values: field elements are already reduced, so a
+        plain fold."""
+        return sum(values, self.zero())

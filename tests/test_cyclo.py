@@ -1,3 +1,5 @@
+import functools
+import operator
 import pickle
 import random
 import tracemalloc
@@ -231,6 +233,16 @@ def test_str_is_formatted_once_per_element(monkeypatch):
     assert str(pickle.loads(pickle.dumps(x))) == text
 
 
+def test_canonical_forms_are_kept_from_the_first_request():
+    """No canonical-form cache until an equality or zero test asks for one;
+    then one entry per conductor asked for."""
+    x = cyc_embed_root(12, 5) + cyc_embed_root(12, 7) * Fraction(1, 3)
+    assert not hasattr(x, "_canon")
+    assert x and x != cyc_embed_root(8, 1)
+    assert set(x._canon) == {12, 24}
+    assert not hasattr(pickle.loads(pickle.dumps(cyc_embed_root(5, 1))), "_canon")
+
+
 @st.composite
 def cyc_numbers(draw):
     n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12]))
@@ -451,6 +463,43 @@ def test_int_numerators_match_the_fraction_reference(xr, yr, e):
     if not y.is_zero():
         assert same(y.inverse(), ry.inverse())
         assert same(x * y.inverse(), rx * ry.inverse())
+
+
+# moduli of three and four prime powers, and divisors of them, so that a
+# sum reads most of its terms at an lcm that no summand has
+SUM_MODULI = [1, 3, 4, 5, 7, 12, 20, 28, 30, 60, 105, 210, 420]
+
+
+@st.composite
+def summand_lists(draw):
+    """(CycNumber, Ref) pairs built from the same raw terms, over mixed
+    moduli and denominators, with the negations of some of them so that
+    terms cancel; empty and one-element lists included."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(st.sampled_from(SUM_MODULI))
+        terms = draw(st.lists(st.tuples(
+            st.integers(0, n - 1),
+            st.one_of(st.integers(-9, 9),
+                      st.fractions(min_value=-9, max_value=9, max_denominator=30)),
+        ), max_size=3))
+        pairs.append((CycNumber(n, terms), Ref(n, terms)))
+    pairs += [(-x, -r) for x, r in pairs[:draw(st.integers(0, 2))]]
+    return draw(st.permutations(pairs))
+
+
+def raw(x: CycNumber) -> tuple:
+    return x._N, x._c, x._d
+
+
+@given(summand_lists())
+@settings(max_examples=300, deadline=None)
+def test_sum_is_raw_equal_to_the_left_fold(pairs):
+    xs = [x for x, _ in pairs]
+    total = CycScalars().sum(x for x in xs)
+    fold = functools.reduce(operator.add, xs[1:], xs[0]) if xs else CycNumber.zero()
+    assert raw(total) == raw(fold)
+    assert same(total, functools.reduce(operator.add, [r for _, r in pairs], Ref(1, {})))
 
 
 def test_scalar_context():

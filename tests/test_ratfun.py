@@ -173,3 +173,32 @@ def test_mul_div_round_trip(num_coeffs, den_tail, common_tail):
     g = RationalFunction(den, num) if not num.is_zero() else None
     if g is not None:
         assert f * g == RationalFunction.from_laurent(L({0: 1}))
+
+
+@st.composite
+def degree_terms(draw):
+    """(degree, CycNumber) pairs over mixed moduli and denominators, with
+    repeated degrees and negated copies so that some degrees cancel."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 8))):
+        n = draw(st.sampled_from([1, 3, 4, 12, 30, 60]))
+        terms = draw(st.lists(st.tuples(
+            st.integers(0, n - 1),
+            st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        ), max_size=3))
+        pairs.append((draw(st.integers(-2, 3)), CycNumber(n, terms)))
+    pairs += [(k, -v) for k, v in pairs[:draw(st.integers(0, 2))]]
+    return draw(st.permutations(pairs))
+
+
+@given(degree_terms())
+@settings(max_examples=200, deadline=None)
+def test_laurent_is_raw_equal_to_the_per_term_build(pairs):
+    want: dict = {}
+    for k, v in pairs:
+        want[k] = v if k not in want else want[k] + v
+    want = {k: v for k, v in want.items() if v}
+    got = Laurent(SCAL, iter(pairs))._c
+    assert got.keys() == want.keys()
+    assert all((v._N, v._c, v._d) == (want[k]._N, want[k]._c, want[k]._d)
+               for k, v in got.items())

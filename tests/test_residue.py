@@ -1,6 +1,8 @@
 """Tests for residue-field scalars (reduction of cyclotomic integers mod
 a chosen prime above ell)."""
 
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -190,6 +192,26 @@ class TestEmbedding:
         with pytest.raises(NotIntegralAtEll):
             s.embed_cyc(x)
         assert s.embed_cyc(x * 7) == per_term(s, x * 7)
+
+    @given(st.sampled_from([(7, 3), (5, 13), (29, 60), (11, 420)]), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_sum_is_the_fold(self, field, data):
+        # mixed moduli and denominators and negated copies that cancel; the
+        # residue sum is the fold and the image of the cyclotomic sum
+        ell, N = field
+        s = ResidueScalars(ell, N, 0)
+        terms = data.draw(st.lists(st.tuples(
+            st.sampled_from([d for d in range(1, N + 1) if N % d == 0]),
+            st.integers(0, N - 1),
+            st.fractions(min_value=-20, max_value=20, max_denominator=9)
+            .filter(lambda c: c.denominator % ell),
+        ), max_size=6))
+        cyc = [CYC.from_fraction(c) * cyc_embed_root(n, k) for n, k, c in terms]
+        cyc += [-x for x in cyc[:data.draw(st.integers(0, 2))]]
+        xs = [s.embed_cyc(x) for x in cyc]
+        fold = functools.reduce(operator.add, xs, s.zero())
+        assert s.sum(x for x in xs) == fold
+        assert s.embed_cyc(CYC.sum(cyc)) == fold
 
     def test_embed_requires_compatible_conductor(self):
         s = ResidueScalars(7, 3, 0)
