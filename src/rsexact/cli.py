@@ -176,7 +176,9 @@ def _validate(cfg: RunConfig) -> None:
 # support tests, |unimodular rows mod p^m| * (n + 4) slices * tests per slice,
 # the engine and its per-cell report may make; a slice tests p - 1 unit
 # classes for n = 2 and its window pairs times |(N cap K)\K/K| for n = 3;
-# at depth zero, plus one decomposition per point for the whole pair
+# at depth zero, plus one decomposition per point for the whole pair.  The
+# report tests its four ramified slices outside the period once per J^1
+# class, not per cell, so the ramified estimate over-counts them
 ENGINE_TEST_LIMIT = 10**6
 
 
@@ -193,7 +195,12 @@ def _check_engine_size(cfg: RunConfig) -> None:
     is a lookup, a hit costs a product k_0 * cell and a class lookup.  So
     the estimate adds the per-pair decompositions to one test per (cell,
     point); the Bessel and Laurent work that now dominates a depth-zero run
-    is not counted yet.
+    is not counted yet.  In the ramified family cell_support_report tests
+    its four slices k = -2, -1, n, n + 1 once per J^1 class of cells,
+    2(p - 1) classes against (p^2 - 1) p^2 cells, so the estimate
+    over-counts them; it keeps counting them per cell, and so keeps the
+    admitted sizes, until the estimate is re-derived from each family's
+    costs.
     """
     p, n = cfg.p, cfg.n
     level = 1 if cfg.family == DEPTH_ZERO else 2

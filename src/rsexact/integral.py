@@ -37,6 +37,26 @@ center-times-quotient route above.  Diagnostics check the per-cell laws in
 one pass over the cell log (the slice pattern and row law of the b_k, and
 the cell-mass identity behind the level constant u), the J^1-averages F_i,
 and the shell constancy that pins down mu.
+
+Each b_k(kbar) depends only on the double coset (P cap K) kbar J^1.  On
+the right, W_1 W_2 is J^1-invariant (b_coefficient has the proof).  On the
+left, p_0 = [[a, b], [0, 1]] in P cap K gives d(x) p_0 = n(x b) d(x a), and
+W_1 W_2 is left-N-invariant (psi_t times psi_t^-1), so b_k(p_0 kbar) is
+the sum over the unit classes a_0 a, which a reindexes.  A cell of
+(P cap K)\\K/K^m is its bottom row (c, d) mod p^m, and right
+multiplication by 1 + y in J^1, y = [[p alpha, p beta], [gamma, p delta]]
+with alpha, beta, gamma, delta in Z_p, sends it to
+
+  (c + p c alpha + d gamma, d + p c beta + p d delta).
+
+If d is a unit, gamma and delta move (c, d) to any row with the same d mod
+p; otherwise c is a unit, d stays in pZ_p, and alpha and beta move it to
+any row with the same c mod p.  So the ramified orbits are
+{d = d_0 mod p} for a unit d_0 and {c = c_0, d = 0 mod p} for a unit c_0,
+2(p - 1) of them against (p^2 - 1) p^2 cells (_j1_class).  At depth zero
+J^1 = K^1 = K^m, and each cell is its own class.  cell_support_report
+tests the slices outside the engine's period once per class; the engine
+still evaluates every cell.
 """
 
 from __future__ import annotations
@@ -359,6 +379,18 @@ def _row_slice(pair: RSPair, row) -> int:
     raise ValueError("row is not unimodular")
 
 
+def _j1_class(pair: RSPair, row) -> tuple:
+    """The (P cap K)\\K/J^1 class of the cell with bottom row `row` mod p^m:
+    (0, d mod p) for a unit d and (1, c mod p) otherwise in the ramified
+    family, the row itself at depth zero (the module docstring derives
+    the orbits)."""
+    if pair.type1.family == DEPTH_ZERO:
+        return tuple(row)
+    p = pair.p
+    c, d = row
+    return (0, d % p) if d % p else (1, c % p)
+
+
 def cell_support_report(pair: RSPair, cell_log) -> dict:
     """The per-cell laws of the engine, in one pass over the cell log.
 
@@ -374,6 +406,19 @@ def cell_support_report(pair: RSPair, cell_log) -> dict:
       u (q^{n/e} - 1) q^{-s n/e} with one level constant u, and no cell is
       nonzero off its slice s n/e (a cell with no nonzero slice passes).
 
+    The four slices outside the period are tested once per J^1 class of
+    cells and read for every cell of the class.  b_k is constant on each
+    double coset (P cap K) kbar J^1: W_1 W_2 is right-J^1-invariant
+    (b_coefficient) and left-N-invariant, and the units a of
+    p_0 = [[a, b], [0, 1]] in P cap K only reindex the unit classes a_0.
+    Right multiplication by 1 + y in J^1, y = [[p alpha, p beta],
+    [gamma, p delta]], sends the bottom row (c, d) to
+    (c + p c alpha + d gamma, d + p c beta + p d delta), so the orbits are
+    {d = d_0 mod p} for a unit d_0 and {c = c_0, d = 0 mod p} otherwise:
+    2(p - 1) ramified classes (_j1_class).  At depth zero J^1 = K^1 and
+    each cell is its own class.  Everything else reads the engine's own
+    slices of the cell, so it stays per cell.
+
     u is reported whenever the slices give one value.  A law that has
     failed is not checked on later cells.
     """
@@ -381,12 +426,23 @@ def cell_support_report(pair: RSPair, cell_log) -> dict:
     step = pair.n_over_e
     pattern_ok = row_ok = single_ok = True
     masses: dict[int, Fraction] = {}
+    # J^1 class -> b_k = 0 at every k outside the period
+    off_period_zero: dict[tuple, bool] = {}
+
+    def vanishes_off_period(rec: CellRecord) -> bool:
+        cls = _j1_class(pair, rec.row)
+        ok = off_period_zero.get(cls)
+        if ok is None:
+            ok = off_period_zero[cls] = all(
+                b_coefficient(pair, rec.rep, k) == zero
+                for k in (-2, -1, pair.n, pair.n + 1))
+        return ok
+
     for rec in cell_log:
         nz = {k for k, b in rec.slices.items() if b != zero}
         s = _row_slice(pair, rec.row) if pair.e == 2 else 0
-        pattern_ok = pattern_ok and not any(k % step for k in nz) and all(
-            b_coefficient(pair, rec.rep, k) == zero
-            for k in (-2, -1, pair.n, pair.n + 1))
+        pattern_ok = (pattern_ok and not any(k % step for k in nz)
+                      and vanishes_off_period(rec))
         row_ok = row_ok and nz == {s * step} and (
             pair.e != 2 or _factors_through_mirabolic(pair, rec, s))
         single_ok = single_ok and not nz - {s * step}
@@ -411,19 +467,19 @@ def _factors_through_mirabolic(pair: RSPair, rec: CellRecord, s: int) -> bool:
     j' = [[c, d], [0, c]]; in both cases p_0 must land in the mirabolic
     part of K (last row (0, 1)).
     """
-    c, d = (Fraction(int(x)) for x in rec.row)
+    c, d = rec.row
     if s == 0:
-        jp = PadicMatrix([[d, 0], [c, d]])
+        jp = PadicMatrix.from_ints([[d, 0], [c, d]])
         target = rec.rep
         full = jp
     else:
-        jp = PadicMatrix([[c, d], [0, c]])
+        jp = PadicMatrix.from_ints([[c, d], [0, c]])
         target = rec.rep.scale_row(0, pair.p)
         full = pair.type1.uniformizer() * jp
     if not pair.type1.in_J(jp):
         return False
     p0 = target * full.inverse()
-    return (p0.in_K(pair.p) and p0.rows[-1] == (Fraction(0), Fraction(1))
+    return (p0.in_K(pair.p) and p0.num[-1] == (0, p0.den)
             and p0 * full == target)
 
 

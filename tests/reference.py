@@ -4,9 +4,10 @@ The package evaluates theta, psi_t and lambda on residue classes; these
 helpers evaluate them on single rationals and matrices instead, so the
 tests can compare the two routes.  They also hold the Fraction-level p-adic
 primitives the tests build their points with, the character of
-U = N(F) * J^1 that the Whittaker translation tests compare with, and the
+U = N(F) * J^1 that the Whittaker translation tests compare with, the
 table of x**k modulo a cyclotomic polynomial that power bases are checked
-against.
+against, and the per-cell laws of the engine with the slices outside the
+period tested on every cell, not once per J^1 class.
 """
 
 import math
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 from rsexact.cyclo import CYC, cyclotomic_poly
 from rsexact.errors import RSExactError
+from rsexact.integral import _row_slice, b_coefficient
 from rsexact.padic import PadicMatrix, theta_at, theta_class, vp_int
 from rsexact.simpletypes import DEPTH_ZERO, RAMIFIED, SimpleTypeData, psi_t_class
 
@@ -153,3 +155,51 @@ def extended_psi_on_U(data: SimpleTypeData, g: PadicMatrix):
             data.p, Fraction(data.orientation) * beta_trace(data, y), data.cap
         )
     return value
+
+
+def cell_support_report_per_cell(pair, cell_log) -> dict:
+    """integral.cell_support_report with b_k = 0 at k in {-2, -1, n, n + 1}
+    tested on every cell of the log, and the row law on Fraction matrices."""
+    zero = pair.scal.zero()
+    step = pair.n_over_e
+    pattern_ok = row_ok = single_ok = True
+    masses = {}
+    for rec in cell_log:
+        nz = {k for k, b in rec.slices.items() if b != zero}
+        s = _row_slice(pair, rec.row) if pair.e == 2 else 0
+        pattern_ok = pattern_ok and not any(k % step for k in nz) and all(
+            b_coefficient(pair, rec.rep, k) == zero
+            for k in (-2, -1, pair.n, pair.n + 1))
+        row_ok = row_ok and nz == {s * step} and (
+            pair.e != 2 or factors_through_mirabolic(pair, rec, s))
+        single_ok = single_ok and not nz - {s * step}
+        masses[s] = masses.get(s, Fraction(0)) + pair.nu
+    u_vals = {mass * pair.q ** (s * step) / (pair.q**step - 1)
+              for s, mass in masses.items()}
+    u = u_vals.pop() if len(u_vals) == 1 else None
+    return {
+        "slice_pattern": pattern_ok,
+        "row_law": row_ok,
+        "cell_mass": u is not None and single_ok,
+        "u": u,
+    }
+
+
+def factors_through_mirabolic(pair, rec, s: int) -> bool:
+    """integral._factors_through_mirabolic on Fraction entries: the cell
+    is p_0 j' (slice 0) or diag(p, 1) times it is p_0 w_E j' (slice 1), with
+    p_0 in K of last row (0, 1) and j' in J."""
+    c, d = (Fraction(x) for x in rec.row)
+    if s == 0:
+        jp = PadicMatrix([[d, 0], [c, d]])
+        target = rec.rep
+        full = jp
+    else:
+        jp = PadicMatrix([[c, d], [0, c]])
+        target = rec.rep.scale_row(0, pair.p)
+        full = pair.type1.uniformizer() * jp
+    if not pair.type1.in_J(jp):
+        return False
+    p0 = target * full.inverse()
+    return (p0.in_K(pair.p) and p0.rows[-1] == (Fraction(0), Fraction(1))
+            and p0 * full == target)

@@ -28,9 +28,11 @@ from rsexact.integral import (
     RSPair,
     _cell_free_points,
     _embed_gl2,
+    _j1_class,
     _j1_coset_reps,
     b_coefficient,
     c_k_bruteforce,
+    cell_support_report,
     integrate_over_K,
     oracle_check,
     j1_average_report,
@@ -51,6 +53,8 @@ from rsexact.simpletypes import (
     psi_t_class,
     support_decompose,
 )
+
+from reference import cell_support_report_per_cell
 
 SCAL = CycScalars()
 
@@ -236,6 +240,95 @@ def test_pair_value_is_right_j1_invariant(name):
 
     check()
     assert pair._table
+
+
+class TestJ1Classes:
+    """cell_support_report tests the slices outside the period once per
+    (P cap K)\\K/J^1 class of cells, keyed by _j1_class."""
+
+    @pytest.mark.parametrize("name", sorted(J1_PAIRS))
+    def test_every_cell_matches_its_class_representative(self, name):
+        pair = J1_PAIRS[name]()
+        zero = pair.scal.zero()
+        ks = range(-2, pair.n + 2)
+        by_class = {}
+        nonzero = 0
+        for row, cell in pk_cell_reps(pair.p, 2, pair.level):
+            got = {k: b_coefficient(pair, cell, k) for k in ks}
+            want = by_class.setdefault(_j1_class(pair, row), got)
+            assert got == want, row
+            nonzero += sum(b != zero for b in got.values())
+        assert len(by_class) == 2 * (pair.p - 1)
+        assert nonzero > 0
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_ramified_classes_are_the_j1_orbits(self, p):
+        """The class is constant under the generators 1 + t E_21 and
+        1 + p t E_ij (ij != 21) of J^1 mod K^2, so each orbit lies in one
+        class, and there are as many classes as orbits, 2(p - 1)."""
+        pair = ram_pair(p, 1, 1)
+        mod = p * p
+        gens = [((1, 0), (t, 1)) for t in range(1, mod)]
+        gens += [g for t in range(p, mod, p)
+                 for g in (((1 + t, 0), (0, 1)), ((1, t), (0, 1)), ((1, 0), (0, 1 + t)))]
+        rows = [row for row, _ in pk_cell_reps(p, 2, pair.level)]
+        assert len(rows) == (p * p - 1) * p * p
+        for c, d in rows:
+            cls = _j1_class(pair, (c, d))
+            for (a, b), (e, f) in gens:
+                assert _j1_class(pair, ((c * a + d * e) % mod, (c * b + d * f) % mod)) == cls
+        assert len({_j1_class(pair, row) for row in rows}) == 2 * (p - 1)
+
+    @pytest.mark.parametrize("q, n", [(3, 2), (5, 2), (2, 3)])
+    def test_each_depth_zero_cell_is_its_own_class(self, q, n):
+        pair = RSPair(*dz_dual_types(q, n))
+        rows = [row for row, _ in pk_cell_reps(q, n, pair.level)]
+        assert len({_j1_class(pair, row) for row in rows}) == len(rows)
+
+    @pytest.mark.parametrize("pair, calls", [
+        (lambda: ram_pair(5, 1, 3), 4 * 8),
+        (lambda: RSPair(*dz_dual_types(5)), 4 * 24),
+        (lambda: RSPair(*dz_dual_types(2, 3)), 4 * 7),
+    ])
+    def test_report_tests_four_slices_per_class(self, monkeypatch, pair, calls):
+        pair = pair()
+        _, log = integrate_over_K(pair)
+        seen = []
+        real = integral.b_coefficient
+
+        def counted(pair, cell, k):
+            seen.append(k)
+            return real(pair, cell, k)
+
+        monkeypatch.setattr(integral, "b_coefficient", counted)
+        report = cell_support_report(pair, log)
+        assert report["slice_pattern"] and report["row_law"] and report["cell_mass"]
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("name", [*sorted(J1_PAIRS), "dz-q3"])
+    def test_report_matches_the_per_cell_walk(self, name):
+        pair = RSPair(*dz_dual_types(3)) if name == "dz-q3" else J1_PAIRS[name]()
+        _, log = integrate_over_K(pair)
+        assert cell_support_report(pair, log) == cell_support_report_per_cell(pair, log)
+
+    def test_a_nonzero_off_period_slice_fails_the_pattern(self, monkeypatch):
+        """b_n made nonzero on the class of the last cell only: the class
+        test must still see it."""
+        pair = ram_pair(5, 1, 3)
+        _, log = integrate_over_K(pair)
+        assert cell_support_report(pair, log)["slice_pattern"]
+        target = _j1_class(pair, log[-1].row)
+        real = integral.b_coefficient
+
+        def patched(pair, cell, k):
+            if k == pair.n and _j1_class(pair, cell.num[-1]) == target:
+                return pair.scal.one()
+            return real(pair, cell, k)
+
+        monkeypatch.setattr(integral, "b_coefficient", patched)
+        report = cell_support_report(pair, log)
+        assert not report["slice_pattern"]
+        assert report["row_law"] and report["cell_mass"]
 
 
 def dz_dual_types(q, n=2):
