@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,7 +72,7 @@ from .padic import (
     MeasureContext,
     PadicMatrix,
     ng_cell_volume,
-    nk_cell_reps,
+    ng_shell,
     pk_cell_reps,
     volume,
     vp_int,
@@ -197,8 +196,7 @@ def _cell_free_points(pair: RSPair, k: int):
     For n = 2 the list of d(p^k a_0) = diag(p^k a_0, 1), one per unit
     class a_0 mod p.  For n = 3 one (weight, points) pair per window pair
     (v_1, v_2) with v_1 + v_2 = k: the canonical N_2\\GL_2 cell volume and
-    the points diag(p^v_1, p^v_2) * inner, embedded in the upper block, one
-    per (N cap K)\\K/K^m cell inner of GL_2.
+    the points of ng_shell(p, m, (v_1, v_2)) embedded in the upper block.
     """
     points = pair._points.get(k)
     if points is not None:
@@ -213,10 +211,8 @@ def _cell_free_points(pair: RSPair, k: int):
             v2 = k - v1
             if abs(v2) > w:
                 continue
-            x1, x2 = Fraction(p) ** v1, Fraction(p) ** v2
             weight = pair.scal.from_fraction(ng_cell_volume(p, 2, m, (v1, v2)))
-            points.append((weight, [_embed_gl2(inner.scale_row(0, x1).scale_row(1, x2))
-                                    for inner in nk_cell_reps(p, m)]))
+            points.append((weight, [_embed_gl2(g) for g in ng_shell(p, m, (v1, v2))]))
     pair._points[k] = points
     return points
 
@@ -322,12 +318,13 @@ def c_k_bruteforce(pair: RSPair, k: int, window: int = 4):
     Sums W_1 W_2 Phi(e_n g) over g = diag(p^v1, p^v2) kbar with
     v1 + v2 = k, |v_i| <= window, kbar in (N cap K)\\K/K^m, weighting each
     cell by its canonical volume and the overall factor (q - 1) that aligns
-    the canonical normalization with the center-times-quotient route.
+    the canonical normalization with the center-times-quotient route.  Each
+    point is built once, by ng_shell from the cached representatives, and
+    decomposed once.
     """
     if pair.n != 2:
         raise ValueError("the brute-force oracle is implemented for n = 2")
     scal, p, m = pair.scal, pair.p, pair.level
-    reps = nk_cell_reps(p, m)
     shells = []
     for v1 in range(-window, window + 1):
         v2 = k - v1
@@ -335,10 +332,8 @@ def c_k_bruteforce(pair: RSPair, k: int, window: int = 4):
             continue
         if v2 < 0:
             continue  # Phi(e_2 g) = 0 unless the bottom row is integral
-        x1, x2 = Fraction(p) ** v1, Fraction(p) ** v2
         vol = scal.from_fraction(ng_cell_volume(p, 2, m, (v1, v2)))
-        shells.append(vol * _support_sum(
-            pair, (kbar.scale_row(0, x1).scale_row(1, x2) for kbar in reps)))
+        shells.append(vol * _support_sum(pair, ng_shell(p, m, (v1, v2))))
     return scal.sum(shells) * scal.from_fraction(Fraction(p - 1))
 
 
@@ -485,7 +480,8 @@ def _factors_through_mirabolic(pair: RSPair, rec: CellRecord, s: int) -> bool:
 
 def _j1_coset_reps(p: int):
     """Representatives of J^1 / K^2 for the ramified order: 1 + y with
-    y_11, y_12, y_22 in pZ/p^2 and y_21 in Z/p^2."""
+    y_11, y_12, y_22 in pZ/p^2 and y_21 in Z/p^2, in the order of
+    _j1_coset_rep's index."""
     out = []
     step = range(0, p * p, p)
     for y11 in step:
@@ -496,12 +492,30 @@ def _j1_coset_reps(p: int):
     return out
 
 
-def j1_kernel_sum(pair: RSPair, classes):
-    """The sum of W1.kernel * W2.kernel over the J^1/K^2 representatives
-    whose kernel classes are `classes`: each distinct class's product once,
-    times its number of representatives."""
+def _j1_coset_rep(p: int, index: int) -> PadicMatrix:
+    """_j1_coset_reps(p)[index], from the digits of the index alone:
+    index = ((i_11 p + i_12) p^2 + y_21) p + i_22 with y_11 = p i_11,
+    y_12 = p i_12 and y_22 = p i_22."""
+    rest, i22 = divmod(index, p)
+    rest, y21 = divmod(rest, p * p)
+    i11, i12 = divmod(rest, p)
+    return PadicMatrix.from_ints(((1 + p * i11, p * i12), (y21, 1 + p * i22)))
+
+
+def j1_kernel_sum(pair: RSPair, counts):
+    """The sum of W1.kernel * W2.kernel over J^1/K^2 representatives, from
+    `counts`, the number of representatives in each kernel class: each
+    class's product once, times its count.
+
+    For _j1_coset_reps the counts need no matrix.  kernel_class reads
+    u = 1 + y as r = 1 + y_11 = 1 mod p and
+    k = (p y_21 + y_12) / (p (1 + y_11)) = y_21 + y_12 / p mod p, so every
+    class is (1, k).  For each k, y_11, y_12 and y_22 are free (p values
+    each) and y_21 in Z/p^2 is one of the p lifts of k - y_12 / p mod p:
+    each of the p classes holds p^4 of the p^5 representatives.
+    """
     return pair.scal.sum(pair.W1.kernel(cls) * pair.W2.kernel(cls) * count
-                         for cls, count in Counter(classes).items())
+                         for cls, count in counts.items())
 
 
 def j1_average_report(pair: RSPair, cell_log) -> dict:
@@ -526,11 +540,10 @@ def j1_average_report(pair: RSPair, cell_log) -> dict:
     p = pair.p
     W1, W2 = pair.W1, pair.W2
     lam_vol = scal.from_fraction(pair.type1.vol_J1)
-    reps = _j1_coset_reps(p)
-    classes = [pair.type1.kernel_class(u) for u in reps]
     coset_vol = scal.from_fraction(Fraction(1, p**4))
-    # character average over J^1 (the factorized route)
-    char_sum = j1_kernel_sum(pair, classes) * coset_vol
+    # character average over J^1 (the factorized route), from the class
+    # counts j1_kernel_sum derives
+    char_sum = j1_kernel_sum(pair, {(1, k): p**4 for k in range(p)}) * coset_vol
     values_ok = True
     for rec in cell_log:
         for k, b in rec.slices.items():
@@ -547,18 +560,22 @@ def j1_average_report(pair: RSPair, cell_log) -> dict:
         if not g.det():
             continue
         checked += 1
-        index = rng.randrange(len(reps))
-        u, cls = reps[index], classes[index]
+        u = _j1_coset_rep(p, rng.randrange(p**5))
+        cls = pair.type1.kernel_class(u)
         for W in (W1, W2):
             if W.value(g * u) != W.value(g) * W.kernel(cls):
                 law_ok = False
-    # honest double sum on the first two cells at p = 3
+    # honest double sum on the first two cells at p = 3, the one place
+    # every representative is built
     honest_ok = True
-    for rec in cell_log[:2 if p == 3 else 0]:
-        for k in range(pair.n):
-            direct = scal.sum(b_coefficient(pair, rec.rep * u, k) for u in reps) * coset_vol
-            if direct != char_sum * rec.slices[k]:
-                honest_ok = False
+    if p == 3:
+        reps = _j1_coset_reps(p)
+        for rec in cell_log[:2]:
+            for k in range(pair.n):
+                direct = scal.sum(b_coefficient(pair, rec.rep * u, k)
+                                  for u in reps) * coset_vol
+                if direct != char_sum * rec.slices[k]:
+                    honest_ok = False
     return {"values": values_ok, "lambda_vol": pair.type1.vol_J1,
             "honest": honest_ok, "translation_law": law_ok}
 

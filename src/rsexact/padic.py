@@ -17,6 +17,7 @@ integral in the package is stated against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -359,12 +360,15 @@ def nk_cell_count(p: int, m: int) -> int:
     return units * units * (p ** (m - 1) + p**m)
 
 
-def nk_cell_reps(p: int, m: int):
-    """Representatives of (N cap K)\\K/K^m for GL_2.
+@functools.cache
+def nk_cell_reps(p: int, m: int) -> tuple:
+    """Representatives of (N cap K)\\K/K^m for GL_2, built once per (p, m).
 
     Two branches by the reduction of the bottom-left entry: c = 0 mod p
     forces d to be a unit and the representative [[a, 0], [c, d]] with a a
-    unit; c a unit gives [[0, b], [c, d]] with b a unit and d free.
+    unit; c a unit gives [[0, b], [c, d]] with b a unit and d free.  The
+    cache holds nk_cell_count(p, m) matrices per (p, m), which
+    cli.ORACLE_POINT_LIMIT bounds for every oracle run.
     """
     mod = p**m
     units = [x for x in range(mod) if x % p]
@@ -372,9 +376,24 @@ def nk_cell_reps(p: int, m: int):
     for a in units:
         for c in range(0, mod, p):
             for d in units:
-                out.append(PadicMatrix([[a, 0], [c, d]]))
+                out.append(PadicMatrix.from_ints([[a, 0], [c, d]]))
     for b in units:
         for c in units:
             for d in range(mod):
-                out.append(PadicMatrix([[0, b], [c, d]]))
-    return out
+                out.append(PadicMatrix.from_ints([[0, b], [c, d]]))
+    return tuple(out)
+
+
+def ng_shell(p: int, m: int, v) -> list:
+    """The N\\G cells diag(p^v_1, p^v_2) * kbar of one valuation vector
+    v = (v_1, v_2), one per kbar in nk_cell_reps(p, m), in that order.
+
+    Every kbar is integral with denominator 1, so each point is the integer
+    rows of kbar scaled by p^(v_i + e) over p^e, e = max(0, -v_1, -v_2),
+    reduced once.
+    """
+    v1, v2 = v
+    e = max(0, -v1, -v2)
+    s1, s2, den = p ** (v1 + e), p ** (v2 + e), p**e
+    return [PadicMatrix.from_ints([[x * s1 for x in r1], [x * s2 for x in r2]], den)
+            for r1, r2 in (kbar.num for kbar in nk_cell_reps(p, m))]

@@ -7,7 +7,8 @@ primitives the tests build their points with, the character of
 U = N(F) * J^1 that the Whittaker translation tests compare with, the
 table of x**k modulo a cyclotomic polynomial that power bases are checked
 against, and the per-cell laws of the engine with the slices outside the
-period tested on every cell, not once per J^1 class.
+period tested on every cell, not once per J^1 class, and the brute-force
+oracle as a walk that scales each representative's rows one at a time.
 """
 
 import math
@@ -16,7 +17,7 @@ from fractions import Fraction
 from rsexact.cyclo import CYC, cyclotomic_poly
 from rsexact.errors import RSExactError
 from rsexact.integral import _row_slice, b_coefficient
-from rsexact.padic import PadicMatrix, theta_at, theta_class, vp_int
+from rsexact.padic import PadicMatrix, ng_cell_volume, theta_at, theta_class, vp_int
 from rsexact.simpletypes import DEPTH_ZERO, RAMIFIED, SimpleTypeData, psi_t_class
 
 
@@ -203,3 +204,32 @@ def factors_through_mirabolic(pair, rec, s: int) -> bool:
     p0 = target * full.inverse()
     return (p0.in_K(pair.p) and p0.rows[-1] == (Fraction(0), Fraction(1))
             and p0 * full == target)
+
+
+def nk_cell_reps_fractions(p: int, m: int) -> list:
+    """padic.nk_cell_reps, in the same order, built through the Fraction
+    path of PadicMatrix."""
+    mod = p**m
+    units = [x for x in range(mod) if x % p]
+    out = [PadicMatrix([[a, 0], [c, d]])
+           for a in units for c in range(0, mod, p) for d in units]
+    out += [PadicMatrix([[0, b], [c, d]])
+            for b in units for c in units for d in range(mod)]
+    return out
+
+
+def c_k_point_walk(pair, k: int, window: int = 4):
+    """integral.c_k_bruteforce with every point diag(p^v1, p^v2) kbar made
+    by two row scalings of a freshly built representative."""
+    scal, p, m = pair.scal, pair.p, pair.level
+    reps = nk_cell_reps_fractions(p, m)
+    shells = []
+    for v1 in range(-window, window + 1):
+        v2 = k - v1
+        if abs(v2) > window or v2 < 0:
+            continue
+        x1, x2 = Fraction(p) ** v1, Fraction(p) ** v2
+        vol = scal.from_fraction(ng_cell_volume(p, 2, m, (v1, v2)))
+        values = (pair.pair_value(kbar.scale_row(0, x1).scale_row(1, x2)) for kbar in reps)
+        shells.append(vol * scal.sum(v for v in values if v is not None))
+    return scal.sum(shells) * scal.from_fraction(Fraction(p - 1))

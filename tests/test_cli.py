@@ -435,6 +435,17 @@ class TestOracleCheckCommand:
         rows2 = json.loads(out2)["rows"]
         assert rows1 == rows2
 
+    def test_ramified_jobs_do_not_change_rows(self, capsys):
+        rows = []
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(
+                capsys, "oracle-check", "--family", "ramified", "--p", "3",
+                "--sigma", "1", "--jobs", jobs)
+            assert code == 0
+            rows.append(json.loads(out)["rows"])
+        assert rows[0] == rows[1]
+        assert len(rows[0]) == 7 and all(r["match"] for r in rows[0])
+
     def test_rows_equal_the_verify_oracle_block(self, capsys):
         flags = ["--q", "3", "--theta", "1", "--window", "3"]
         _, out_rows, _ = run_cli(capsys, "oracle-check", *flags)

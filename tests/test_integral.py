@@ -13,6 +13,7 @@ measure bookkeeping.
 
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from rsexact.integral import (
     _cell_free_points,
     _embed_gl2,
     _j1_class,
+    _j1_coset_rep,
     _j1_coset_reps,
     b_coefficient,
     c_k_bruteforce,
@@ -54,7 +56,7 @@ from rsexact.simpletypes import (
     support_decompose,
 )
 
-from reference import cell_support_report_per_cell
+from reference import c_k_point_walk, cell_support_report_per_cell
 
 SCAL = CycScalars()
 
@@ -633,7 +635,19 @@ class TestJ1Average:
         direct = SCAL.zero()
         for cls in classes:
             direct = direct + pair.W1.kernel(cls) * pair.W2.kernel(cls)
-        assert j1_kernel_sum(pair, classes) == direct
+        assert j1_kernel_sum(pair, Counter(classes)) == direct
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_every_kernel_class_holds_p4_representatives(self, p):
+        # the counts j1_average_report passes to j1_kernel_sum
+        data = make_type(RAMIFIED, p, sigma=1)
+        counts = Counter(data.kernel_class(u) for u in _j1_coset_reps(p))
+        assert counts == {(1, k): p**4 for k in range(p)}
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_coset_rep_from_index_digits(self, p):
+        reps = _j1_coset_reps(p)
+        assert [_j1_coset_rep(p, i) for i in range(p**5)] == reps
 
 
 class TestGL3:
@@ -769,6 +783,21 @@ class TestPickledPair:
         if pair.n == 2:
             for k in range(3):
                 assert c_k_bruteforce(copy, k, 3) == c_k_bruteforce(pair, k, 3)
+
+
+@pytest.mark.parametrize("name", ["ramified", "ramified non-dual", "depth-zero"])
+def test_oracle_matches_the_point_walk_in_raw_form(name):
+    """c_k_bruteforce builds each point with ng_shell from cached
+    representatives; the raw terms must be the row-scaling walk's."""
+    if name == "ramified":
+        pair = ram_pair(3, 1, 1)
+    elif name == "ramified non-dual":
+        pair = ram_pair(3, 1, 0)
+    else:
+        pair = dz_pair(3, 1, 5)
+    for k in range(7):
+        got, want = c_k_bruteforce(pair, k), c_k_point_walk(pair, k)
+        assert (got._N, got._c, got._d) == (want._N, want._c, want._d), k
 
 
 def test_oracle_check_reuses_engine_integral_and_mapper():

@@ -17,6 +17,7 @@ from rsexact.padic import (
     iwasawa_NAK,
     iwasawa_PZK,
     ng_cell_volume,
+    ng_shell,
     nk_cell_count,
     nk_cell_reps,
     pk_cell_reps,
@@ -24,7 +25,8 @@ from rsexact.padic import (
     volume,
     vp_int,
 )
-from rsexact.simpletypes import DEPTH_ZERO, make_type
+from rsexact.integral import RSPair, c_k_bruteforce
+from rsexact.simpletypes import DEPTH_ZERO, RAMIFIED, make_type
 
 from reference import int_mod, theta_eval, upper_unipotent, val_p
 
@@ -362,6 +364,36 @@ def test_nk_cells_partition(p, m):
             if q[0][0] == 1 and q[1][1] == 1 and q[1][0] == 0:
                 hits += 1
         assert hits == 1
+
+
+def test_nk_cell_reps_are_built_once():
+    reps = nk_cell_reps(3, 2)
+    assert isinstance(reps, tuple)
+    assert nk_cell_reps(3, 2) is reps
+
+
+@given(p=st.sampled_from([2, 3, 5]), m=st.sampled_from([1, 2]),
+       v1=st.integers(-4, 4), v2=st.integers(-4, 4))
+@settings(max_examples=60, deadline=None)
+def test_ng_shell_matches_row_scaling(p, m, v1, v2):
+    # the points the oracle walked before ng_shell: two row scalings per rep
+    x1, x2 = Fraction(p) ** v1, Fraction(p) ** v2
+    old = [kbar.scale_row(0, x1).scale_row(1, x2) for kbar in nk_cell_reps(p, m)]
+    assert ng_shell(p, m, (v1, v2)) == old
+
+
+def test_ramified_oracle_builds_points_without_row_scaling(monkeypatch):
+    t1 = make_type(RAMIFIED, 3, sigma=1)
+    pair = RSPair(t1, make_type(**t1.dual_params()))
+    misses = nk_cell_reps.cache_info().misses
+
+    def refuse(*args):
+        raise AssertionError("scale_row called by the oracle")
+
+    monkeypatch.setattr(PadicMatrix, "scale_row", refuse)
+    for k in range(7):
+        c_k_bruteforce(pair, k)
+    assert nk_cell_reps.cache_info().misses - misses <= 1
 
 
 def test_nk_total_mass_matches_quotient():
