@@ -478,42 +478,37 @@ def _factors_through_mirabolic(pair: RSPair, rec: CellRecord, s: int) -> bool:
             and p0 * full == target)
 
 
-def _j1_coset_reps(p: int):
-    """Representatives of J^1 / K^2 for the ramified order: 1 + y with
-    y_11, y_12, y_22 in pZ/p^2 and y_21 in Z/p^2, in the order of
-    _j1_coset_rep's index."""
-    out = []
-    step = range(0, p * p, p)
-    for y11 in step:
-        for y12 in step:
-            for y21 in range(p * p):
-                for y22 in step:
-                    out.append(PadicMatrix.from_ints(((1 + y11, y12), (y21, 1 + y22))))
-    return out
-
-
 def _j1_coset_rep(p: int, index: int) -> PadicMatrix:
-    """_j1_coset_reps(p)[index], from the digits of the index alone:
-    index = ((i_11 p + i_12) p^2 + y_21) p + i_22 with y_11 = p i_11,
-    y_12 = p i_12 and y_22 = p i_22."""
+    """The representative of J^1 / K^2 for the ramified order numbered
+    `index` < p^5: 1 + y with y_11 = p i_11, y_12 = p i_12, y_22 = p i_22
+    and y_21 in Z/p^2, where index = ((i_11 p + i_12) p^2 + y_21) p + i_22."""
     rest, i22 = divmod(index, p)
     rest, y21 = divmod(rest, p * p)
     i11, i12 = divmod(rest, p)
     return PadicMatrix.from_ints(((1 + p * i11, p * i12), (y21, 1 + p * i22)))
 
 
-def j1_kernel_sum(pair: RSPair, counts):
-    """The sum of W1.kernel * W2.kernel over J^1/K^2 representatives, from
-    `counts`, the number of representatives in each kernel class: each
-    class's product once, times its count.
+def _j1_coset_reps(p: int):
+    """All p^5 representatives of J^1 / K^2, in the order of their index."""
+    return [_j1_coset_rep(p, i) for i in range(p**5)]
 
-    For _j1_coset_reps the counts need no matrix.  kernel_class reads
-    u = 1 + y as r = 1 + y_11 = 1 mod p and
+
+def _j1_class_counts(p: int) -> dict:
+    """The number of _j1_coset_reps(p) in each kernel class, with no matrix.
+
+    kernel_class reads u = 1 + y as r = 1 + y_11 = 1 mod p and
     k = (p y_21 + y_12) / (p (1 + y_11)) = y_21 + y_12 / p mod p, so every
     class is (1, k).  For each k, y_11, y_12 and y_22 are free (p values
     each) and y_21 in Z/p^2 is one of the p lifts of k - y_12 / p mod p:
     each of the p classes holds p^4 of the p^5 representatives.
     """
+    return {(1, k): p**4 for k in range(p)}
+
+
+def j1_kernel_sum(pair: RSPair, counts):
+    """The sum of W1.kernel * W2.kernel over J^1/K^2 representatives, from
+    `counts`, the number of representatives in each kernel class
+    (_j1_class_counts): each class's product once, times its count."""
     return pair.scal.sum(pair.W1.kernel(cls) * pair.W2.kernel(cls) * count
                          for cls, count in counts.items())
 
@@ -541,9 +536,8 @@ def j1_average_report(pair: RSPair, cell_log) -> dict:
     W1, W2 = pair.W1, pair.W2
     lam_vol = scal.from_fraction(pair.type1.vol_J1)
     coset_vol = scal.from_fraction(Fraction(1, p**4))
-    # character average over J^1 (the factorized route), from the class
-    # counts j1_kernel_sum derives
-    char_sum = j1_kernel_sum(pair, {(1, k): p**4 for k in range(p)}) * coset_vol
+    # character average over J^1 (the factorized route), from the class counts
+    char_sum = j1_kernel_sum(pair, _j1_class_counts(p)) * coset_vol
     values_ok = True
     for rec in cell_log:
         for k, b in rec.slices.items():

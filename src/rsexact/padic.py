@@ -384,9 +384,10 @@ def nk_cell_reps(p: int, m: int) -> tuple:
     return tuple(out)
 
 
-def ng_shell(p: int, m: int, v) -> list:
+def ng_shell(p: int, m: int, v):
     """The N\\G cells diag(p^v_1, p^v_2) * kbar of one valuation vector
-    v = (v_1, v_2), one per kbar in nk_cell_reps(p, m), in that order.
+    v = (v_1, v_2), one per kbar in nk_cell_reps(p, m), in that order, built
+    one at a time.
 
     Every kbar is integral with denominator 1, so each point is the integer
     rows of kbar scaled by p^(v_i + e) over p^e, e = max(0, -v_1, -v_2),
@@ -395,5 +396,5 @@ def ng_shell(p: int, m: int, v) -> list:
     v1, v2 = v
     e = max(0, -v1, -v2)
     s1, s2, den = p ** (v1 + e), p ** (v2 + e), p**e
-    return [PadicMatrix.from_ints([[x * s1 for x in r1], [x * s2 for x in r2]], den)
-            for r1, r2 in (kbar.num for kbar in nk_cell_reps(p, m))]
+    return (PadicMatrix.from_ints([[x * s1 for x in r1], [x * s2 for x in r2]], den)
+            for r1, r2 in (kbar.num for kbar in nk_cell_reps(p, m)))
