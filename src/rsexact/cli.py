@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import prod
 
-from .cuspchar import bessel_convolution_check, finite_bessel
+from .cuspchar import bessel_convolution_holds, finite_bessel
 from .cyclo import _prime_powers, is_prime, parse_cyc
 from .errors import NonBanal, NotIntegralAtEll, RSExactError, TooLarge
 from .finitefield import AddChar, gf
@@ -348,6 +348,15 @@ def _check_table_size(table: str, terms: int) -> None:
         )
 
 
+def _convolution_pairs(G: list, p: int, n: int) -> list:
+    """The pairs of GL_n(F_p) the convolution check covers: every pair when
+    there are at most 2 500, else 200 seeded ones."""
+    if len(G) ** 2 <= 2500:
+        return [(g1, g2) for g1 in G for g2 in G]
+    rng = random.Random(1009 * p + 17 * n)
+    return [(rng.choice(G), rng.choice(G)) for _ in range(200)]
+
+
 def _depth_zero_table(cfg: RunConfig, t1: SimpleTypeData):
     terms = order_gl(cfg.p, cfg.n) * cfg.p ** (cfg.n * (cfg.n - 1) // 2)
     _check_table_size(f"a GL_{cfg.n}(F_{cfg.p}) Bessel table", terms)
@@ -360,12 +369,8 @@ def _depth_zero_table(cfg: RunConfig, t1: SimpleTypeData):
 
     identity_ok = J.value(FiniteMatrix.identity(field, cfg.n)) == 1
     duality_ok = all(Jdual.value(g) == J.value(g.inverse()) for g in G)
-    if len(G) ** 2 <= 2500:
-        pairs = [(g1, g2) for g1 in G for g2 in G]
-    else:
-        rng = random.Random(1009 * cfg.p + 17 * cfg.n)
-        pairs = [(rng.choice(G), rng.choice(G)) for _ in range(200)]
-    convolution_ok = all(bessel_convolution_check(J, J, g1, g2) for g1, g2 in pairs)
+    pairs = _convolution_pairs(G, cfg.p, cfg.n)
+    convolution_ok = bessel_convolution_holds(J, pairs)
     checks = {
         "identity": identity_ok,
         "duality": duality_ok,

@@ -9,6 +9,18 @@ is a class function, J(u_1 g u_2) = psi(u_1) psi(u_2) J(g) for u_1, u_2 in
 N, so the |N|-sum runs once per monomial matrix m and every other value is
 psi(x) J(m), read off the Bruhat decomposition g = u_1 m u_2.
 
+The same law turns the mirabolic reproducing identity
+sum_{m in N\\M} J(g_1 m^-1) J(m g_2) = J(g_1 g_2) into a question about
+cells.  Write (m_1, x_1) for the Bruhat coordinates of g_1 m^-1, (m_2, x_2)
+for those of m g_2 (both depend on m) and (m_3, x_3) for those of g_1 g_2.
+The identity reads sum_m psi(x_1 + x_2) J(m_1) J(m_2) = psi(x_3) J(m_3).
+psi(-x_3) is a unit, so it holds exactly when
+sum_m psi(x_1 + x_2 - x_3) J(m_1) J(m_2) = J(m_3).  Addition commutes, so
+this depends only on the multiset of terms (m_1, m_2, x_1 + x_2 - x_3) and
+on m_3.  Pairs with the same key have the same verdict, and
+bessel_convolution_holds sums one pair per key: 104 sums for the 2 304
+pairs of GL_2(F_3).
+
 Correctness of the value tables is certified in the test-suite by structural
 invariants (irreducibility, vanishing of all Borel-induction pairings,
 unipotent-sum vanishing, degree, central character) rather than by the
@@ -19,6 +31,7 @@ sign character of S_3.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .cyclo import CYC
 from .errors import NotRegular
@@ -154,16 +167,19 @@ class BesselFunction:
         cached = self._memo.get(g.ints)
         if cached is not None:
             return cached
-        p = self.field.p
-        m, x = bruhat_cell(g.ints, p)
+        out = self._memo[g.ints] = self.cell_value(*bruhat_cell(g.ints, self.field.p))
+        return out
+
+    def cell_value(self, m, x: int):
+        """psi(x) J(m), the value at every g with Bruhat coordinates (m, x):
+        m the int rows of a monomial matrix, x in [0, p)."""
         cell = self._cells.get(m)
         if cell is None:
             j_m = self._cell_sum(FiniteMatrix._of(self.field, m))
-            cell = self._cells[m] = [j_m] + [None] * (p - 1)
+            cell = self._cells[m] = [j_m] + [None] * (self.field.p - 1)
         out = cell[x]
         if out is None:
             out = cell[x] = self.psi.value(x, self.scal) * cell[0]
-        self._memo[g.ints] = out
         return out
 
     def _cell_sum(self, m: FiniteMatrix):
@@ -180,12 +196,6 @@ class BesselFunction:
 
 def finite_bessel(chi: CuspidalCharacter, psi: AddChar) -> BesselFunction:
     return BesselFunction(chi, psi)
-
-
-def mirabolic_convolution(b1: BesselFunction, b2: BesselFunction, g1, g2):
-    """sum over N\\M of J1(g1 m^{-1}) J2(m g2), M the mirabolic subgroup."""
-    return b1.scal.sum(b1.value(g1 * m_inv) * b2.value(m * g2)
-                       for m, m_inv in mirabolic_reps(b1.field, b1.n))
 
 
 def character_invariants(chi: CuspidalCharacter) -> dict:
@@ -242,11 +252,46 @@ def character_invariants(chi: CuspidalCharacter) -> dict:
     }
 
 
-def bessel_convolution_check(b1: BesselFunction, b2, g1, g2) -> bool:
-    """Does the mirabolic convolution of J1 and J2 reproduce J1 at g1 g2?
+def bessel_convolution_holds(J: BesselFunction, pairs) -> bool:
+    """Does the mirabolic convolution of J with itself reproduce J at g1 g2
+    for every pair (g1, g2)?
 
-    Used with b2 the Bessel function of the same character; the identity is
-    the finite-level analogue of the Whittaker-coefficient reproducing
-    formula.
+    The verdict is that of checking sum_m J(g1 m^-1) J(m g2) == J(g1 g2) pair
+    by pair, m over the representatives of N\\M, but each Bruhat class of
+    pairs is summed once (module docstring): the key of a pair is the
+    multiset of terms (m1, m2, x1 + x2 - x3) with the cell m3 of g1 g2, and
+    only the first pair of each key is summed, as sum psi(s) J(m1) J(m2)
+    against J(m3).  The cells of g1 m^-1 and m g2 are listed once per distinct
+    g1 and g2, each matrix's Bruhat coordinates are read once, and the check
+    stops at the first key that fails.  Every value is J.cell_value, the
+    lookup J.value makes, so the key cannot drift from the table.  The
+    caches live for one call; the products psi(s) J(m1) * J(m2) are not
+    kept, because few recur across keys once the pairs are sampled.
     """
-    return mirabolic_convolution(b1, b2, g1, g2) == b1.value(g1 * g2)
+    p = J.field.p
+    reps = mirabolic_reps(J.field, J.n)
+
+    @cache
+    def cell(rows):
+        return bruhat_cell(rows, p)
+
+    @cache
+    def left(g1):
+        return [cell((g1 * m_inv).ints) for _, m_inv in reps]
+
+    @cache
+    def right(g2):
+        return [cell((m * g2).ints) for m, _ in reps]
+
+    checked = set()
+    for g1, g2 in pairs:
+        m3, x3 = cell((g1 * g2).ints)
+        terms = tuple(sorted((m1, m2, (x1 + x2 - x3) % p)
+                             for (m1, x1), (m2, x2) in zip(left(g1), right(g2))))
+        if (terms, m3) in checked:
+            continue
+        checked.add((terms, m3))
+        total = J.scal.sum(J.cell_value(m1, s) * J.cell_value(m2, 0) for m1, m2, s in terms)
+        if not total == J.cell_value(m3, 0):
+            return False
+    return True

@@ -7,8 +7,10 @@ primitives the tests build their points with, the character of
 U = N(F) * J^1 that the Whittaker translation tests compare with, the
 table of x**k modulo a cyclotomic polynomial that power bases are checked
 against, and the per-cell laws of the engine with the slices outside the
-period tested on every cell, not once per J^1 class, and the brute-force
-oracle as a walk that scales each representative's rows one at a time.
+period tested on every cell, not once per J^1 class, the brute-force
+oracle as a walk that scales each representative's rows one at a time, and
+the mirabolic convolution of Bessel functions summed pair by pair, not once
+per Bruhat class of pairs.
 """
 
 import math
@@ -17,6 +19,7 @@ from fractions import Fraction
 from rsexact.cyclo import CYC, cyclotomic_poly
 from rsexact.errors import RSExactError
 from rsexact.integral import _row_slice, b_coefficient
+from rsexact.matgroups import mirabolic_reps
 from rsexact.padic import PadicMatrix, ng_cell_volume, theta_at, theta_class, vp_int
 from rsexact.simpletypes import DEPTH_ZERO, RAMIFIED, SimpleTypeData, psi_t_class
 
@@ -233,3 +236,21 @@ def c_k_point_walk(pair, k: int, window: int = 4):
         values = (pair.pair_value(kbar.scale_row(0, x1).scale_row(1, x2)) for kbar in reps)
         shells.append(vol * scal.sum(v for v in values if v is not None))
     return scal.sum(shells) * scal.from_fraction(Fraction(p - 1))
+
+
+def mirabolic_convolution(b1, b2, g1, g2):
+    """sum over N\\M of J1(g1 m^{-1}) J2(m g2), M the mirabolic subgroup,
+    every value read through BesselFunction.value."""
+    return b1.scal.sum(b1.value(g1 * m_inv) * b2.value(m * g2)
+                       for m, m_inv in mirabolic_reps(b1.field, b1.n))
+
+
+def bessel_convolution_check(b1, b2, g1, g2) -> bool:
+    """Does the mirabolic convolution of J1 and J2 reproduce J1 at g1 g2?
+
+    Used with b2 the Bessel function of the same character; the identity is
+    the finite-level analogue of the Whittaker-coefficient reproducing
+    formula.  cuspchar.bessel_convolution_holds gives the verdict over many
+    pairs at once.
+    """
+    return mirabolic_convolution(b1, b2, g1, g2) == b1.value(g1 * g2)

@@ -6,20 +6,21 @@ from math import factorial
 import pytest
 
 from rsexact import cuspchar
-from rsexact.cyclo import CycNumber, cyc_embed_root
+from rsexact.cli import _convolution_pairs
+from rsexact.cyclo import CYC, CycNumber, CycScalars, cyc_embed_root
 from rsexact.cuspchar import (
     BesselFunction,
-    bessel_convolution_check,
+    bessel_convolution_holds,
     character_invariants,
     cuspidal_character,
     finite_bessel,
-    mirabolic_convolution,
     psi_of_unipotent,
 )
 from rsexact.errors import NotRegular
 from rsexact.finitefield import AddChar, MultChar, gf
 from rsexact.matgroups import (
     FiniteMatrix,
+    bruhat_cell,
     enumerate_group,
     enumerate_unitriangular,
     small_det,
@@ -27,6 +28,8 @@ from rsexact.matgroups import (
 from rsexact.padic import PadicMatrix
 from rsexact.residue import ResidueScalars
 from rsexact.simpletypes import DEPTH_ZERO, WhittakerFunction, make_type
+
+from reference import bessel_convolution_check, mirabolic_convolution
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +347,6 @@ def test_bessel_memo_shared_by_reduced_and_int_matrices():
     assert len(W._bessel._memo) == 1
 
 
-def test_convolution_exhaustive_q2():
-    chi = cuspidal_character(MultChar(gf(2, 2), 1))
-    J = finite_bessel(chi, AddChar(gf(2), 1))
-    G = enumerate_group(gf(2), 2)
-    for g1 in G:
-        for g2 in G:
-            assert bessel_convolution_check(J, J, g1, g2)
-
-
 def test_convolution_random_q3_q5():
     for q, trials in ((3, 60), (5, 25)):
         chi = cuspidal_character(MultChar(gf(q, 2), 1))
@@ -372,6 +366,100 @@ def test_convolution_n3():
     for _ in range(10):
         g1, g2 = rng.choice(G), rng.choice(G)
         assert bessel_convolution_check(J, J, g1, g2)
+
+
+def _monomials(F, n):
+    """The int rows of every monomial matrix in GL_n(F)."""
+    units = range(1, F.order)
+    return [tuple(tuple(diag[i] if j == perm[i] else 0 for j in range(n)) for i in range(n))
+            for perm in itertools.permutations(range(n))
+            for diag in itertools.product(units, repeat=n)]
+
+
+def _cli_bessel(q, n, scal=CYC):
+    """The Bessel function and convolution pairs of `bessel-table --q q
+    --n n --theta 1`, with every Bruhat cell summed."""
+    F = gf(q)
+    chi = cuspidal_character(MultChar(gf(q, n), 1))
+    J = BesselFunction(chi, AddChar(F, 1), scal)
+    G = enumerate_group(F, n)
+    for g in G:
+        J.value(g)
+    return J, _convolution_pairs(G, q, n)
+
+
+@pytest.mark.parametrize("q,n,n_pairs", [(2, 2, 36), (3, 2, 2304), (5, 2, 200), (2, 3, 200)])
+def test_batch_convolution_matches_per_pair_reference(q, n, n_pairs):
+    # every pair of GL_2(F_2) and GL_2(F_3); the 200 seeded pairs beyond
+    J, pairs = _cli_bessel(q, n)
+    assert len(pairs) == n_pairs
+    per_pair = all(bessel_convolution_check(J, J, g1, g2) for g1, g2 in pairs)
+    assert bessel_convolution_holds(J, pairs) is per_pair is True
+
+
+class _CellMutant(BesselFunction):
+    """J with zeta_q added to the |N|-sum of the one monomial `target`."""
+
+    def __init__(self, chi, psi, target):
+        super().__init__(chi, psi)
+        self.target = target
+
+    def _cell_sum(self, m):
+        out = super()._cell_sum(m)
+        if m.ints == self.target:
+            out = out + self.scal.root_of_unity(self.field.order, 1)
+        return out
+
+
+@pytest.mark.parametrize("q,n,n_cells", [(3, 2, 8), (2, 3, 6)])
+def test_both_convolution_checks_refuse_every_cell_mutant(q, n, n_cells):
+    F = gf(q)
+    chi = cuspidal_character(MultChar(gf(q, n), 1))
+    pairs = _convolution_pairs(enumerate_group(F, n), q, n)
+    targets = _monomials(F, n)
+    assert len(targets) == n_cells
+    for target in targets:
+        J = _CellMutant(chi, AddChar(F, 1), target)
+        assert not bessel_convolution_holds(J, pairs), target
+        assert not all(bessel_convolution_check(J, J, g1, g2) for g1, g2 in pairs), target
+
+
+class _CountedSums(CycScalars):
+    """The characteristic-zero context, counting its sums."""
+
+    def __init__(self):
+        self.sums = 0
+
+    def sum(self, values):
+        self.sums += 1
+        return super().sum(values)
+
+
+@pytest.mark.parametrize("q,n,n_pairs,n_keys", [(3, 2, 2304, 104), (2, 3, 200, 57)])
+def test_batch_convolution_sums_once_per_bruhat_class(q, n, n_pairs, n_keys):
+    # after the table is built every cell holds its sum, so each sum the
+    # check runs is one key's
+    scal = _CountedSums()
+    J, pairs = _cli_bessel(q, n, scal)
+    scal.sums = 0
+    assert bessel_convolution_holds(J, pairs)
+    assert (len(pairs), scal.sums) == (n_pairs, n_keys)
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (5, 2), (2, 3)])
+def test_bessel_value_is_psi_times_the_cell_value(q, n):
+    # J(g) = psi(x) J(m) for (m, x) the Bruhat coordinates of g, with both
+    # sides summed by the definition
+    F = gf(q)
+    chi = cuspidal_character(MultChar(gf(q, n), 1))
+    psi = AddChar(F, 1)
+    J = finite_bessel(chi, psi)
+    by_cell = {m: bessel_by_definition(chi, psi, FiniteMatrix._of(F, m))
+               for m in _monomials(F, n)}
+    for g in enumerate_group(F, n):
+        m, x = bruhat_cell(g.ints, q)
+        want = psi.value(x) * by_cell[m]
+        assert J.value(g) == want and J.cell_value(m, x) is J.value(g), g
 
 
 def test_dual_kernel_identity():
