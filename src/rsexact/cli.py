@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import prod
 
-from .cuspchar import bessel_convolution_holds, finite_bessel
+from .cuspchar import BesselFunction, bessel_convolution_holds
 from .cyclo import _prime_powers, is_prime, parse_cyc
 from .errors import NonBanal, NotIntegralAtEll, RSExactError, TooLarge
 from .finitefield import AddChar, gf
@@ -63,7 +63,13 @@ from .integral import (
 from .lmodular import conductor, verify_corollary
 from .matgroups import FiniteMatrix, enumerate_group, order_gl
 from .padic import PadicMatrix, nk_cell_count
-from .simpletypes import DEPTH_ZERO, RAMIFIED, SimpleTypeData, make_type
+from .simpletypes import (
+    DEPTH_ZERO,
+    RAMIFICATION_INDEX,
+    RAMIFIED,
+    SimpleTypeData,
+    make_type,
+)
 
 ORACLE_KMAX = 6
 DEFAULT_WINDOW = 4
@@ -203,7 +209,7 @@ def _check_engine_size(cfg: RunConfig) -> None:
     costs.
     """
     p, n = cfg.p, cfg.n
-    level = 1 if cfg.family == DEPTH_ZERO else 2
+    level = RAMIFICATION_INDEX[cfg.family]
     rows = p ** (level * n) - p ** ((level - 1) * n)
     slices = range(-2, n + 2)
     if n == 2:
@@ -257,7 +263,7 @@ def _check_oracle_size(cfg: RunConfig) -> None:
     """Refuse an oracle run whose point count, estimated before any type is
     built, exceeds ORACLE_POINT_LIMIT."""
     window = cfg.window if cfg.window is not None else DEFAULT_WINDOW
-    level = 1 if cfg.family == DEPTH_ZERO else 2
+    level = RAMIFICATION_INDEX[cfg.family]
     points = (ORACLE_KMAX + 1) * (window + 1) * nk_cell_count(cfg.p, level)
     if points > ORACLE_POINT_LIMIT:
         raise TooLarge(
@@ -362,8 +368,8 @@ def _depth_zero_table(cfg: RunConfig, t1: SimpleTypeData):
     _check_table_size(f"a GL_{cfg.n}(F_{cfg.p}) Bessel table", terms)
     field = gf(cfg.p)
     psi = AddChar(field, 1)
-    J = finite_bessel(t1.chi, psi)
-    Jdual = finite_bessel(t1.chi.dual(), psi.inverse())
+    J = BesselFunction(t1.chi, psi)
+    Jdual = BesselFunction(t1.chi.dual(), psi.inverse())
     G = enumerate_group(field, cfg.n)
     rows = [{"g": _matrix_ints(g), "value": str(J.value(g))} for g in G]
 

@@ -21,11 +21,12 @@ on m_3.  Pairs with the same key have the same verdict, and
 bessel_convolution_holds sums one pair per key: 104 sums for the 2 304
 pairs of GL_2(F_3).
 
-Correctness of the value tables is certified in the test-suite by structural
-invariants (irreducibility, vanishing of all Borel-induction pairings,
-unipotent-sum vanishing, degree, central character) rather than by the
-formulas themselves; at q = 2 the GL_2 character is also pinned against the
-sign character of S_3.
+Correctness of the value tables is certified in the test-suite, by
+tests/reference.py::character_invariants, through structural invariants
+(irreducibility, vanishing of all Borel-induction pairings, unipotent-sum
+vanishing, degree, central character) rather than by the formulas
+themselves; at q = 2 the GL_2 character is also pinned against the sign
+character of S_3.
 """
 
 from __future__ import annotations
@@ -40,10 +41,8 @@ from .matgroups import (
     FiniteMatrix,
     bruhat_cell,
     classify_conjugacy,
-    enumerate_group,
     enumerate_unitriangular,
     mirabolic_reps,
-    n_right_coset_canonical,
 )
 
 
@@ -69,12 +68,6 @@ class CuspidalCharacter:
     def q(self) -> int:
         return self.base_field.order
 
-    def degree_value(self) -> int:
-        out = 1
-        for i in range(1, self.n):
-            out *= self.q**i - 1
-        return out
-
     def value(self, g: FiniteMatrix, scal=CYC):
         kind, data = classify_conjugacy(g)
         q = self.q
@@ -97,8 +90,6 @@ class CuspidalCharacter:
             return scal.sum(self.theta.value(x, scal) for x in data)
         return scal.zero()
 
-    __call__ = value
-
     def dual(self) -> "CuspidalCharacter":
         return CuspidalCharacter(self.theta.inverse())
 
@@ -109,10 +100,6 @@ class CuspidalCharacter:
 
     def __repr__(self):
         return f"<CuspidalCharacter n={self.n} q={self.q} t={self.theta.t}>"
-
-
-def cuspidal_character(theta: MultChar) -> CuspidalCharacter:
-    return CuspidalCharacter(theta)
 
 
 def psi_of_unipotent(psi: AddChar, u: FiniteMatrix, scal=CYC):
@@ -188,68 +175,8 @@ class BesselFunction:
         return self._inv_order * scal.sum(psi_inv_u * self.chi.value(m * u, scal)
                                           for u, psi_inv_u in self._terms)
 
-    __call__ = value
-
     def __repr__(self):
         return f"<BesselFunction {self.chi!r}>"
-
-
-def finite_bessel(chi: CuspidalCharacter, psi: AddChar) -> BesselFunction:
-    return BesselFunction(chi, psi)
-
-
-def character_invariants(chi: CuspidalCharacter) -> dict:
-    """Exhaustive structural certification of the character table.
-
-    Builds the full value table over GL_n(F_q) once and checks:
-
-    - ``norm_one``: the self inner product is 1, i.e. chi is (plus or minus)
-      an irreducible character; combined with positive degree it is a genuine
-      irreducible;
-    - ``degree``: chi(1) = prod_{i<n} (q^i - 1);
-    - ``sum_zero``: chi is orthogonal to the trivial character;
-    - ``central_character``: chi(z g) = Theta(z) chi(g) for every central z
-      and every g;
-    - ``cuspidal_vanishing``: sum of chi over every right coset g N is zero,
-      which is exactly the vanishing of the N-coinvariants (cuspidality).
-
-    The GL_3 value table is accepted purely on the strength of this suite.
-    """
-    F = chi.base_field
-    n = chi.n
-    G = enumerate_group(F, n)
-    val = {g: chi.value(g) for g in G}
-    eye = FiniteMatrix.identity(F, n)
-
-    norm_one = CYC.sum(val[g] * val[g.inverse()] for g in G) == len(G)
-    degree_ok = val[eye] == chi.degree_value()
-    sum_zero = CYC.sum(val.values()).is_zero()
-
-    central_ok = True
-    for z in range(1, chi.q):
-        tz = chi.central_value(z)
-        for g in G:
-            if not val[g * z] == tz * val[g]:
-                central_ok = False
-                break
-        if not central_ok:
-            break
-
-    cosets: dict = {}
-    for g in G:
-        cosets.setdefault(n_right_coset_canonical(g), []).append(val[g])
-    n_size = len(enumerate_unitriangular(F, n))
-    cuspidal = len(cosets) == len(G) // n_size and all(
-        CYC.sum(values).is_zero() for values in cosets.values()
-    )
-
-    return {
-        "norm_one": norm_one,
-        "degree": degree_ok,
-        "sum_zero": sum_zero,
-        "central_character": central_ok,
-        "cuspidal_vanishing": cuspidal,
-    }
 
 
 def bessel_convolution_holds(J: BesselFunction, pairs) -> bool:

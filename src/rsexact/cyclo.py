@@ -20,8 +20,8 @@ freely: binary operations embed both into Q(zeta_lcm).  The dense
 power-basis vector modulo the N-th cyclotomic polynomial is produced only at
 serialization boundaries.
 
-The printable grammar is sums of terms ``a/b * zeta(N)^k``; ``parse`` and
-``str`` round-trip, and an element formats its text once and keeps it.
+The printable grammar is sums of terms ``a/b * zeta(N)^k``; ``parse_cyc``
+and ``str`` round-trip, and an element formats its text once and keeps it.
 
 The integer helpers the package shares live here too: the prime-power
 splitting of N, a deterministic primality test and the integer cyclotomic
@@ -410,7 +410,7 @@ class CycNumber:
 
     def _format(self) -> str:
         """The canonical terms of the demoted element, in the grammar of
-        parse."""
+        parse_cyc."""
         d = self.demote()
         terms = d._combined_canonical()
         if not terms:
@@ -429,11 +429,7 @@ class CycNumber:
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        return f"CycNumber.parse({str(self)!r})"
-
-    @classmethod
-    def parse(cls, text: str) -> "CycNumber":
-        return _Parser(_tokenize(text)).parse()
+        return f"parse_cyc({str(self)!r})"
 
 
 def _merge(values) -> CycNumber:
@@ -550,7 +546,7 @@ class _Parser:
 
 
 def parse_cyc(text: str) -> CycNumber:
-    return CycNumber.parse(text)
+    return _Parser(_tokenize(text)).parse()
 
 
 class CycScalars:

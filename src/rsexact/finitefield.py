@@ -175,10 +175,6 @@ class GF:
     def units(self):
         return (x for x in self if x)
 
-    def generator(self):
-        """First unit in enumeration order generating the whole unit group."""
-        return self._powers[1] if self.order > 2 else self.one()
-
     @cached_property
     def _powers(self):
         """The powers g^0, ..., g^(order - 2) of the generator g."""
@@ -360,8 +356,6 @@ class MultChar:
             return scal.one()
         return scal.root_of_unity(m, self.t * self.field.dlog(x) % m)
 
-    __call__ = value
-
     def inverse(self):
         return MultChar(self.field, -self.t)
 
@@ -400,8 +394,6 @@ class AddChar:
     def value(self, x: int, scal=CYC):
         p = self.field.p
         return scal.root_of_unity(p, self.a * x % p)
-
-    __call__ = value
 
     def inverse(self):
         return AddChar(self.field, -self.a)

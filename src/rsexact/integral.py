@@ -402,16 +402,9 @@ def cell_support_report(pair: RSPair, cell_log) -> dict:
       nonzero off its slice s n/e (a cell with no nonzero slice passes).
 
     The four slices outside the period are tested once per J^1 class of
-    cells and read for every cell of the class.  b_k is constant on each
-    double coset (P cap K) kbar J^1: W_1 W_2 is right-J^1-invariant
-    (b_coefficient) and left-N-invariant, and the units a of
-    p_0 = [[a, b], [0, 1]] in P cap K only reindex the unit classes a_0.
-    Right multiplication by 1 + y in J^1, y = [[p alpha, p beta],
-    [gamma, p delta]], sends the bottom row (c, d) to
-    (c + p c alpha + d gamma, d + p c beta + p d delta), so the orbits are
-    {d = d_0 mod p} for a unit d_0 and {c = c_0, d = 0 mod p} otherwise:
-    2(p - 1) ramified classes (_j1_class).  At depth zero J^1 = K^1 and
-    each cell is its own class.  Everything else reads the engine's own
+    cells (_j1_class) and read for every cell of the class: b_k is
+    constant on each double coset (P cap K) kbar J^1, whose orbits the
+    module docstring derives.  Everything else reads the engine's own
     slices of the cell, so it stays per cell.
 
     u is reported whenever the slices give one value.  A law that has
@@ -493,26 +486,6 @@ def _j1_coset_reps(p: int):
     return [_j1_coset_rep(p, i) for i in range(p**5)]
 
 
-def _j1_class_counts(p: int) -> dict:
-    """The number of _j1_coset_reps(p) in each kernel class, with no matrix.
-
-    kernel_class reads u = 1 + y as r = 1 + y_11 = 1 mod p and
-    k = (p y_21 + y_12) / (p (1 + y_11)) = y_21 + y_12 / p mod p, so every
-    class is (1, k).  For each k, y_11, y_12 and y_22 are free (p values
-    each) and y_21 in Z/p^2 is one of the p lifts of k - y_12 / p mod p:
-    each of the p classes holds p^4 of the p^5 representatives.
-    """
-    return {(1, k): p**4 for k in range(p)}
-
-
-def j1_kernel_sum(pair: RSPair, counts):
-    """The sum of W1.kernel * W2.kernel over J^1/K^2 representatives, from
-    `counts`, the number of representatives in each kernel class
-    (_j1_class_counts): each class's product once, times its count."""
-    return pair.scal.sum(pair.W1.kernel(cls) * pair.W2.kernel(cls) * count
-                         for cls, count in counts.items())
-
-
 def j1_average_report(pair: RSPair, cell_log) -> dict:
     """J^1-averages F_i of the pair: every value lies in {0, vol(J^1) kappa^i}.
 
@@ -536,8 +509,8 @@ def j1_average_report(pair: RSPair, cell_log) -> dict:
     W1, W2 = pair.W1, pair.W2
     lam_vol = scal.from_fraction(pair.type1.vol_J1)
     coset_vol = scal.from_fraction(Fraction(1, p**4))
-    # character average over J^1 (the factorized route), from the class counts
-    char_sum = j1_kernel_sum(pair, _j1_class_counts(p)) * coset_vol
+    # the factorized J^1 average: each class (1, k) holds p^4 cosets of volume 1/p^4
+    char_sum = scal.sum(W1.kernel((1, k)) * W2.kernel((1, k)) for k in range(p))
     values_ok = True
     for rec in cell_log:
         for k, b in rec.slices.items():

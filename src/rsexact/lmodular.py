@@ -33,7 +33,7 @@ from .integral import RSPair, integrate_over_K, rankin_selberg_I
 from .padic import vp_int
 from .ratfun import EulerFactor, Laurent, RationalFunction, euler_normalize
 from .residue import ResidueScalars
-from .simpletypes import DEPTH_ZERO, SimpleTypeData, l_factor
+from .simpletypes import RAMIFICATION_INDEX, SimpleTypeData, l_factor
 
 # -- the banal range ------------------------------------------------------
 
@@ -71,7 +71,7 @@ def conductor(family: str, p: int, n: int, *moduli: int) -> int:
     produce for a pair of the family at p and n whose literals (A, A2,
     twist) have the given moduli: lcm(p^e, p^(n/e) - 1, moduli), from the
     additive-character depth p^e and the character modulus p^(n/e) - 1."""
-    e = 1 if family == DEPTH_ZERO else 2
+    e = RAMIFICATION_INDEX[family]
     return lcm(p**e, p ** (n // e) - 1, *moduli)
 
 

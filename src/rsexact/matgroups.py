@@ -307,28 +307,6 @@ def n_coset_reps(field: GF, k: int):
     return reps
 
 
-def n_right_coset_canonical(g: FiniteMatrix) -> FiniteMatrix:
-    """Canonical representative of g*N, N the upper unitriangular group.
-
-    Right multiplication by N adds earlier columns into later ones; the
-    unique coset member whose column j vanishes at the pivot rows of columns
-    0..j-1 (pivot = bottom-most unclaimed nonzero row) is returned.
-    """
-    n = g.n
-    p = g.field.p
-    cols = [list(col) for col in zip(*g.ints)]
-    pivots: list[int] = []
-    for j in range(n):
-        for jj in range(j):
-            pi = pivots[jj]
-            if cols[j][pi]:
-                c = cols[j][pi] * pow(cols[jj][pi], -1, p)
-                cols[j] = [(a - c * b) % p for a, b in zip(cols[j], cols[jj])]
-        pivot = next(i for i in range(n - 1, -1, -1) if i not in pivots and cols[j][i])
-        pivots.append(pivot)
-    return FiniteMatrix._of(g.field, tuple(zip(*cols)))
-
-
 def embed_block(h: FiniteMatrix, n: int) -> FiniteMatrix:
     """Top-left embedding of a k x k matrix into GL_n, identity elsewhere."""
     k = h.n

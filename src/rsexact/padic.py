@@ -7,8 +7,7 @@ Products, determinants and inverses are integer arithmetic followed by a
 single gcd; valuations and residues are read off the integers, so every
 decomposition here is exact.  iwasawa_NAK produces g = n * a * k with n
 upper unitriangular, a = diag(p^{v_i}) and k in GL_n(Z_p) by column
-reduction over the valuation ring; iwasawa_PZK reshapes that into
-mirabolic x center x maximal compact.
+reduction over the valuation ring.
 
 The volume table fixes the normalizations vol(K^1) = 1 for G and likewise
 for P, Z, N and the (P cap K)\\K quotient; these are the measures every
@@ -257,20 +256,6 @@ def iwasawa_NAK(g: PadicMatrix, p: int):
         [[x * p ** (e - v) for x, v in zip(row, vals)] for row in w], dw * p**e
     )
     return n_mat, vals, PadicMatrix.from_ints(kk, dk)
-
-
-def iwasawa_PZK(g: PadicMatrix, p: int):
-    """g = p_part * z * k with p_part mirabolic, z = p^l * Id, k in K.
-
-    The central exponent is the last Iwasawa valuation, so the mirabolic
-    factor always exists; returns (p_part, l, k).
-    """
-    n_mat, vals, k = iwasawa_NAK(g, p)
-    nn = g.n
-    l = vals[-1]
-    a_shift = PadicMatrix.diagonal([Fraction(p) ** (v - l) for v in vals])
-    p_part = n_mat * a_shift
-    return p_part, l, k
 
 
 # -- measures -------------------------------------------------------------

@@ -45,6 +45,9 @@ from .ratfun import EulerFactor, Laurent
 
 DEPTH_ZERO = "depth-zero"
 RAMIFIED = "ramified"
+# the ramification index e of E/Q_p; it is also the congruence level m of
+# the cells (P cap K)\K/K^m each family's engine and oracle run over
+RAMIFICATION_INDEX = {DEPTH_ZERO: 1, RAMIFIED: 2}
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class SimpleTypeData:
         # Set once here rather than through cached_property: writing the
         # instance __dict__ slows every later attribute read of the type on
         # CPython 3.11, by about 1 % of a ramified verify.
-        e = 1 if self.family == DEPTH_ZERO else 2
+        e = RAMIFICATION_INDEX[self.family]
         derived = {"e": e, "cap": e, "level": e,
                    "t_exponents": (0,) * self.n if e == 1 else (-1, 0)}
         for name, value in derived.items():
@@ -363,11 +366,7 @@ def is_dual_pair(t1: SimpleTypeData, t2: SimpleTypeData) -> bool:
             f"{t2.family} GL_{t2.n}(Q_{t2.p})"
         )
     if t1.family == DEPTH_ZERO:
-        mod = t1.q**t1.n - 1
-        return any(
-            (t2.theta.t + t1.theta.t * pow(t1.q, s, mod)) % mod == 0
-            for s in range(t1.n)
-        )
+        return t2.theta.t in t1.theta.inverse().orbit()
     return (t1.sigma.t + t2.sigma.t) % (t1.p - 1) == 0 and t1.orientation == -t2.orientation
 
 

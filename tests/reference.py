@@ -8,19 +8,34 @@ U = N(F) * J^1 that the Whittaker translation tests compare with, the
 table of x**k modulo a cyclotomic polynomial that power bases are checked
 against, and the per-cell laws of the engine with the slices outside the
 period tested on every cell, not once per J^1 class, the brute-force
-oracle as a walk that scales each representative's rows one at a time, and
+oracle as a walk that scales each representative's rows one at a time,
 the mirabolic convolution of Bessel functions summed pair by pair, not once
-per Bruhat class of pairs.
+per Bruhat class of pairs, the mirabolic x center x maximal compact
+factorization g = p z k, and the structural certificate of the cuspidal
+character tables.
 """
 
 import math
 from fractions import Fraction
 
+from rsexact.cuspchar import CuspidalCharacter
 from rsexact.cyclo import CYC, cyclotomic_poly
 from rsexact.errors import RSExactError
 from rsexact.integral import _row_slice, b_coefficient
-from rsexact.matgroups import mirabolic_reps
-from rsexact.padic import PadicMatrix, ng_cell_volume, theta_at, theta_class, vp_int
+from rsexact.matgroups import (
+    FiniteMatrix,
+    enumerate_group,
+    enumerate_unitriangular,
+    mirabolic_reps,
+)
+from rsexact.padic import (
+    PadicMatrix,
+    iwasawa_NAK,
+    ng_cell_volume,
+    theta_at,
+    theta_class,
+    vp_int,
+)
 from rsexact.simpletypes import DEPTH_ZERO, RAMIFIED, SimpleTypeData, psi_t_class
 
 
@@ -254,3 +269,96 @@ def bessel_convolution_check(b1, b2, g1, g2) -> bool:
     pairs at once.
     """
     return mirabolic_convolution(b1, b2, g1, g2) == b1.value(g1 * g2)
+
+
+def iwasawa_PZK(g: PadicMatrix, p: int):
+    """g = p_part * z * k with p_part mirabolic, z = p^l * Id, k in K.
+
+    The central exponent is the last Iwasawa valuation, so the mirabolic
+    factor always exists; returns (p_part, l, k).
+    """
+    n_mat, vals, k = iwasawa_NAK(g, p)
+    l = vals[-1]
+    a_shift = PadicMatrix.diagonal([Fraction(p) ** (v - l) for v in vals])
+    return n_mat * a_shift, l, k
+
+
+def degree_value(chi: CuspidalCharacter) -> int:
+    """The degree prod_{i<n} (q^i - 1) of a cuspidal character of GL_n(F_q)."""
+    return math.prod(chi.q**i - 1 for i in range(1, chi.n))
+
+
+def n_right_coset_canonical(g: FiniteMatrix) -> FiniteMatrix:
+    """Canonical representative of g*N, N the upper unitriangular group.
+
+    Right multiplication by N adds earlier columns into later ones; the
+    unique coset member whose column j vanishes at the pivot rows of columns
+    0..j-1 (pivot = bottom-most unclaimed nonzero row) is returned.
+    """
+    n = g.n
+    p = g.field.p
+    cols = [list(col) for col in zip(*g.ints)]
+    pivots: list[int] = []
+    for j in range(n):
+        for jj in range(j):
+            pi = pivots[jj]
+            if cols[j][pi]:
+                c = cols[j][pi] * pow(cols[jj][pi], -1, p)
+                cols[j] = [(a - c * b) % p for a, b in zip(cols[j], cols[jj])]
+        pivot = next(i for i in range(n - 1, -1, -1) if i not in pivots and cols[j][i])
+        pivots.append(pivot)
+    return FiniteMatrix._of(g.field, tuple(zip(*cols)))
+
+
+def character_invariants(chi: CuspidalCharacter) -> dict:
+    """Exhaustive structural certification of the character table.
+
+    Builds the full value table over GL_n(F_q) once and checks:
+
+    - ``norm_one``: the self inner product is 1, i.e. chi is (plus or minus)
+      an irreducible character; combined with positive degree it is a genuine
+      irreducible;
+    - ``degree``: chi(1) = prod_{i<n} (q^i - 1);
+    - ``sum_zero``: chi is orthogonal to the trivial character;
+    - ``central_character``: chi(z g) = Theta(z) chi(g) for every central z
+      and every g;
+    - ``cuspidal_vanishing``: sum of chi over every right coset g N is zero,
+      which is exactly the vanishing of the N-coinvariants (cuspidality).
+
+    The GL_3 value table is accepted purely on the strength of this suite.
+    """
+    F = chi.base_field
+    n = chi.n
+    G = enumerate_group(F, n)
+    val = {g: chi.value(g) for g in G}
+    eye = FiniteMatrix.identity(F, n)
+
+    norm_one = CYC.sum(val[g] * val[g.inverse()] for g in G) == len(G)
+    degree_ok = val[eye] == degree_value(chi)
+    sum_zero = CYC.sum(val.values()).is_zero()
+
+    central_ok = True
+    for z in range(1, chi.q):
+        tz = chi.central_value(z)
+        for g in G:
+            if not val[g * z] == tz * val[g]:
+                central_ok = False
+                break
+        if not central_ok:
+            break
+
+    cosets: dict = {}
+    for g in G:
+        cosets.setdefault(n_right_coset_canonical(g), []).append(val[g])
+    n_size = len(enumerate_unitriangular(F, n))
+    cuspidal = len(cosets) == len(G) // n_size and all(
+        CYC.sum(values).is_zero() for values in cosets.values()
+    )
+
+    return {
+        "norm_one": norm_one,
+        "degree": degree_ok,
+        "sum_zero": sum_zero,
+        "central_character": central_ok,
+        "cuspidal_vanishing": cuspidal,
+    }

@@ -5,14 +5,18 @@ exit code plus captured stdout/stderr, exactly as a shell user would see
 them.
 """
 
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rsexact
 from rsexact import cli
@@ -652,3 +656,47 @@ def test_cli_import_does_not_load_sympy():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# the flag grammar, fuzzed in-process
+
+# scalar literals: well-formed ones, then malformed or refused ones
+LITERALS = ("1", "-1", "2/3", "zeta(4)", "zeta(8)^3",
+            "0", "1/0", "zeta(", "zeta(0)", "zeta(99999)")
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv over the flag grammar that stays cheap: p <= 9, so 2 and 3
+    are the only primes, and --jobs never asks for a second process."""
+    argv = [draw(st.sampled_from([*cli.DISPATCH, "bogus"]))]
+
+    def flag(name, values):
+        value = draw(st.one_of(st.none(), st.sampled_from(values)))
+        if value is not None:
+            argv.extend([name, str(value)])
+
+    flag("--p", (-1, 0, 1, 2, 3, 4, 9))
+    flag("--n", (1, 2, 3, 4))
+    if draw(st.booleans()):
+        argv.append("--gl3")
+    for name in ("--theta", "--theta2", "--ideal"):
+        flag(name, (-2, -1, 0, 1, 2, 3, 5))
+    for name in ("--A", "--A2", "--twist"):
+        flag(name, LITERALS)
+    flag("--ell", (-5, 0, 2, 3, 4, 5, 7))
+    flag("--window", (-1, 0, 1))
+    flag("--format", ("json", "csv"))
+    flag("--jobs", (-2, 0, 1))
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_argvs())
+def test_every_argv_ends_in_an_exit_code_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -10,10 +10,8 @@ from rsexact.cli import _convolution_pairs
 from rsexact.cyclo import CYC, CycNumber, CycScalars, cyc_embed_root
 from rsexact.cuspchar import (
     BesselFunction,
+    CuspidalCharacter,
     bessel_convolution_holds,
-    character_invariants,
-    cuspidal_character,
-    finite_bessel,
     psi_of_unipotent,
 )
 from rsexact.errors import NotRegular
@@ -29,7 +27,12 @@ from rsexact.padic import PadicMatrix
 from rsexact.residue import ResidueScalars
 from rsexact.simpletypes import DEPTH_ZERO, WhittakerFunction, make_type
 
-from reference import bessel_convolution_check, mirabolic_convolution
+from reference import (
+    bessel_convolution_check,
+    character_invariants,
+    degree_value,
+    mirabolic_convolution,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +90,7 @@ def _borel_restriction_pairing(chi, ts):
             for (i, j), v in zip(pos, upper):
                 rows[i][j] = v
             b = FiniteMatrix(F, rows)
-            total = total + chi(b) * tval.conj(-1)
+            total = total + chi.value(b) * tval.conj(-1)
             count += 1
     return total * Fraction(1, count)
 
@@ -98,16 +101,16 @@ def _borel_restriction_pairing(chi, ts):
 
 
 def test_q2_character_is_s3_sign():
-    chi = cuspidal_character(MultChar(gf(2, 2), 1))
+    chi = CuspidalCharacter(MultChar(gf(2, 2), 1))
     for g in enumerate_group(gf(2), 2):
-        assert chi(g) == _s3_sign(g)
+        assert chi.value(g) == _s3_sign(g)
 
 
 def test_q2_bessel_is_s3_sign():
-    chi = cuspidal_character(MultChar(gf(2, 2), 1))
-    J = finite_bessel(chi, AddChar(gf(2), 1))
+    chi = CuspidalCharacter(MultChar(gf(2, 2), 1))
+    J = BesselFunction(chi, AddChar(gf(2), 1))
     for g in enumerate_group(gf(2), 2):
-        assert J(g) == _s3_sign(g)
+        assert J.value(g) == _s3_sign(g)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +123,7 @@ def test_q2_bessel_is_s3_sign():
     [(2, 2, 1), (3, 2, 1), (3, 2, 5), (5, 2, 1), (2, 3, 1), (3, 3, 1)],
 )
 def test_character_invariant_suite(q, n, t):
-    chi = cuspidal_character(MultChar(gf(q, n), t))
+    chi = CuspidalCharacter(MultChar(gf(q, n), t))
     results = character_invariants(chi)
     assert results == {k: True for k in results}
 
@@ -129,50 +132,50 @@ def test_character_invariant_suite(q, n, t):
     "q,n,t", [(2, 2, 1), (3, 2, 1), (3, 2, 2), (2, 3, 1), (3, 3, 1), (3, 3, 2)]
 )
 def test_cuspidality_against_principal_series(q, n, t):
-    chi = cuspidal_character(MultChar(gf(q, n), t))
+    chi = CuspidalCharacter(MultChar(gf(q, n), t))
     for ts in itertools.product(range(q - 1), repeat=n):
         assert _borel_restriction_pairing(chi, ts).is_zero()
 
 
 def test_distinct_orbits_are_orthogonal():
     F9 = gf(3, 2)
-    chi1 = cuspidal_character(MultChar(F9, 1))
-    chi2 = cuspidal_character(MultChar(F9, 2))
+    chi1 = CuspidalCharacter(MultChar(F9, 1))
+    chi2 = CuspidalCharacter(MultChar(F9, 2))
     G = enumerate_group(gf(3), 2)
     total = CycNumber.zero()
     for g in G:
-        total = total + chi1(g) * chi2(g.inverse())
+        total = total + chi1.value(g) * chi2.value(g.inverse())
     assert total.is_zero()
     # same orbit: t=3 is the Frobenius translate of t=1
-    chi3 = cuspidal_character(MultChar(F9, 3))
+    chi3 = CuspidalCharacter(MultChar(F9, 3))
     total = CycNumber.zero()
     for g in G:
-        total = total + chi1(g) * chi3(g.inverse())
+        total = total + chi1.value(g) * chi3.value(g.inverse())
     assert total == len(G)
 
 
 def test_regularity_gate():
     with pytest.raises(NotRegular):
-        cuspidal_character(MultChar(gf(2, 2), 0))
+        CuspidalCharacter(MultChar(gf(2, 2), 0))
     with pytest.raises(NotRegular):
-        cuspidal_character(MultChar(gf(3, 2), 4))
+        CuspidalCharacter(MultChar(gf(3, 2), 4))
     with pytest.raises(NotRegular):
-        cuspidal_character(MultChar(gf(2, 3), 0))
+        CuspidalCharacter(MultChar(gf(2, 3), 0))
 
 
 def test_dual_character_is_inverse_composed():
     for q, n in ((2, 2), (3, 2), (2, 3)):
-        chi = cuspidal_character(MultChar(gf(q, n), 1))
+        chi = CuspidalCharacter(MultChar(gf(q, n), 1))
         chid = chi.dual()
         for g in enumerate_group(gf(q), n):
-            assert chid(g) == chi(g.inverse())
+            assert chid.value(g) == chi.value(g.inverse())
 
 
 def test_degree_values():
-    assert cuspidal_character(MultChar(gf(3, 2), 1)).degree_value() == 2
-    assert cuspidal_character(MultChar(gf(5, 2), 1)).degree_value() == 4
-    assert cuspidal_character(MultChar(gf(3, 3), 1)).degree_value() == 16
-    assert cuspidal_character(MultChar(gf(2, 3), 1)).degree_value() == 3
+    assert degree_value(CuspidalCharacter(MultChar(gf(3, 2), 1))) == 2
+    assert degree_value(CuspidalCharacter(MultChar(gf(5, 2), 1))) == 4
+    assert degree_value(CuspidalCharacter(MultChar(gf(3, 3), 1))) == 16
+    assert degree_value(CuspidalCharacter(MultChar(gf(2, 3), 1))) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -185,32 +188,32 @@ def test_bessel_at_identity_unrolled():
     # J(1) = (1/3)(chi(1) + zeta3^{-1} chi(u(1)) + zeta3^{-2} chi(u(2)))
     #      = (1/3)(2 - zeta3^2 - zeta3) = 1
     F3 = gf(3)
-    chi = cuspidal_character(MultChar(gf(3, 2), 1))
+    chi = CuspidalCharacter(MultChar(gf(3, 2), 1))
     u1 = FiniteMatrix(F3, [[1, 1], [0, 1]])
     u2 = FiniteMatrix(F3, [[1, 2], [0, 1]])
     eye = FiniteMatrix.identity(F3, 2)
     by_hand = (
-        chi(eye)
-        + cyc_embed_root(3, -1) * chi(u1)
-        + cyc_embed_root(3, -2) * chi(u2)
+        chi.value(eye)
+        + cyc_embed_root(3, -1) * chi.value(u1)
+        + cyc_embed_root(3, -2) * chi.value(u2)
     ) * Fraction(1, 3)
     assert by_hand == 1
-    J = finite_bessel(chi, AddChar(F3, 1))
-    assert J(eye) == 1
+    J = BesselFunction(chi, AddChar(F3, 1))
+    assert J.value(eye) == 1
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (5, 2), (2, 3)])
 def test_bessel_identity_value(q, n):
-    chi = cuspidal_character(MultChar(gf(q, n), 1))
-    J = finite_bessel(chi, AddChar(gf(q), 1))
-    assert J(FiniteMatrix.identity(gf(q), n)) == 1
+    chi = CuspidalCharacter(MultChar(gf(q, n), 1))
+    J = BesselFunction(chi, AddChar(gf(q), 1))
+    assert J.value(FiniteMatrix.identity(gf(q), n)) == 1
 
 
 def test_bessel_equivariance():
     F3 = gf(3)
-    chi = cuspidal_character(MultChar(gf(3, 2), 1))
+    chi = CuspidalCharacter(MultChar(gf(3, 2), 1))
     psi = AddChar(F3, 1)
-    J = finite_bessel(chi, psi)
+    J = BesselFunction(chi, psi)
     G = enumerate_group(F3, 2)
     N = enumerate_unitriangular(F3, 2)
     rng = random.Random(17)
@@ -218,24 +221,24 @@ def test_bessel_equivariance():
         g = rng.choice(G)
         for u in N:
             for v in N:
-                lhs = J(u * g * v)
-                rhs = psi_of_unipotent(psi, u) * psi_of_unipotent(psi, v) * J(g)
+                lhs = J.value(u * g * v)
+                rhs = psi_of_unipotent(psi, u) * psi_of_unipotent(psi, v) * J.value(g)
                 assert lhs == rhs
 
 
 def test_bessel_equivariance_n3():
     F2 = gf(2)
-    chi = cuspidal_character(MultChar(gf(2, 3), 1))
+    chi = CuspidalCharacter(MultChar(gf(2, 3), 1))
     psi = AddChar(F2, 1)
-    J = finite_bessel(chi, psi)
+    J = BesselFunction(chi, psi)
     G = enumerate_group(F2, 3)
     N = enumerate_unitriangular(F2, 3)
     rng = random.Random(18)
     for _ in range(3):
         g = rng.choice(G)
         for u in N:
-            assert J(u * g) == psi_of_unipotent(psi, u) * J(g)
-            assert J(g * u) == J(g) * psi_of_unipotent(psi, u)
+            assert J.value(u * g) == psi_of_unipotent(psi, u) * J.value(g)
+            assert J.value(g * u) == J.value(g) * psi_of_unipotent(psi, u)
 
 
 def bessel_by_definition(chi, psi, g):
@@ -244,7 +247,7 @@ def bessel_by_definition(chi, psi, g):
     total = CycNumber.zero()
     for u in N:
         arg = sum(u.ints[i][i + 1] for i in range(chi.n - 1))
-        total = total + psi.inverse().value(arg) * chi(g * u)
+        total = total + psi.inverse().value(arg) * chi.value(g * u)
     return total * Fraction(1, len(N))
 
 
@@ -254,9 +257,9 @@ def assert_same_bessel_values(chi, points):
     Bessel functions."""
     out = []
     for psi in (AddChar(chi.base_field, 1), AddChar(chi.base_field, -1)):
-        J = finite_bessel(chi, psi)
+        J = BesselFunction(chi, psi)
         for g in points:
-            got, want = J(g), bessel_by_definition(chi, psi, g)
+            got, want = J.value(g), bessel_by_definition(chi, psi, g)
             assert got == want and str(got) == str(want), (psi, g)
             assert got.modulus == want.modulus, (psi, g)
         out.append(J)
@@ -265,7 +268,7 @@ def assert_same_bessel_values(chi, points):
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)])
 def test_bessel_matches_the_definition_everywhere(q, n):
-    chi = cuspidal_character(MultChar(gf(q, n), 1))
+    chi = CuspidalCharacter(MultChar(gf(q, n), 1))
     for J in assert_same_bessel_values(chi, enumerate_group(gf(q), n)):
         # the |N|-sum ran once per monomial matrix
         assert len(J._cells) == factorial(n) * (q - 1) ** n
@@ -275,7 +278,7 @@ def test_bessel_matches_the_definition_on_every_gl3_f3_cell():
     # a seeded sample of GL_3(F_3) (11 232 elements): two points u_1 m u_2
     # in each of the 48 cells, for every monomial m
     F = gf(3)
-    chi = cuspidal_character(MultChar(gf(3, 3), 1))
+    chi = CuspidalCharacter(MultChar(gf(3, 3), 1))
     N = enumerate_unitriangular(F, 3)
     rng = random.Random(48)
     points = []
@@ -292,26 +295,26 @@ def test_bessel_matches_the_definition_on_every_gl3_f3_cell():
 def test_bessel_two_sided_law_on_random_triples(q, n, trials):
     # J(u_1 g u_2) = psi(u_1) psi(u_2) J(g), stated without the decomposition
     F = gf(q)
-    chi = cuspidal_character(MultChar(gf(q, n), 1))
+    chi = CuspidalCharacter(MultChar(gf(q, n), 1))
     N = enumerate_unitriangular(F, n)
     rng = random.Random(100 * q + n)
     for psi in (AddChar(F, 1), AddChar(F, -1)):
-        J = finite_bessel(chi, psi)
+        J = BesselFunction(chi, psi)
         done = 0
         while done < trials:
             rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
             if not small_det(rows) % q:
                 continue
             g, u1, u2 = FiniteMatrix(F, rows), rng.choice(N), rng.choice(N)
-            assert J(u1 * g * u2) == (
-                psi_of_unipotent(psi, u1) * psi_of_unipotent(psi, u2) * J(g))
+            assert J.value(u1 * g * u2) == (
+                psi_of_unipotent(psi, u1) * psi_of_unipotent(psi, u2) * J.value(g))
             done += 1
 
 
 def test_bessel_memo_and_term_table_per_scalar_context(monkeypatch):
     # GL_2(F_3): Theta has order 8 and psi order 3, so zeta_24 covers both
     F3 = gf(3)
-    chi, psi = cuspidal_character(MultChar(gf(3, 2), 1)), AddChar(F3, 1)
+    chi, psi = CuspidalCharacter(MultChar(gf(3, 2), 1)), AddChar(F3, 1)
     res = ResidueScalars(5, 24, 0)
     psi_calls = []
 
@@ -349,8 +352,8 @@ def test_bessel_memo_shared_by_reduced_and_int_matrices():
 
 def test_convolution_random_q3_q5():
     for q, trials in ((3, 60), (5, 25)):
-        chi = cuspidal_character(MultChar(gf(q, 2), 1))
-        J = finite_bessel(chi, AddChar(gf(q), 1))
+        chi = CuspidalCharacter(MultChar(gf(q, 2), 1))
+        J = BesselFunction(chi, AddChar(gf(q), 1))
         G = enumerate_group(gf(q), 2)
         rng = random.Random(q)
         for _ in range(trials):
@@ -359,8 +362,8 @@ def test_convolution_random_q3_q5():
 
 
 def test_convolution_n3():
-    chi = cuspidal_character(MultChar(gf(2, 3), 1))
-    J = finite_bessel(chi, AddChar(gf(2), 1))
+    chi = CuspidalCharacter(MultChar(gf(2, 3), 1))
+    J = BesselFunction(chi, AddChar(gf(2), 1))
     G = enumerate_group(gf(2), 3)
     rng = random.Random(19)
     for _ in range(10):
@@ -380,7 +383,7 @@ def _cli_bessel(q, n, scal=CYC):
     """The Bessel function and convolution pairs of `bessel-table --q q
     --n n --theta 1`, with every Bruhat cell summed."""
     F = gf(q)
-    chi = cuspidal_character(MultChar(gf(q, n), 1))
+    chi = CuspidalCharacter(MultChar(gf(q, n), 1))
     J = BesselFunction(chi, AddChar(F, 1), scal)
     G = enumerate_group(F, n)
     for g in G:
@@ -414,7 +417,7 @@ class _CellMutant(BesselFunction):
 @pytest.mark.parametrize("q,n,n_cells", [(3, 2, 8), (2, 3, 6)])
 def test_both_convolution_checks_refuse_every_cell_mutant(q, n, n_cells):
     F = gf(q)
-    chi = cuspidal_character(MultChar(gf(q, n), 1))
+    chi = CuspidalCharacter(MultChar(gf(q, n), 1))
     pairs = _convolution_pairs(enumerate_group(F, n), q, n)
     targets = _monomials(F, n)
     assert len(targets) == n_cells
@@ -451,9 +454,9 @@ def test_bessel_value_is_psi_times_the_cell_value(q, n):
     # J(g) = psi(x) J(m) for (m, x) the Bruhat coordinates of g, with both
     # sides summed by the definition
     F = gf(q)
-    chi = cuspidal_character(MultChar(gf(q, n), 1))
+    chi = CuspidalCharacter(MultChar(gf(q, n), 1))
     psi = AddChar(F, 1)
-    J = finite_bessel(chi, psi)
+    J = BesselFunction(chi, psi)
     by_cell = {m: bessel_by_definition(chi, psi, FiniteMatrix._of(F, m))
                for m in _monomials(F, n)}
     for g in enumerate_group(F, n):
@@ -465,35 +468,35 @@ def test_bessel_value_is_psi_times_the_cell_value(q, n):
 def test_dual_kernel_identity():
     # the kernel built from (dual character, inverse psi) is J1 of the inverse
     for q in (2, 3):
-        chi = cuspidal_character(MultChar(gf(q, 2), 1))
+        chi = CuspidalCharacter(MultChar(gf(q, 2), 1))
         psi = AddChar(gf(q), 1)
-        J1 = finite_bessel(chi, psi)
-        J2 = finite_bessel(chi.dual(), psi.inverse())
+        J1 = BesselFunction(chi, psi)
+        J2 = BesselFunction(chi.dual(), psi.inverse())
         for g in enumerate_group(gf(q), 2):
-            assert J2(g) == J1(g.inverse())
+            assert J2.value(g) == J1.value(g.inverse())
 
 
 def test_unit_sum_of_dual_pair_is_one():
     # sum over a in F_q^x of J1(d(a)k) J2(d(a)k) == 1 for every k in GL_2(F_q)
     # (convolution identity + dual-kernel identity; the depth-zero engine's b_0)
     F3 = gf(3)
-    chi = cuspidal_character(MultChar(gf(3, 2), 1))
+    chi = CuspidalCharacter(MultChar(gf(3, 2), 1))
     psi = AddChar(F3, 1)
-    J1 = finite_bessel(chi, psi)
-    J2 = finite_bessel(chi.dual(), psi.inverse())
+    J1 = BesselFunction(chi, psi)
+    J2 = BesselFunction(chi.dual(), psi.inverse())
     for k in enumerate_group(F3, 2):
         total = CycNumber.zero()
         for a in range(1, 3):
             d = FiniteMatrix(F3, [[a, 0], [0, 1]])
-            total = total + J1(d * k) * J2(d * k)
+            total = total + J1.value(d * k) * J2.value(d * k)
         assert total == 1
 
 
 def test_mirabolic_convolution_matches_direct_sum():
     # for n=2 the coset representatives are the diagonal d(a); unrolled check
     F3 = gf(3)
-    chi = cuspidal_character(MultChar(gf(3, 2), 1))
-    J = finite_bessel(chi, AddChar(F3, 1))
+    chi = CuspidalCharacter(MultChar(gf(3, 2), 1))
+    J = BesselFunction(chi, AddChar(F3, 1))
     G = enumerate_group(F3, 2)
     rng = random.Random(21)
     for _ in range(10):
@@ -501,13 +504,13 @@ def test_mirabolic_convolution_matches_direct_sum():
         direct = CycNumber.zero()
         for a in range(1, 3):
             d = FiniteMatrix(F3, [[a, 0], [0, 1]])
-            direct = direct + J(g1 * d.inverse()) * J(d * g2)
+            direct = direct + J.value(g1 * d.inverse()) * J.value(d * g2)
         assert direct == mirabolic_convolution(J, J, g1, g2)
 
 
 def test_bessel_requires_matching_nontrivial_psi():
-    chi = cuspidal_character(MultChar(gf(3, 2), 1))
+    chi = CuspidalCharacter(MultChar(gf(3, 2), 1))
     with pytest.raises(ValueError):
-        finite_bessel(chi, AddChar(gf(3), 0))
+        BesselFunction(chi, AddChar(gf(3), 0))
     with pytest.raises(ValueError):
-        finite_bessel(chi, AddChar(gf(5), 1))
+        BesselFunction(chi, AddChar(gf(5), 1))

@@ -30,7 +30,6 @@ from rsexact.integral import (
     _cell_free_points,
     _embed_gl2,
     _j1_class,
-    _j1_class_counts,
     _j1_coset_reps,
     b_coefficient,
     c_k_bruteforce,
@@ -38,7 +37,6 @@ from rsexact.integral import (
     integrate_over_K,
     oracle_check,
     j1_average_report,
-    j1_kernel_sum,
     rankin_selberg_I,
     verify_main_theorem,
     z_omega,
@@ -629,20 +627,27 @@ class TestJ1Average:
 
     @pytest.mark.parametrize("p, s1, s2", [(3, 1, 1), (3, 1, 0), (5, 1, 1), (5, 1, 2)])
     def test_class_sum_matches_the_representative_sum(self, p, s1, s2):
+        # j1_average_report sums W1 W2 once per kernel class (1, k)
         pair = ram_pair(p, s1, s2)
+        W1, W2 = pair.W1, pair.W2
         classes = [pair.type1.kernel_class(u) for u in _j1_coset_reps(p)]
-        assert len(set(classes)) < len(classes) == p**5
-        direct = SCAL.zero()
-        for cls in classes:
-            direct = direct + pair.W1.kernel(cls) * pair.W2.kernel(cls)
-        assert j1_kernel_sum(pair, Counter(classes)) == direct
+        assert len(classes) == p**5
+        direct = SCAL.sum(W1.kernel(cls) * W2.kernel(cls) for cls in classes)
+        class_sum = SCAL.sum(W1.kernel((1, k)) * W2.kernel((1, k)) for k in range(p))
+        assert direct == class_sum * p**4
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_every_kernel_class_holds_p4_representatives(self, p):
-        # the closed-form counts j1_average_report passes to j1_kernel_sum
+        """The class count j1_average_report's closed form relies on.
+
+        kernel_class reads u = 1 + y as r = 1 + y_11 = 1 mod p and
+        k = (p y_21 + y_12) / (p (1 + y_11)) = y_21 + y_12 / p mod p, so every
+        class is (1, k).  For each k, y_11, y_12 and y_22 are free (p values
+        each) and y_21 in Z/p^2 is one of the p lifts of k - y_12 / p mod p.
+        """
         data = make_type(RAMIFIED, p, sigma=1)
         counts = Counter(data.kernel_class(u) for u in _j1_coset_reps(p))
-        assert counts == _j1_class_counts(p)
+        assert counts == {(1, k): p**4 for k in range(p)}
 
 
 class TestGL3:

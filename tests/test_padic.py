@@ -15,7 +15,6 @@ from rsexact.padic import (
     MeasureContext,
     PadicMatrix,
     iwasawa_NAK,
-    iwasawa_PZK,
     ng_cell_volume,
     ng_shell,
     nk_cell_count,
@@ -28,7 +27,7 @@ from rsexact.padic import (
 from rsexact.integral import RSPair, c_k_bruteforce
 from rsexact.simpletypes import DEPTH_ZERO, RAMIFIED, make_type
 
-from reference import int_mod, theta_eval, upper_unipotent, val_p
+from reference import int_mod, iwasawa_PZK, theta_eval, upper_unipotent, val_p
 
 # -- valuations and scalar helpers ---------------------------------------
 

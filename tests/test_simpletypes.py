@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rsexact.cuspchar import finite_bessel
+from rsexact.cuspchar import BesselFunction
 from rsexact.cyclo import CycNumber, CycScalars, cyc_embed_root
 from rsexact.errors import (
     EvenResidualCharacteristic,
@@ -354,7 +354,7 @@ def test_dual_whittaker_uses_inverse_psi():
     assert W2.value(n * k) == cyc_embed_root(3, 2) * W2.value(k)
     # the dual finite kernel is the Bessel function against psi-bar inverse
     chi = t.chi
-    ref = finite_bessel(chi, AddChar(gf(3), 1).inverse())
+    ref = BesselFunction(chi, AddChar(gf(3), 1).inverse())
     assert W2.value(k) == ref.value(FiniteMatrix(gf(3), [[1, 1], [1, 2]]))
 
 

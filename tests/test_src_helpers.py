@@ -4,8 +4,8 @@ package or is documented in README.md.
 A definition is used when its name occurs as an identifier somewhere in
 src/rsexact outside its own body; names in docstrings and comments do not
 count.  Dunder methods are called by the language and are skipped.  A
-helper kept only as an independent reference for the tests must be listed
-in REFERENCE_HELPERS with the reason it stays.
+helper kept only as an independent reference for the tests lives in
+tests/reference.py, not in the package.
 """
 
 import ast
@@ -18,20 +18,6 @@ import rsexact
 
 SRC = Path(rsexact.__file__).resolve().parent
 README = SRC.parents[1] / "README.md"
-
-REFERENCE_HELPERS = {
-    "cuspchar.character_invariants":
-        "the structural certificate of the cuspidal character tables",
-    "cuspchar.cuspidal_character":
-        "builds the characters the Bessel and acceptance tests certify",
-    "padic.iwasawa_PZK":
-        "the mirabolic-center-compact factorization the measure tests check",
-    "finitefield.GF.generator":
-        "the fixed generator behind dlog, checked against the unit group order",
-    "ratfun.RationalFunction.from_json":
-        "the inverse of to_json, so reports can be read back",
-}
-
 
 def _definitions():
     """(module, qualified name, name, first line, last line) of every
@@ -64,8 +50,6 @@ def test_no_definition_without_a_caller():
     for module, qualname, name, first, last in _definitions():
         if name.startswith("__") and name.endswith("__"):
             continue
-        if f"{module}.{qualname}" in REFERENCE_HELPERS:
-            continue
         called = any(
             ident == name and not (other == module and first <= line <= last)
             for other, idents in identifiers.items()
@@ -74,11 +58,6 @@ def test_no_definition_without_a_caller():
         if not called and not re.search(rf"\b{re.escape(name)}\b", readme):
             unused.append(f"{module}.{qualname}")
     assert not unused, f"defined in src/rsexact, never called or documented: {unused}"
-
-
-def test_reference_helpers_exist():
-    defined = {f"{module}.{qualname}" for module, qualname, *_ in _definitions()}
-    assert set(REFERENCE_HELPERS) <= defined
 
 
 def test_fields_are_built_only_by_gf():
