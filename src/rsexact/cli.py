@@ -53,7 +53,10 @@ from .cyclo import _prime_powers, is_prime, parse_cyc
 from .errors import NonBanal, NotIntegralAtEll, RSExactError, TooLarge
 from .finitefield import AddChar, gf
 from .integral import (
+    DEFAULT_WINDOW,
     GL3_WINDOW,
+    ORACLE_KMAX,
+    SHELLS,
     RSPair,
     _j1_coset_reps,
     oracle_check,
@@ -70,10 +73,6 @@ from .simpletypes import (
     SimpleTypeData,
     make_type,
 )
-
-ORACLE_KMAX = 6
-DEFAULT_WINDOW = 4
-SHELLS = 4
 
 _GRAMMAR_EPILOG = """\
 scalar literals (--A, --A2, --twist):
@@ -182,9 +181,8 @@ def _validate(cfg: RunConfig) -> None:
 # support tests, |unimodular rows mod p^m| * (n + 4) slices * tests per slice,
 # the engine and its per-cell report may make; a slice tests p - 1 unit
 # classes for n = 2 and its window pairs times |(N cap K)\K/K| for n = 3;
-# at depth zero, plus one decomposition per point for the whole pair.  The
-# report tests its four ramified slices outside the period once per J^1
-# class, not per cell, so the ramified estimate over-counts them
+# at depth zero, plus one decomposition per point for the whole pair; see
+# _check_engine_size for where the ramified estimate over-counts
 ENGINE_TEST_LIMIT = 10**6
 
 

@@ -184,7 +184,9 @@ def bessel_convolution_holds(J: BesselFunction, pairs) -> bool:
     for every pair (g1, g2)?
 
     The verdict is that of checking sum_m J(g1 m^-1) J(m g2) == J(g1 g2) pair
-    by pair, m over the representatives of N\\M, but each Bruhat class of
+    by pair, m over mirabolic_reps: the representatives of N\\M, that is
+    N_{n-1}\\GL_{n-1} in the top-left block, diag(a, 1) for n = 2 and the
+    N\\GL_2 cells of matgroups.n_cell_rows for n = 3.  Each Bruhat class of
     pairs is summed once (module docstring): the key of a pair is the
     multiset of terms (m1, m2, x1 + x2 - x3) with the cell m3 of g1 g2, and
     only the first pair of each key is summed, as sum psi(s) J(m1) J(m2)

@@ -93,6 +93,13 @@ from .simpletypes import (
 # v != (0, 0) leaves the support of the pair.
 GL3_WINDOW = 2
 
+# The brute-force oracle checks the coefficients k = 0..ORACLE_KMAX, each
+# summed over the cells with |v_i| <= DEFAULT_WINDOW; the shell-constancy
+# check and the CSV table read the first SHELLS shells.
+ORACLE_KMAX = 6
+DEFAULT_WINDOW = 4
+SHELLS = 4
+
 
 def _embed_gl2(g: PadicMatrix) -> PadicMatrix:
     (a, b), (c, d) = g.num
@@ -312,7 +319,7 @@ def rankin_selberg_I(pair: RSPair, T: Laurent | None = None) -> RationalFunction
 # -- brute-force oracle ---------------------------------------------------
 
 
-def c_k_bruteforce(pair: RSPair, k: int, window: int = 4):
+def c_k_bruteforce(pair: RSPair, k: int, window: int = DEFAULT_WINDOW):
     """Coefficient of X^k of I by direct summation over canonical N\\G cells.
 
     Sums W_1 W_2 Phi(e_n g) over g = diag(p^v1, p^v2) kbar with
@@ -337,7 +344,7 @@ def c_k_bruteforce(pair: RSPair, k: int, window: int = 4):
     return scal.sum(shells) * scal.from_fraction(Fraction(p - 1))
 
 
-def oracle_check(pair: RSPair, kmax: int = 6, window: int = 4, *,
+def oracle_check(pair: RSPair, kmax: int = ORACLE_KMAX, window: int = DEFAULT_WINDOW, *,
                  I: RationalFunction | None = None, mapper=map):
     """Compare oracle coefficients with the engine's series expansion.
 
@@ -547,7 +554,7 @@ def j1_average_report(pair: RSPair, cell_log) -> dict:
             "honest": honest_ok, "translation_law": law_ok}
 
 
-def shell_constancy_report(pair: RSPair, I: RationalFunction, shells: int = 4) -> dict:
+def shell_constancy_report(pair: RSPair, I: RationalFunction, shells: int = SHELLS) -> dict:
     """Shell constancy: c_i q^{i n/e} kappa^{-i} is one constant mu_raw, and
     mu = mu_raw / (q^{n/e} - 1) is a power of q.  Here c_i is the
     coefficient of X^{i n/e} of I divided by (q - 1) and by the canonical
@@ -663,7 +670,7 @@ class VerificationReport:
         ]
         return out
 
-    def csv_rows(self, shells: int = 4):
+    def csv_rows(self, shells: int = SHELLS):
         """Rows (i, c_i, q^{i n/e}) of the shell table; c_i is the X^{i n/e}
         series coefficient of I divided by (q - 1)."""
         step = self.pair.n_over_e

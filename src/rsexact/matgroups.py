@@ -3,6 +3,12 @@ finite-level construction: GL_n(F_p) for n <= 3, unipotent subgroups,
 conjugacy classification by eigenvalue pattern, and the Bruhat
 decomposition g = u_1 m u_2 into unitriangular and monomial factors.
 
+The N\\GL_2 cells have one enumeration, the closed form n_cell_rows of
+(N cap K)\\K/K^m: padic.nk_cell_reps wraps its rows as the p-adic
+representatives the engine and the oracle integrate over, and at m = 1
+they are the N_2-orbits of GL_2(F_p) that mirabolic_reps embeds for the
+GL_3 Bessel convolution.
+
 A FiniteMatrix holds its entries as ints mod a prime p, so products,
 determinants, inverses and the enumerations are integer arithmetic.
 
@@ -283,46 +289,33 @@ def classify_conjugacy(g: FiniteMatrix):
     return "u21", data
 
 
-# sort key: the int rows, whose order is that of the flattened entries
-_ints = operator.attrgetter("ints")
+def n_cell_rows(p: int, m: int) -> list:
+    """The int rows of representatives of (N cap K)\\K/K^m for GL_2 and
+    K = GL_2(Z_p), which at m = 1 are the N-orbits of GL_2(F_p).
 
-
-@cache
-def n_orbit_rep(g: FiniteMatrix) -> FiniteMatrix:
-    """Lexicographically least element of (unitriangular N) * g."""
-    return min((u * g for u in enumerate_unitriangular(g.field, g.n)), key=_ints)
-
-
-@cache
-def n_coset_reps(field: GF, k: int):
-    """Orbit-minimum representatives for N_k\\GL_k over the field."""
-    seen = set()
-    reps = []
-    for g in enumerate_group(field, k):
-        r = n_orbit_rep(g)
-        if r not in seen:
-            seen.add(r)
-            reps.append(r)
-    reps.sort(key=_ints)
-    return reps
-
-
-def embed_block(h: FiniteMatrix, n: int) -> FiniteMatrix:
-    """Top-left embedding of a k x k matrix into GL_n, identity elsewhere."""
-    k = h.n
-    rows = tuple(
-        h.ints[i] + (0,) * (n - k) if i < k else tuple(int(i == j) for j in range(n))
-        for i in range(n)
-    )
-    return FiniteMatrix._of(h.field, rows)
+    Two branches by the reduction of the bottom-left entry: c = 0 mod p
+    forces d to be a unit and the representative [[a, 0], [c, d]] with a a
+    unit; c a unit gives [[0, b], [c, d]] with b a unit and d free.
+    """
+    mod = p**m
+    units = [x for x in range(mod) if x % p]
+    out = [((a, 0), (c, d)) for a in units for c in range(0, mod, p) for d in units]
+    out += [((0, b), (c, d)) for b in units for c in units for d in range(mod)]
+    return out
 
 
 @cache
 def mirabolic_reps(field: GF, n: int):
     """The pairs (m, m^-1) for m the representatives of N_{n-1}\\GL_{n-1}
-    embedded in the top-left block of GL_n."""
-    blocks = (embed_block(r, n) for r in n_coset_reps(field, n - 1))
-    return tuple((m, m.inverse()) for m in blocks)
+    embedded in the top-left block of GL_n, n in {2, 3}, in the order of
+    their int rows: diag(a, 1) for n = 2, and the blocks n_cell_rows(p, 1)
+    for n = 3."""
+    p = _prime(field)
+    if n == 2:
+        blocks = [((a, 0), (0, 1)) for a in range(1, p)]
+    else:
+        blocks = [(r1 + (0,), r2 + (0,), (0, 0, 1)) for r1, r2 in sorted(n_cell_rows(p, 1))]
+    return tuple((m, m.inverse()) for m in (FiniteMatrix._of(field, b) for b in blocks))
 
 
 def bruhat_cell(rows, p: int):

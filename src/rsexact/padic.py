@@ -25,7 +25,7 @@ from operator import mul
 
 from .cyclo import CYC
 from .errors import DepthExceeded, UnsupportedDescriptor
-from .matgroups import order_gl, small_adjugate, small_det
+from .matgroups import n_cell_rows, order_gl, small_adjugate, small_det
 
 
 def vp_int(n: int, p: int) -> int:
@@ -347,26 +347,13 @@ def nk_cell_count(p: int, m: int) -> int:
 
 @functools.cache
 def nk_cell_reps(p: int, m: int) -> tuple:
-    """Representatives of (N cap K)\\K/K^m for GL_2, built once per (p, m).
+    """Representatives of (N cap K)\\K/K^m for GL_2, the rows
+    matgroups.n_cell_rows(p, m) in that order, built once per (p, m).
 
-    Two branches by the reduction of the bottom-left entry: c = 0 mod p
-    forces d to be a unit and the representative [[a, 0], [c, d]] with a a
-    unit; c a unit gives [[0, b], [c, d]] with b a unit and d free.  The
-    cache holds nk_cell_count(p, m) matrices per (p, m), which
+    The cache holds nk_cell_count(p, m) matrices per (p, m), which
     cli.ORACLE_POINT_LIMIT bounds for every oracle run.
     """
-    mod = p**m
-    units = [x for x in range(mod) if x % p]
-    out = []
-    for a in units:
-        for c in range(0, mod, p):
-            for d in units:
-                out.append(PadicMatrix.from_ints([[a, 0], [c, d]]))
-    for b in units:
-        for c in units:
-            for d in range(mod):
-                out.append(PadicMatrix.from_ints([[0, b], [c, d]]))
-    return tuple(out)
+    return tuple(PadicMatrix.from_ints(rows) for rows in n_cell_rows(p, m))
 
 
 def ng_shell(p: int, m: int, v):

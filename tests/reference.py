@@ -10,9 +10,11 @@ against, and the per-cell laws of the engine with the slices outside the
 period tested on every cell, not once per J^1 class, the brute-force
 oracle as a walk that scales each representative's rows one at a time,
 the mirabolic convolution of Bessel functions summed pair by pair, not once
-per Bruhat class of pairs, the mirabolic x center x maximal compact
-factorization g = p z k, and the structural certificate of the cuspidal
-character tables.
+per Bruhat class of pairs, the N_k-orbit minima of GL_k found by searching
+every orbit, against which the blocks of matgroups.mirabolic_reps (the
+closed form matgroups.n_cell_rows for k = 2) are checked, the mirabolic x
+center x maximal compact factorization g = p z k, and the structural
+certificate of the cuspidal character tables.
 """
 
 import math
@@ -251,6 +253,18 @@ def c_k_point_walk(pair, k: int, window: int = 4):
         values = (pair.pair_value(kbar.scale_row(0, x1).scale_row(1, x2)) for kbar in reps)
         shells.append(vol * scal.sum(v for v in values if v is not None))
     return scal.sum(shells) * scal.from_fraction(Fraction(p - 1))
+
+
+def n_orbit_rep(g: FiniteMatrix) -> FiniteMatrix:
+    """Lexicographically least element of (unitriangular N) * g."""
+    return min((u * g for u in enumerate_unitriangular(g.field, g.n)), key=lambda h: h.ints)
+
+
+def n_coset_reps(field, k: int) -> list:
+    """The orbit minima of N_k on GL_k over the field, in the order of their
+    int rows, found by searching every orbit: the blocks of
+    matgroups.mirabolic_reps, in the same order."""
+    return sorted({n_orbit_rep(g) for g in enumerate_group(field, k)}, key=lambda h: h.ints)
 
 
 def mirabolic_convolution(b1, b2, g1, g2):

@@ -15,15 +15,14 @@ from rsexact.matgroups import (
     _elliptic_roots,
     bruhat_cell,
     classify_conjugacy,
-    embed_block,
     enumerate_group,
     enumerate_unitriangular,
     mirabolic_reps,
-    n_coset_reps,
-    n_orbit_rep,
     order_gl,
     small_det,
 )
+
+from reference import n_coset_reps
 
 PRIMES = (2, 3, 5, 7)
 KERNEL = settings(max_examples=100, deadline=None)
@@ -315,17 +314,6 @@ def test_classify_data_is_int_except_elliptic(q, n):
             assert type(data) is int and 0 < data < q
 
 
-def test_n_orbit_rep_invariance():
-    F = gf(3)
-    G = enumerate_group(F, 2)
-    rng = random.Random(4)
-    N = enumerate_unitriangular(F, 2)
-    for _ in range(60):
-        g = rng.choice(G)
-        u = rng.choice(N)
-        assert n_orbit_rep(u * g) == n_orbit_rep(g)
-
-
 def test_matrices_over_different_fields_are_unequal():
     # the identities over F_2 and F_3 hash alike but are different matrices
     a = FiniteMatrix.identity(gf(2), 2)
@@ -333,32 +321,25 @@ def test_matrices_over_different_fields_are_unequal():
     assert hash(a) == hash(b)
     assert a != b
     assert len({a, b}) == 2
-    assert n_orbit_rep(a) == a and n_orbit_rep(b) == b
 
 
-@pytest.mark.parametrize("q,k,count", [(2, 2, 3), (3, 2, 16), (5, 2, 96)])
-def test_n_coset_rep_counts(q, k, count):
-    assert len(n_coset_reps(gf(q), k)) == count
-
-
-def test_embed_block():
-    F = gf(3)
-    G2 = enumerate_group(F, 2)
-    rng = random.Random(5)
-    for _ in range(30):
-        a, b = rng.choice(G2), rng.choice(G2)
-        ea, eb = embed_block(a, 3), embed_block(b, 3)
-        assert ea.n == 3
-        assert ea.ints[2] == (0, 0, 1)
-        assert ea * eb == embed_block(a * b, 3)
-
-
-@pytest.mark.parametrize("q,n", [(2, 3), (3, 3), (5, 3)])
-def test_mirabolic_reps_are_embedded_coset_reps_with_inverses(q, n):
-    F = gf(q)
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", (2, 3))
+def test_mirabolic_reps_are_an_orbit_transversal_with_inverses(p, n):
+    F = gf(p)
     reps = mirabolic_reps(F, n)
     assert mirabolic_reps(F, n) is reps
-    assert [m for m, _ in reps] == [embed_block(r, n) for r in n_coset_reps(F, n - 1)]
+    k = n - 1
+    # the blocks sit in the top-left corner, the identity elsewhere
+    assert all(m.ints[k] == (0,) * k + (1,) and all(row[k] == 0 for row in m.ints[:k])
+               for m, _ in reps)
+    blocks = [FiniteMatrix(F, [row[:k] for row in m.ints[:k]]) for m, _ in reps]
+    # one block in every N_k-orbit of GL_k(F_p), in the order of the reference
+    assert blocks == n_coset_reps(F, k)
+    N = enumerate_unitriangular(F, k)
+    orbits = [{u * b for u in N} for b in blocks]
+    assert sum(map(len, orbits)) == len(set().union(*orbits)) == order_gl(p, k)
+    assert len(reps) == order_gl(p, k) // p ** (k * (k - 1) // 2)
     eye = FiniteMatrix.identity(F, n)
     assert all(m * m_inv == eye for m, m_inv in reps)
 
