@@ -392,12 +392,11 @@ def _ramified_table(cfg: RunConfig, t1: SimpleTypeData):
     classes = [t1.kernel_class(j) for j in reps]
     t2 = make_type(**t1.dual_params())
     # lambda factors through the kernel class, which a type and its dual
-    # share: one value per class and type, and one string per class
+    # share: one value per class and type, which keeps its own text
     lam1, lam2 = cache(t1.lam_on_class), cache(t2.lam_on_class)
-    text = {cls: str(lam1(cls)) for cls in dict.fromkeys(classes)}
     rows = [
         {"g": [[int(j.entry(i, k)) for k in range(2)] for i in range(2)],
-         "value": text[cls]}
+         "value": str(lam1(cls))}
         for j, cls in zip(reps, classes)
     ]
 

@@ -120,12 +120,13 @@ class BesselFunction:
     the direct sum would give it, and at x = 0 the value is J(m) itself.
 
     The pairs (u, psi(u)^{-1}) and the scalar 1/|N| are built once.  Each
-    cell m keeps its values psi(x) J(m) by x, so every g with the same
-    (m, x) shares one value, and each value is memoized by the int rows of
-    g.
+    g's coordinates (m, x) are memoized by its int rows (coordinates), one
+    shared pair per (m, x), and each cell m keeps its values psi(x) J(m) by
+    x, so every g with the same (m, x) shares one value.
     """
 
-    __slots__ = ("chi", "psi", "scal", "_memo", "_cells", "_terms", "_inv_order")
+    __slots__ = ("chi", "psi", "scal", "_memo", "_coords", "_cells", "_terms",
+                 "_inv_order")
 
     def __init__(self, chi: CuspidalCharacter, psi: AddChar, scal=CYC):
         if psi.field is not chi.base_field:
@@ -136,6 +137,7 @@ class BesselFunction:
         self.psi = psi
         self.scal = scal
         self._memo = {}
+        self._coords = {}
         self._cells = {}
         psi_inv = psi.inverse()
         self._terms = [(u, psi_of_unipotent(psi_inv, u, scal))
@@ -151,10 +153,16 @@ class BesselFunction:
         return self.chi.n
 
     def value(self, g: FiniteMatrix):
-        cached = self._memo.get(g.ints)
-        if cached is not None:
-            return cached
-        out = self._memo[g.ints] = self.cell_value(*bruhat_cell(g.ints, self.field.p))
+        return self.cell_value(*self.coordinates(g.ints))
+
+    def coordinates(self, rows):
+        """The Bruhat coordinates (m, x) of the matrix with int rows `rows`
+        (matgroups.bruhat_cell), computed once per rows; every rows with the
+        same (m, x) keeps the same pair."""
+        out = self._memo.get(rows)
+        if out is None:
+            out = bruhat_cell(rows, self.field.p)
+            out = self._memo[rows] = self._coords.setdefault(out, out)
         return out
 
     def cell_value(self, m, x: int):
@@ -191,30 +199,26 @@ def bessel_convolution_holds(J: BesselFunction, pairs) -> bool:
     multiset of terms (m1, m2, x1 + x2 - x3) with the cell m3 of g1 g2, and
     only the first pair of each key is summed, as sum psi(s) J(m1) J(m2)
     against J(m3).  The cells of g1 m^-1 and m g2 are listed once per distinct
-    g1 and g2, each matrix's Bruhat coordinates are read once, and the check
+    g1 and g2, each from J.coordinates, J's one memo of them, and the check
     stops at the first key that fails.  Every value is J.cell_value, the
     lookup J.value makes, so the key cannot drift from the table.  The
-    caches live for one call; the products psi(s) J(m1) * J(m2) are not
+    lists live for one call; the products psi(s) J(m1) * J(m2) are not
     kept, because few recur across keys once the pairs are sampled.
     """
     p = J.field.p
     reps = mirabolic_reps(J.field, J.n)
 
     @cache
-    def cell(rows):
-        return bruhat_cell(rows, p)
-
-    @cache
     def left(g1):
-        return [cell((g1 * m_inv).ints) for _, m_inv in reps]
+        return [J.coordinates((g1 * m_inv).ints) for _, m_inv in reps]
 
     @cache
     def right(g2):
-        return [cell((m * g2).ints) for m, _ in reps]
+        return [J.coordinates((m * g2).ints) for m, _ in reps]
 
     checked = set()
     for g1, g2 in pairs:
-        m3, x3 = cell((g1 * g2).ints)
+        m3, x3 = J.coordinates((g1 * g2).ints)
         terms = tuple(sorted((m1, m2, (x1 + x2 - x3) % p)
                              for (m1, x1), (m2, x2) in zip(left(g1), right(g2))))
         if (terms, m3) in checked:

@@ -342,7 +342,7 @@ class MultChar:
 
     def __init__(self, field: GF, t: int):
         self.field = field
-        self.t = t % (field.order - 1) if field.order > 2 else 0
+        self.t = t % (field.order - 1)
 
     @property
     def modulus(self):
@@ -352,8 +352,6 @@ class MultChar:
         if not x:
             raise ValueError("multiplicative character evaluated at zero")
         m = self.modulus
-        if m == 0:
-            return scal.one()
         return scal.root_of_unity(m, self.t * self.field.dlog(x) % m)
 
     def inverse(self):
@@ -362,8 +360,6 @@ class MultChar:
     def orbit(self):
         """Exponent orbit of t under the p-power Frobenius."""
         m = self.modulus
-        if m == 0:
-            return frozenset({0})
         return frozenset(self.t * pow(self.field.p, i, m) % m for i in range(self.field.degree))
 
     def is_regular(self):

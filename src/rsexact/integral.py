@@ -26,9 +26,10 @@ over a residue field for the mod-ell corollary.
 At depth zero every point of b_k(kbar) is h * kbar with h cell-free
 (d(p^k a) for n = 2, an embedded diag(p^v) times a GL_2 cell for n = 3),
 and the support N Z K is right-K-invariant.  So each h is decomposed once
-per pair, h = n z^i k_0 or off the support, and every cell reuses that:
-a miss is skipped, a hit is evaluated at n z^i (k_0 kbar).  The ramified
-support is not right-K-invariant, and there each point is decomposed.
+per pair, h = n z^i k_0 or off the support, and the pair keeps only the
+hits, as (i, psi_t class of n, k_0): every cell evaluates each hit at
+n z^i (k_0 kbar) through RSPair.pair_value.  The ramified support is not
+right-K-invariant, and there each point is decomposed (RSPair.point_value).
 
 An independent brute-force oracle sums W_1 W_2 Phi directly over canonical
 N\\G cells (valuation vectors in a window times (N cap K)\\K/K^m), carrying
@@ -106,13 +107,10 @@ def _embed_gl2(g: PadicMatrix) -> PadicMatrix:
     return PadicMatrix.from_ints([[a, b, 0], [c, d, 0], [0, 0, g.den]], g.den)
 
 
-# the _support entry of a point not decomposed yet (None marks a miss)
-_UNSEEN = object()
-
-
 class RSPair:
     """A pair of test vectors (W_1 in the psi_t model of type1, W_2 in the
-    psi_t^{-1} model of type2, optionally twisted) with shared measure data."""
+    psi_t^{-1} model of type2, optionally twisted) with shared measure data
+    and W_1 W_2 per support class (pair_value)."""
 
     def __init__(self, type1: SimpleTypeData, type2: SimpleTypeData, *,
                  twist=None, scal=CYC):
@@ -131,10 +129,8 @@ class RSPair:
         self.nu = volume(MeasureContext(self.p, self.n), ("PK_quot", self.level))
         self.kappa = self.scal.embed_cyc(self.W1.A_eff * self.W2.A_eff)
         self._table = {}
-        # depth zero: the points h of b_coefficient per slice k, and
-        # support_decompose(type1, h) per point, both kept for every cell
-        self._points = {}
-        self._support = {}
+        # depth zero: slice k -> its hits (_slice_hits)
+        self._hits = {}
         self._pair_class = (functools.partial(_monomial_class, type1)
                             if type1.family == DEPTH_ZERO else type1.kernel_class)
 
@@ -146,10 +142,18 @@ class RSPair:
     def n_over_e(self) -> int:
         return self.n // self.e
 
-    def pair_value(self, g: PadicMatrix, cell: PadicMatrix | None = None):
-        """W_1 W_2 at g, or at g * cell when a cell is given, from one
-        support decomposition, or None off the support, so that a sum over
-        points skips it instead of adding zero.
+    def point_value(self, g: PadicMatrix):
+        """W_1 W_2 at g, from one support decomposition, or None off the
+        support, so that a sum over points skips it instead of adding
+        zero."""
+        dec = support_decompose(self.type1, g)
+        if dec is None:
+            return None
+        i, n_mat, j0 = dec
+        return self.pair_value(i, psi_t_class(self.type1, n_mat), j0)
+
+    def pair_value(self, i: int, psi_cls, j0: PadicMatrix):
+        """W_1 W_2 at n w_E^i j_0, given i, the psi_t class of n and j_0.
 
         Both test vectors are supported on N <w_E> J, which depends only on
         the family, p and n; is_dual_pair has checked that the two types
@@ -160,24 +164,8 @@ class RSPair:
         Bessel kernels give psi(x) J_1(m) and psi(x)^{-1} J_2(m), because
         W_2 uses psi^{-1}, so the product is the one at m, term by term,
         and the key holds the monomial m (__init__ picks the class map).
-
-        A cell is for depth zero only and must lie in K: then g is
-        decomposed once per pair, kept in _support, and g * cell is read as
-        n z^i (k_0 * cell) from g = n z^i k_0 (b_coefficient has the
-        reason).
         """
-        if cell is None:
-            dec = support_decompose(self.type1, g)
-        else:
-            dec = self._support.get(g, _UNSEEN)
-            if dec is _UNSEEN:
-                dec = self._support[g] = support_decompose(self.type1, g)
-        if dec is None:
-            return None
-        i, n_mat, j0 = dec
-        if cell is not None:
-            j0 = j0 * cell
-        key = (i, psi_t_class(self.type1, n_mat), self._pair_class(j0))
+        key = (i, psi_cls, self._pair_class(j0))
         value = self._table.get(key)
         if value is None:
             value = self._table[key] = self.W1.value_at(*key) * self.W2.value_at(*key)
@@ -189,39 +177,52 @@ def _monomial_class(data: SimpleTypeData, j0: PadicMatrix):
     return bruhat_cell(data.kernel_class(j0), data.p)[0]
 
 
-def _support_sum(pair: RSPair, points, cell: PadicMatrix | None = None):
-    """The sum of W_1 W_2 over the points (times the cell, if one is
-    given), skipping those off the support."""
-    return pair.scal.sum(v for g in points
-                         if (v := pair.pair_value(g, cell)) is not None)
+def _support_sum(pair: RSPair, points):
+    """The sum of W_1 W_2 over the points, skipping those off the support."""
+    return pair.scal.sum(v for g in points if (v := pair.point_value(g)) is not None)
 
 
-def _cell_free_points(pair: RSPair, k: int):
-    """The points h of slice k at depth zero, whose products h * kbar with
-    a cell kbar b_coefficient sums; kept per pair.
+def _slice_hits(pair: RSPair, k: int):
+    """The hits of slice k at depth zero: the cell-free points h, whose
+    products h * kbar with a cell kbar b_coefficient sums, that lie on the
+    support, each as (i, psi_t class of n, k_0) from h = n z^i k_0.  Each
+    point is decomposed once, when its slice is first asked for, and the
+    hits are kept per pair.
 
-    For n = 2 the list of d(p^k a_0) = diag(p^k a_0, 1), one per unit
-    class a_0 mod p.  For n = 3 one (weight, points) pair per window pair
+    For n = 2 the points are d(p^k a_0) = diag(p^k a_0, 1), one per unit
+    class a_0 mod p.  For n = 3 one (weight, hits) pair per window pair
     (v_1, v_2) with v_1 + v_2 = k: the canonical N_2\\GL_2 cell volume and
-    the points of ng_shell(p, m, (v_1, v_2)) embedded in the upper block.
+    the hits among the points of ng_shell(p, m, (v_1, v_2)) embedded in the
+    upper block.
     """
-    points = pair._points.get(k)
-    if points is not None:
-        return points
-    p = pair.p
+    hits = pair._hits.get(k)
+    if hits is not None:
+        return hits
+    t, p = pair.type1, pair.p
+
+    def on_support(points):
+        decs = filter(None, (support_decompose(t, h) for h in points))
+        return [(i, psi_t_class(t, n_mat), k0) for i, n_mat, k0 in decs]
+
     if pair.n == 2:
-        points = [PadicMatrix.diagonal([Fraction(p) ** k * a0, 1]) for a0 in range(1, p)]
+        hits = on_support(PadicMatrix.diagonal([Fraction(p) ** k * a0, 1])
+                          for a0 in range(1, p))
     else:
         m, w = pair.level, GL3_WINDOW
-        points = []
+        hits = []
         for v1 in range(-w, w + 1):
             v2 = k - v1
             if abs(v2) > w:
                 continue
             weight = pair.scal.from_fraction(ng_cell_volume(p, 2, m, (v1, v2)))
-            points.append((weight, [_embed_gl2(g) for g in ng_shell(p, m, (v1, v2))]))
-    pair._points[k] = points
-    return points
+            hits.append((weight, on_support(map(_embed_gl2, ng_shell(p, m, (v1, v2))))))
+    pair._hits[k] = hits
+    return hits
+
+
+def _hit_sum(pair: RSPair, hits, cell: PadicMatrix):
+    """The sum of W_1 W_2 at h * cell = n z^i (k_0 * cell) over the hits."""
+    return pair.scal.sum(pair.pair_value(i, psi_cls, k0 * cell) for i, psi_cls, k0 in hits)
 
 
 def b_coefficient(pair: RSPair, cell: PadicMatrix, k: int):
@@ -249,23 +250,23 @@ def b_coefficient(pair: RSPair, cell: PadicMatrix, k: int):
     invariant, and every cell kbar lies in K.  So whether h * kbar is on
     the support depends on the cell-free point h alone, and
     h = n z^i k_0 gives h * kbar = n z^i (k_0 kbar): each h is decomposed
-    once per pair (RSPair.pair_value with a cell) and a cell only forms
-    k_0 kbar for the hits.  The ramified support N <w_E> J is not
-    right-K-invariant (J is not K), so there each point h * kbar is
-    decomposed on its own.
+    once per pair (_slice_hits), and a cell sums W_1 W_2 over the hits at
+    n z^i (k_0 kbar), with no decomposition of its own.  The ramified
+    support N <w_E> J is not right-K-invariant (J is not K), so there each
+    point h * kbar is decomposed on its own (RSPair.point_value).
     """
     scal, p = pair.scal, pair.p
     if pair.type1.family != DEPTH_ZERO:
         return _support_sum(pair, (
             cell.scale_row(0, a0 * p**k if k >= 0 else Fraction(a0, p**-k))
             for a0 in range(1, p)))
-    points = _cell_free_points(pair, k)
+    hits = _slice_hits(pair, k)
     if pair.n == 2:
-        return _support_sum(pair, points, cell)
+        return _hit_sum(pair, hits, cell)
     # GL_3: N_3\P_3 = N_2\GL_2 embedded in the upper block, with its
     # canonical cell volumes; the slice of determinant valuation k collects
     # v = (v_1, v_2) with v_1 + v_2 = k.
-    return scal.sum(weight * _support_sum(pair, shell, cell) for weight, shell in points)
+    return scal.sum(weight * _hit_sum(pair, shell, cell) for weight, shell in hits)
 
 
 def cell_slices(pair: RSPair, cell: PadicMatrix) -> dict:
@@ -370,17 +371,6 @@ def oracle_rows_json(rows) -> list:
 # -- diagnostics ----------------------------------------------------------
 
 
-def _row_slice(pair: RSPair, row) -> int:
-    """Which determinant slice a bottom row supports (n = 2 families)."""
-    p = pair.p
-    c, d = (int(x) for x in row)
-    if d % p:
-        return 0
-    if c % p:
-        return 1
-    raise ValueError("row is not unimodular")
-
-
 def _j1_class(pair: RSPair, row) -> tuple:
     """The (P cap K)\\K/J^1 class of the cell with bottom row `row` mod p^m:
     (0, d mod p) for a unit d and (1, c mod p) otherwise in the ramified
@@ -396,8 +386,9 @@ def _j1_class(pair: RSPair, row) -> tuple:
 def cell_support_report(pair: RSPair, cell_log) -> dict:
     """The per-cell laws of the engine, in one pass over the cell log.
 
-    Each cell has one slice s it can support: the row law's s for level
-    types (e = 2), s = 0 for maximal-compact ones.  With nz the set of k
+    Each cell has one slice s it can support: for level types (e = 2) the
+    first entry of its J^1 class (_j1_class), 0 when d is a unit and 1
+    otherwise; s = 0 for maximal-compact ones.  With nz the set of k
     where the cell's b_k is nonzero:
 
     - slice_pattern: nz lies on multiples of n/e, and b_k = 0 also at
@@ -424,8 +415,7 @@ def cell_support_report(pair: RSPair, cell_log) -> dict:
     # J^1 class -> b_k = 0 at every k outside the period
     off_period_zero: dict[tuple, bool] = {}
 
-    def vanishes_off_period(rec: CellRecord) -> bool:
-        cls = _j1_class(pair, rec.row)
+    def vanishes_off_period(rec: CellRecord, cls: tuple) -> bool:
         ok = off_period_zero.get(cls)
         if ok is None:
             ok = off_period_zero[cls] = all(
@@ -434,10 +424,11 @@ def cell_support_report(pair: RSPair, cell_log) -> dict:
         return ok
 
     for rec in cell_log:
+        cls = _j1_class(pair, rec.row)
         nz = {k for k, b in rec.slices.items() if b != zero}
-        s = _row_slice(pair, rec.row) if pair.e == 2 else 0
+        s = cls[0] if pair.e == 2 else 0
         pattern_ok = (pattern_ok and not any(k % step for k in nz)
-                      and vanishes_off_period(rec))
+                      and vanishes_off_period(rec, cls))
         row_ok = row_ok and nz == {s * step} and (
             pair.e != 2 or _factors_through_mirabolic(pair, rec, s))
         single_ok = single_ok and not nz - {s * step}

@@ -7,7 +7,8 @@ primitives the tests build their points with, the character of
 U = N(F) * J^1 that the Whittaker translation tests compare with, the
 table of x**k modulo a cyclotomic polynomial that power bases are checked
 against, and the per-cell laws of the engine with the slices outside the
-period tested on every cell, not once per J^1 class, the brute-force
+period tested on every cell, not once per J^1 class, and each cell's
+slice read off its bottom row, not off its J^1 class, the brute-force
 oracle as a walk that scales each representative's rows one at a time,
 the mirabolic convolution of Bessel functions summed pair by pair, not once
 per Bruhat class of pairs, the N_k-orbit minima of GL_k found by searching
@@ -23,7 +24,7 @@ from fractions import Fraction
 from rsexact.cuspchar import CuspidalCharacter
 from rsexact.cyclo import CYC, cyclotomic_poly
 from rsexact.errors import RSExactError
-from rsexact.integral import _row_slice, b_coefficient
+from rsexact.integral import b_coefficient
 from rsexact.matgroups import (
     FiniteMatrix,
     enumerate_group,
@@ -178,6 +179,17 @@ def extended_psi_on_U(data: SimpleTypeData, g: PadicMatrix):
     return value
 
 
+def row_slice(pair, row) -> int:
+    """Which determinant slice a bottom row supports (n = 2 families)."""
+    p = pair.p
+    c, d = (int(x) for x in row)
+    if d % p:
+        return 0
+    if c % p:
+        return 1
+    raise ValueError("row is not unimodular")
+
+
 def cell_support_report_per_cell(pair, cell_log) -> dict:
     """integral.cell_support_report with b_k = 0 at k in {-2, -1, n, n + 1}
     tested on every cell of the log, and the row law on Fraction matrices."""
@@ -187,7 +199,7 @@ def cell_support_report_per_cell(pair, cell_log) -> dict:
     masses = {}
     for rec in cell_log:
         nz = {k for k, b in rec.slices.items() if b != zero}
-        s = _row_slice(pair, rec.row) if pair.e == 2 else 0
+        s = row_slice(pair, rec.row) if pair.e == 2 else 0
         pattern_ok = pattern_ok and not any(k % step for k in nz) and all(
             b_coefficient(pair, rec.rep, k) == zero
             for k in (-2, -1, pair.n, pair.n + 1))
@@ -250,7 +262,7 @@ def c_k_point_walk(pair, k: int, window: int = 4):
             continue
         x1, x2 = Fraction(p) ** v1, Fraction(p) ** v2
         vol = scal.from_fraction(ng_cell_volume(p, 2, m, (v1, v2)))
-        values = (pair.pair_value(kbar.scale_row(0, x1).scale_row(1, x2)) for kbar in reps)
+        values = (pair.point_value(kbar.scale_row(0, x1).scale_row(1, x2)) for kbar in reps)
         shells.append(vol * scal.sum(v for v in values if v is not None))
     return scal.sum(shells) * scal.from_fraction(Fraction(p - 1))
 

@@ -219,7 +219,7 @@ def test_pair_value_matches_the_fraction_reference(name):
     @given(st.data())
     def check(data):
         g = data.draw(points(pair))
-        assert outcome(pair.pair_value, g) == outcome(ref_pair_value, pair, g), g
+        assert outcome(pair.point_value, g) == outcome(ref_pair_value, pair, g), g
 
     check()
     assert pair._table
@@ -304,9 +304,9 @@ def test_zero_argument_shares_the_class_of_zero_mod_p(name):
         assert raw(psi_t_eval(t, n_mat, scal)) == raw(ref_psi(t, n_mat, scal))
     # the pair at g = 1 and at g = n(p^2): same i and kernel class
     for g in (one, n_mod_p, one, n_mod_p):
-        assert raw(pair.pair_value(g)) == raw(ref_pair_value(pair, g))
+        assert raw(pair.point_value(g)) == raw(ref_pair_value(pair, g))
     # one class, so one stored value, at one raw modulus
-    at_one, at_n = pair.pair_value(one), pair.pair_value(n_mod_p)
+    at_one, at_n = pair.point_value(one), pair.point_value(n_mod_p)
     assert raw(at_one) == raw(at_n)
     if isinstance(at_one, CycNumber):
         assert at_one.modulus % p == 0
@@ -317,12 +317,12 @@ def test_depth_exceeded_is_raised_for_a_tabulated_class(name):
     pair = build_pair(name)
     t = pair.type1
     one = PadicMatrix.identity(t.n)
-    pair.pair_value(one)  # fills (0, (p, 0), class of 1)
+    pair.point_value(one)  # fills (0, (p, 0), class of 1)
     deep = upper_unipotent({(0, 1): Fraction(1, t.p ** (t.cap + 2))}, t.n)
     i, n_mat, j0 = support_decompose(t, deep)
     assert i == 0 and t.kernel_class(j0) == t.kernel_class(one)
     with pytest.raises(DepthExceeded):
-        pair.pair_value(deep)
+        pair.point_value(deep)
     with pytest.raises(DepthExceeded):
         psi_t_eval(t, deep)
 

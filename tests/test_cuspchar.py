@@ -21,6 +21,7 @@ from rsexact.matgroups import (
     bruhat_cell,
     enumerate_group,
     enumerate_unitriangular,
+    mirabolic_reps,
     small_det,
 )
 from rsexact.padic import PadicMatrix
@@ -389,6 +390,34 @@ def _cli_bessel(q, n, scal=CYC):
     for g in G:
         J.value(g)
     return J, _convolution_pairs(G, q, n)
+
+
+def test_convolution_check_reads_the_memoized_coordinates(monkeypatch):
+    """bessel_convolution_holds reads Bruhat coordinates through
+    J.coordinates: no bruhat_cell call once J.value has seen every g of
+    GL_2(F_3), and one per distinct matrix on a fresh J."""
+    calls = []
+    real = cuspchar.bruhat_cell
+
+    def counted(rows, p):
+        calls.append(rows)
+        return real(rows, p)
+
+    monkeypatch.setattr(cuspchar, "bruhat_cell", counted)
+    J, pairs = _cli_bessel(3, 2)
+    assert len(calls) == 48
+    calls.clear()
+    assert bessel_convolution_holds(J, pairs)
+    assert calls == []
+
+    fresh = BesselFunction(J.chi, J.psi)
+    assert bessel_convolution_holds(fresh, pairs)
+    reps = mirabolic_reps(J.field, 2)
+    matrices = {(g1 * g2).ints for g1, g2 in pairs}
+    matrices |= {(g1 * m_inv).ints for g1, _ in pairs for _, m_inv in reps}
+    matrices |= {(m * g2).ints for _, g2 in pairs for m, _ in reps}
+    assert len(calls) == len(set(calls)) == len(matrices)
+    assert set(calls) == matrices
 
 
 @pytest.mark.parametrize("q,n,n_pairs", [(2, 2, 36), (3, 2, 2304), (5, 2, 200), (2, 3, 200)])

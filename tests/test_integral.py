@@ -27,7 +27,6 @@ from rsexact.finitefield import gf
 from rsexact.integral import (
     GL3_WINDOW,
     RSPair,
-    _cell_free_points,
     _embed_gl2,
     _j1_class,
     _j1_coset_reps,
@@ -157,7 +156,7 @@ class TestRamifiedEngine:
 
 class TestUnitClassTest:
     """b_coefficient sums one point per unit class mod p; the reference
-    sums pair_value over every unit mod p^m, point by point, with the
+    sums point_value over every unit mod p^m, point by point, with the
     weight q^-(m-1)."""
 
     @staticmethod
@@ -166,7 +165,7 @@ class TestUnitClassTest:
         total = pair.scal.zero()
         for a in range(1, p**m):
             if a % p:
-                value = pair.pair_value(cell.scale_row(0, Fraction(a) * Fraction(p) ** k))
+                value = pair.point_value(cell.scale_row(0, Fraction(a) * Fraction(p) ** k))
                 if value is not None:
                     total = total + value
         return total * pair.scal.from_fraction(Fraction(1, p ** (m - 1)))
@@ -218,7 +217,7 @@ def test_pair_value_is_right_j1_invariant(name):
 
     def outcome(g):
         try:
-            value = pair.pair_value(g)
+            value = pair.point_value(g)
         except DepthExceeded:
             return "DepthExceeded"
         return None if value is None else raw(value)
@@ -336,23 +335,16 @@ def dz_dual_types(q, n=2):
     return t, make_type(**t.dual_params())
 
 
-def _cell_free_flat(pair, ks):
-    """Every cell-free point of the slices ks, in engine order."""
-    out = []
-    for k in ks:
-        points = _cell_free_points(pair, k)
-        out += points if pair.n == 2 else [h for _, shell in points for h in shell]
-    return out
-
-
 @pytest.mark.parametrize("q, n", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3)])
 def test_depth_zero_support_is_right_K_invariant(q, n):
     """support_decompose(h c) is None exactly when support_decompose(h) is,
     for c in K: N Z K is right-K-invariant, which is what lets the engine
-    decompose each cell-free point once for every cell."""
+    decompose each cell-free point once for every cell.  The cell-free
+    points of the slices -2..n+1 hold both hits and misses."""
     pair = RSPair(*dz_dual_types(q, n))
     t = pair.type1
     engine_points = _cell_free_flat(pair, range(-2, n + 2))
+    assert {support_decompose(t, h) is None for h in engine_points} == {True, False}
     entries = st.integers(-q**3, q**3)
 
     def matrix(data, den):
@@ -392,6 +384,27 @@ def test_depth_zero_support_is_right_K_invariant(q, n):
     check()
 
 
+def _cell_free_flat(pair, ks):
+    """Every cell-free point h of the slices ks, built the way _point_walk
+    builds h * cell, without the cell: d(p^k a_0) for n = 2, and for
+    n = 3 the embedded diag(p^v_1, p^v_2) kbar over the window pairs
+    with v_1 + v_2 = k and kbar in nk_cell_reps, in the engine's order."""
+    p = pair.p
+    out = []
+    for k in ks:
+        if pair.n == 2:
+            out += [PadicMatrix.identity(2).scale_row(0, a0 * Fraction(p) ** k)
+                    for a0 in range(1, p)]
+            continue
+        for v1 in range(-GL3_WINDOW, GL3_WINDOW + 1):
+            v2 = k - v1
+            if abs(v2) <= GL3_WINDOW:
+                out += [_embed_gl2(inner.scale_row(0, Fraction(p) ** v1)
+                                   .scale_row(1, Fraction(p) ** v2))
+                        for inner in nk_cell_reps(p, pair.level)]
+    return out
+
+
 def _point_walk(pair, cell, k):
     """b_k as one support decomposition per point h * cell, the walk the
     engine made before it decomposed the cell-free points once per pair."""
@@ -400,7 +413,7 @@ def _point_walk(pair, cell, k):
     def walk(points):
         total = scal.zero()
         for g in points:
-            value = pair.pair_value(g)
+            value = pair.point_value(g)
             if value is not None:
                 total = total + value
         return total
@@ -460,13 +473,20 @@ class TestCellFreeSupport:
     @pytest.mark.parametrize("q, n", [(7, 2), (3, 3)])
     def test_every_hit_lies_in_K(self, q, n):
         """A hit h is in K, so it decomposes as (0, 1, h) and h * cell as
-        (0, 1, h * cell): the table keys are the point walk's."""
+        (0, 1, h * cell): the table keys are the point walk's.  The pair
+        keeps each slice's hits as (0, psi_t class of 1, h), in the order of
+        the cell-free points, and drops the misses."""
         pair = RSPair(*dz_dual_types(q, n))
         integrate_over_K(pair)
-        hits = {h: dec for h, dec in pair._support.items() if dec is not None}
+        one = (0, psi_t_class(pair.type1, PadicMatrix.identity(n)))
+        assert sorted(pair._hits) == list(range(n))
+        hits = 0
+        for k, kept in pair._hits.items():
+            stored = kept if n == 2 else [hit for _, shell in kept for hit in shell]
+            in_K = [h for h in _cell_free_flat(pair, [k]) if h.in_K(q)]
+            assert stored == [(*one, h) for h in in_K], k
+            hits += len(stored)
         assert hits
-        for h, dec in hits.items():
-            assert h.in_K(q) and dec == (0, PadicMatrix.identity(n), h)
 
     @staticmethod
     def _count(monkeypatch):
@@ -670,7 +690,7 @@ class TestGL3:
 
 
 class TestSharedDecomposition:
-    """pair_value decomposes each point once and feeds both test vectors;
+    """point_value decomposes each point once and feeds both test vectors;
     on random points it must agree with evaluating W_1 and W_2 separately."""
 
     @staticmethod
@@ -717,9 +737,9 @@ class TestSharedDecomposition:
                 expected = pair.W1.value(g) * pair.W2.value(g)
             except DepthExceeded:  # psi_t needs roots of unity beyond the cap
                 with pytest.raises(DepthExceeded):
-                    pair.pair_value(g)
+                    pair.point_value(g)
                 continue
-            value = pair.pair_value(g)
+            value = pair.point_value(g)
             # None marks a point off the support, where both vectors vanish
             assert (value is None) == (support_decompose(pair.type1, g) is None), g
             assert (zero if value is None else value) == expected, g
@@ -748,7 +768,7 @@ class TestPairTable:
             for v2 in range(-2, 3):
                 for kbar in nk_cell_reps(p, pair.level):
                     g = kbar.scale_row(0, Fraction(p) ** v1).scale_row(1, Fraction(p) ** v2)
-                    pair.pair_value(g)
+                    pair.point_value(g)
                     dec = support_decompose(pair.type1, g)
                     if dec is not None:
                         i, n_mat, j0 = dec
@@ -776,10 +796,10 @@ class TestPickledPair:
             pair, random.Random(7), count=20)
         for g in points:
             try:
-                want = pair.pair_value(g)
+                want = pair.point_value(g)
             except DepthExceeded:
                 continue
-            assert copy.pair_value(g) == want, g
+            assert copy.point_value(g) == want, g
         if pair.n == 2:
             for k in range(3):
                 assert c_k_bruteforce(copy, k, 3) == c_k_bruteforce(pair, k, 3)
