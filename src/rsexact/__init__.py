@@ -15,7 +15,6 @@ from .errors import (
     TooLarge,
     NotRegular,
     DepthExceeded,
-    UnsupportedDescriptor,
     EvenResidualCharacteristic,
     NondegeneracyFailure,
     FamilyMismatch,

@@ -24,6 +24,17 @@ Exit codes
 2   configuration error (bad flags, non-regular character data, ...)
 3   refusal: ell is not banal for the requested type
 
+One exit path
+-------------
+Each ``cmd_*`` function only computes: it returns the names of its failed
+checks, its JSON body without ``config``, and a callable that builds its
+CSV rows, so a JSON run never builds them.  ``main`` is the one place that
+renders the report (JSON with the ``config`` block, or CSV), prints the
+``verification failed: ...`` note, writes the report and picks the exit
+code.  An engine, oracle or table run whose cost, estimated before any
+type is built, is above its limit is refused through ``_refuse_above``
+with exit 2.
+
 Scalar literals
 ---------------
 ``--A``, ``--A2`` and ``--twist`` accept a small expression grammar::
@@ -56,7 +67,6 @@ from .integral import (
     DEFAULT_WINDOW,
     GL3_WINDOW,
     ORACLE_KMAX,
-    SHELLS,
     RSPair,
     _j1_coset_reps,
     oracle_check,
@@ -170,12 +180,24 @@ def _validate(cfg: RunConfig) -> None:
         raise ValueError("reduce needs --ell")
     if cfg.command == "oracle-check" and cfg.n != 2:
         raise ValueError("oracle-check supports n = 2 only")
+    if cfg.window is not None and cfg.n != 2:
+        raise ValueError("--window supports n = 2 only")
     if cfg.command in ("verify", "reduce"):
         _check_engine_size(cfg)
     if cfg.command == "reduce":
         _check_reduce_degree(cfg)
     if cfg.command == "oracle-check" or (cfg.command == "verify" and _oracle_requested(cfg)):
         _check_oracle_size(cfg)
+
+
+def _refuse_above(work: str, count: int, unit: str, limit: int) -> None:
+    """Refuse, as a configuration error, work estimated to need more than
+    limit units: every engine, oracle and table bound is refused in this
+    one shape, before any type is built."""
+    if count > limit:
+        raise TooLarge(
+            f"{work} needs about {count:.1e} {unit}, more than the limit of {limit:.0e}"
+        )
 
 
 # support tests, |unimodular rows mod p^m| * (n + 4) slices * tests per slice,
@@ -219,11 +241,7 @@ def _check_engine_size(cfg: RunConfig) -> None:
     tests = rows * per_cell
     if cfg.family == DEPTH_ZERO:
         tests += per_cell
-    if tests > ENGINE_TEST_LIMIT:
-        raise TooLarge(
-            f"the engine at p = {p}, n = {n} needs about {tests:.1e} support tests, "
-            f"more than the limit of {ENGINE_TEST_LIMIT:.0e}"
-        )
+    _refuse_above(f"the engine at p = {p}, n = {n}", tests, "support tests", ENGINE_TEST_LIMIT)
 
 
 def _conductor(cfg: RunConfig) -> int:
@@ -263,11 +281,7 @@ def _check_oracle_size(cfg: RunConfig) -> None:
     window = cfg.window if cfg.window is not None else DEFAULT_WINDOW
     level = RAMIFICATION_INDEX[cfg.family]
     points = (ORACLE_KMAX + 1) * (window + 1) * nk_cell_count(cfg.p, level)
-    if points > ORACLE_POINT_LIMIT:
-        raise TooLarge(
-            f"the oracle at window {window} needs about {points:.1e} pair points, "
-            f"more than the limit of {ORACLE_POINT_LIMIT:.0e}"
-        )
+    _refuse_above(f"the oracle at window {window}", points, "pair points", ORACLE_POINT_LIMIT)
 
 
 # -- type construction ----------------------------------------------------
@@ -307,30 +321,6 @@ def _make_types(cfg: RunConfig):
     return t1, t2, twist
 
 
-# -- output helpers -------------------------------------------------------
-
-
-def _render_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2)
-
-
-def _render_csv(rows) -> str:
-    return "\n".join(",".join(str(c) for c in row) for row in rows)
-
-
-def _emit(cfg: RunConfig, text: str) -> None:
-    payload = text if text.endswith("\n") else text + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
-def _fail_note(names) -> None:
-    print("verification failed: " + ", ".join(names), file=sys.stderr)
-
-
 # -- bessel-table ---------------------------------------------------------
 
 
@@ -338,18 +328,9 @@ def _matrix_ints(g: FiniteMatrix) -> list:
     return [list(row) for row in g.ints]
 
 
-# Bessel terms, |GL_n(F_q)| * q^(n(n-1)/2), a full depth-zero table may cost
+# Bessel terms, |GL_n(F_q)| * q^(n(n-1)/2), a full depth-zero table may cost;
+# a table is refused above it before any element is built
 BESSEL_TERM_LIMIT = 10**6
-
-
-def _check_table_size(table: str, terms: int) -> None:
-    """Refuse a bessel-table of more than BESSEL_TERM_LIMIT terms, before
-    any element is built."""
-    if terms > BESSEL_TERM_LIMIT:
-        raise TooLarge(
-            f"{table} needs about {terms:.1e} terms, "
-            f"more than the limit of {BESSEL_TERM_LIMIT:.0e}"
-        )
 
 
 def _convolution_pairs(G: list, p: int, n: int) -> list:
@@ -363,7 +344,7 @@ def _convolution_pairs(G: list, p: int, n: int) -> list:
 
 def _depth_zero_table(cfg: RunConfig, t1: SimpleTypeData):
     terms = order_gl(cfg.p, cfg.n) * cfg.p ** (cfg.n * (cfg.n - 1) // 2)
-    _check_table_size(f"a GL_{cfg.n}(F_{cfg.p}) Bessel table", terms)
+    _refuse_above(f"a GL_{cfg.n}(F_{cfg.p}) Bessel table", terms, "terms", BESSEL_TERM_LIMIT)
     field = gf(cfg.p)
     psi = AddChar(field, 1)
     J = BesselFunction(t1.chi, psi)
@@ -375,19 +356,15 @@ def _depth_zero_table(cfg: RunConfig, t1: SimpleTypeData):
     duality_ok = all(Jdual.value(g) == J.value(g.inverse()) for g in G)
     pairs = _convolution_pairs(G, cfg.p, cfg.n)
     convolution_ok = bessel_convolution_holds(J, pairs)
-    checks = {
-        "identity": identity_ok,
-        "duality": duality_ok,
-        "convolution": convolution_ok,
-        "pairs_checked": len(pairs),
-    }
-    return rows, checks
+    checks = {"identity": identity_ok, "duality": duality_ok, "convolution": convolution_ok}
+    return rows, checks, len(pairs)
 
 
 def _ramified_table(cfg: RunConfig, t1: SimpleTypeData):
     p = cfg.p
     # one lambda value per row: r in F_p^x times the p^5 J^1/K^2 cosets
-    _check_table_size(f"a ramified lambda table at p = {p}", (p - 1) * p**5)
+    _refuse_above(f"a ramified lambda table at p = {p}", (p - 1) * p**5, "terms",
+                  BESSEL_TERM_LIMIT)
     reps = [u * r for r in range(1, p) for u in _j1_coset_reps(p)]
     classes = [t1.kernel_class(j) for j in reps]
     t2 = make_type(**t1.dual_params())
@@ -410,40 +387,30 @@ def _ramified_table(cfg: RunConfig, t1: SimpleTypeData):
     conv_ok = all(
         lam1(cls_of(j1 * j2)) == lam1(cls_of(j1)) * lam1(cls_of(j2)) for j1, j2 in pairs
     )
-    checks = {
-        "identity": identity_ok,
-        "duality": duality_ok,
-        "convolution": conv_ok,
-        "pairs_checked": len(pairs),
-    }
-    return rows, checks
+    checks = {"identity": identity_ok, "duality": duality_ok, "convolution": conv_ok}
+    return rows, checks, len(pairs)
+
+
+def _table_csv_rows(rows: list, checks: dict, pairs: int):
+    """The CSV of a kernel table: one-column "# name: pass" comment rows for
+    the checks and the pair count, the header g11 .. gnn, value, then one
+    row per element."""
+    for name, ok in checks.items():
+        yield (f"# {name}: {'pass' if ok else 'FAIL'}",)
+    yield (f"# pairs_checked: {pairs}",)
+    n = len(rows[0]["g"])
+    yield [f"g{i + 1}{j + 1}" for i in range(n) for j in range(n)] + ["value"]
+    for r in rows:
+        yield [e for grow in r["g"] for e in grow] + [r["value"]]
 
 
 def cmd_bessel_table(cfg: RunConfig):
     t1 = _make_type1(cfg)
-    if cfg.family == DEPTH_ZERO:
-        rows, checks = _depth_zero_table(cfg, t1)
-    else:
-        rows, checks = _ramified_table(cfg, t1)
-    ok = all(bool(v) for k, v in checks.items() if k != "pairs_checked")
-    if cfg.format == "csv":
-        n = len(rows[0]["g"])
-        header = [f"g{i + 1}{j + 1}" for i in range(n) for j in range(n)] + ["value"]
-        table = [header] + [
-            [str(e) for grow in r["g"] for e in grow] + [r["value"]] for r in rows
-        ]
-        comments = "\n".join(
-            f"# {k}: {v if k == 'pairs_checked' else ('pass' if v else 'FAIL')}"
-            for k, v in checks.items()
-        )
-        text = comments + "\n" + _render_csv(table)
-    else:
-        text = _render_json(
-            {"config": cfg.to_dict(), "rows": rows, "checks": checks}
-        )
-    if not ok:
-        _fail_note([k for k, v in checks.items() if k != "pairs_checked" and not v])
-    return (0 if ok else 1), text
+    table = _depth_zero_table if cfg.family == DEPTH_ZERO else _ramified_table
+    rows, checks, pairs = table(cfg, t1)
+    failures = [name for name, ok in checks.items() if not ok]
+    body = {"rows": rows, "checks": {**checks, "pairs_checked": pairs}}
+    return failures, body, lambda: _table_csv_rows(rows, checks, pairs)
 
 
 # -- verify ---------------------------------------------------------------
@@ -473,16 +440,7 @@ def cmd_verify(cfg: RunConfig):
     report = verify_main_theorem(t1, t2, twist=twist)
     if report.applicable and _oracle_requested(cfg):
         report.oracle = _parallel_oracle_rows(cfg, report.pair, report.I)
-    if cfg.format == "csv":
-        text = _render_csv(report.csv_rows(SHELLS))
-    else:
-        text = _render_json({"config": cfg.to_dict(), **report.to_json()})
-    if not report.passed:
-        failed = [k for k, v in report.checks.items() if not bool(v)]
-        if report.oracle is not None and not all(r["match"] for r in report.oracle):
-            failed.append("oracle")
-        _fail_note(failed)
-    return (0 if report.passed else 1), text
+    return report.failures, report.to_json(), report.csv_rows
 
 
 # -- reduce ---------------------------------------------------------------
@@ -491,18 +449,14 @@ def cmd_verify(cfg: RunConfig):
 def cmd_reduce(cfg: RunConfig):
     t1, t2, twist = _make_types(cfg)
     report = verify_corollary(t1, t2, cfg.ell, twist=twist, factor_index=cfg.ideal)
-    data = report.to_json()
-    if cfg.format == "csv":
-        rows = [("key", "value")] + [
-            (k, json.dumps(v) if isinstance(v, (dict, list)) else str(v))
-            for k, v in data.items()
-        ]
-        text = _render_csv(rows)
-    else:
-        text = _render_json({"config": cfg.to_dict(), **data})
-    if not report.match:
-        _fail_note(["corollary"])
-    return (0 if report.match else 1), text
+    body = report.to_json()
+
+    def csv_rows():
+        yield ("key", "value")
+        for k, v in body.items():
+            yield (k, json.dumps(v) if isinstance(v, (dict, list)) else v)
+
+    return ([] if report.match else ["corollary"]), body, csv_rows
 
 
 # -- oracle-check ---------------------------------------------------------
@@ -513,23 +467,20 @@ def cmd_oracle_check(cfg: RunConfig):
     pair = RSPair(t1, t2, twist=twist)
     rows = oracle_rows_json(_parallel_oracle_rows(cfg, pair, None))
     all_match = all(r["match"] for r in rows)
-    if cfg.format == "csv":
-        table = [("k", "engine", "oracle", "match")] + [
-            (r["k"], r["engine"], r["oracle"], r["match"]) for r in rows
-        ]
-        text = _render_csv(table)
-    else:
-        text = _render_json(
-            {"config": cfg.to_dict(), "rows": rows, "all_match": all_match}
-        )
-    if not all_match:
-        _fail_note(["oracle"])
-    return (0 if all_match else 1), text
+
+    def csv_rows():
+        yield ("k", "engine", "oracle", "match")
+        for r in rows:
+            yield (r["k"], r["engine"], r["oracle"], r["match"])
+
+    return ([] if all_match else ["oracle"]), {"rows": rows, "all_match": all_match}, csv_rows
 
 
 # -- entry point ----------------------------------------------------------
 
 
+# each command returns (failed check names, JSON body without "config", a
+# callable that builds its CSV rows); main renders, notes and exits
 DISPATCH = {
     "bessel-table": cmd_bessel_table,
     "verify": cmd_verify,
@@ -575,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     g3.add_argument("--ideal", type=int, default=0,
                     help="index of the prime factor above ell")
     g3.add_argument("--window", type=int, default=None,
-                    help="oracle truncation window (forces the oracle on)")
+                    help="oracle truncation window, n = 2 only (forces the oracle on)")
     g3.add_argument("--jobs", type=int, default=1,
                     help="parallel worker processes for oracle coefficients")
     g3.add_argument("--out", default=None, help="write the report to this file")
@@ -606,7 +557,11 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(ns)
         _validate(cfg)
-        code, text = DISPATCH[cfg.command](cfg)
+        failures, body, csv_rows = DISPATCH[cfg.command](cfg)
+        if cfg.format == "csv":
+            text = "\n".join(",".join(map(str, row)) for row in csv_rows())
+        else:
+            text = json.dumps({"config": cfg.to_dict(), **body}, indent=2)
     except NonBanal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
@@ -616,12 +571,18 @@ def main(argv=None) -> int:
     except (RSExactError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    if failures:
+        print("verification failed: " + ", ".join(failures), file=sys.stderr)
     try:
-        _emit(cfg, text)
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        else:
+            sys.stdout.write(text + "\n")
     except OSError as exc:
         print(f"configuration error: cannot write the report: {exc}", file=sys.stderr)
         return 2
-    return code
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -34,10 +34,6 @@ class DepthExceeded(RSExactError):
     """Additive-character argument is deeper than the session's p-power cap."""
 
 
-class UnsupportedDescriptor(RSExactError):
-    """Volume requested for a subset the measure table does not describe."""
-
-
 class EvenResidualCharacteristic(RSExactError):
     """The ramified family requires odd p."""
 

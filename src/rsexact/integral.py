@@ -70,12 +70,10 @@ from fractions import Fraction
 from .cyclo import CYC
 from .matgroups import bruhat_cell
 from .padic import (
-    MeasureContext,
     PadicMatrix,
     ng_cell_volume,
     ng_shell,
     pk_cell_reps,
-    volume,
     vp_int,
 )
 from .ratfun import Laurent, RationalFunction, series_coefficients
@@ -126,7 +124,7 @@ class RSPair:
         self.e = type1.e
         self.level = type1.level
         # nu_m, the quotient mass of one (P cap K)\K/K^m cell
-        self.nu = volume(MeasureContext(self.p, self.n), ("PK_quot", self.level))
+        self.nu = Fraction(1, self.p ** ((self.level - 1) * self.n))
         self.kappa = self.scal.embed_cyc(self.W1.A_eff * self.W2.A_eff)
         self._table = {}
         # depth zero: slice k -> its hits (_slice_hits)
@@ -618,10 +616,17 @@ class VerificationReport:
     oracle: list | None = None
 
     @property
+    def failures(self) -> list:
+        """The names of the failed checks, then "oracle" when an oracle row
+        disagrees with the engine."""
+        failed = [name for name, ok in self.checks.items() if not ok]
+        if self.oracle is not None and not all(r["match"] for r in self.oracle):
+            failed.append("oracle")
+        return failed
+
+    @property
     def passed(self) -> bool:
-        return all(bool(v) for v in self.checks.values()) and (
-            self.oracle is None or all(r["match"] for r in self.oracle)
-        )
+        return not self.failures
 
     def to_json(self) -> dict:
         def type_json(t: SimpleTypeData) -> dict:

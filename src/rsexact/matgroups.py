@@ -49,10 +49,8 @@ def small_det(r):
 
 
 def small_adjugate(r):
-    """The adjugate of an n x n matrix, n <= 3, over any commutative ring:
-    adj(r) * r = det(r) * Id."""
-    if len(r) == 1:
-        return [[1]]
+    """The adjugate of an n x n matrix, n in {2, 3}, over any commutative
+    ring: adj(r) * r = det(r) * Id."""
     if len(r) == 2:
         return [[r[1][1], -r[0][1]], [-r[1][0], r[0][0]]]
     if len(r) == 3:
@@ -62,7 +60,7 @@ def small_adjugate(r):
             [f * g - d * i, a * i - c * g, c * d - a * f],
             [d * h - e * g, b * g - a * h, a * e - b * d],
         ]
-    raise ValueError("only n <= 3 supported")
+    raise ValueError("only n in {2, 3} supported")
 
 
 class FiniteMatrix:

@@ -9,9 +9,11 @@ decomposition here is exact.  iwasawa_NAK produces g = n * a * k with n
 upper unitriangular, a = diag(p^{v_i}) and k in GL_n(Z_p) by column
 reduction over the valuation ring.
 
-The volume table fixes the normalizations vol(K^1) = 1 for G and likewise
-for P, Z, N and the (P cap K)\\K quotient; these are the measures every
-integral in the package is stated against.
+Every integral in the package is stated against the Haar measures that
+give K^1 = 1 + p M_n(Z_p) volume 1 on G, and its intersection volume 1 on
+P, Z and N; so K = GL_n(Z_p) has volume |GL_n(F_q)|.  The quotient measure
+on (P cap K)\\K gives each (P cap K)\\K/K^m cell mass q^{-(m-1)n}
+(RSPair.nu), and ng_cell_volume gives each N\\G cell its volume.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .cyclo import CYC
-from .errors import DepthExceeded, UnsupportedDescriptor
-from .matgroups import n_cell_rows, order_gl, small_adjugate, small_det
+from .errors import DepthExceeded
+from .matgroups import n_cell_rows, small_adjugate, small_det
 
 
 def vp_int(n: int, p: int) -> int:
@@ -259,45 +260,6 @@ def iwasawa_NAK(g: PadicMatrix, p: int):
 
 
 # -- measures -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MeasureContext:
-    p: int
-    n: int
-
-
-def volume(ctx: MeasureContext, descriptor) -> Fraction:
-    """Volume of a named compact piece; level 0 means K, level m >= 1 means K^m.
-
-    Normalizations: vol_G(K^1) = vol_P(P cap K^1) = vol_Z(Z cap K^1) =
-    vol_N(N cap K^1) = 1 and the quotient measure on (P cap K)\\K gives each
-    level-m cell mass q^{-(m-1)n}.
-    """
-    q, n = ctx.p, ctx.n
-    try:
-        group, level = descriptor
-    except (TypeError, ValueError):
-        raise UnsupportedDescriptor(f"bad descriptor {descriptor!r}")
-    if not isinstance(level, int) or level < 0:
-        raise UnsupportedDescriptor(f"bad level in {descriptor!r}")
-    m = level
-    if group == "G":
-        return Fraction(order_gl(q, n)) if m == 0 else Fraction(1, q ** ((m - 1) * n * n))
-    if group == "P":
-        if m == 0:
-            return Fraction(order_gl(q, n - 1) * q ** (n - 1))
-        return Fraction(1, q ** ((m - 1) * (n * n - n)))
-    if group == "Z":
-        return Fraction(q - 1) if m == 0 else Fraction(1, q ** (m - 1))
-    if group == "N":
-        d = n * (n - 1) // 2
-        return Fraction(q**d) if m == 0 else Fraction(1, q ** ((m - 1) * d))
-    if group == "PK_quot":
-        if m == 0:
-            raise UnsupportedDescriptor("quotient cells need a positive level")
-        return Fraction(1, q ** ((m - 1) * n))
-    raise UnsupportedDescriptor(f"unknown group {group!r}")
 
 
 def ng_cell_volume(q: int, n: int, m: int, v) -> Fraction:

@@ -27,7 +27,7 @@ from rsexact.integral import (
 )
 from rsexact.lmodular import verify_corollary
 from rsexact.matgroups import FiniteMatrix, enumerate_group, order_gl
-from rsexact.padic import MeasureContext, PadicMatrix, volume
+from rsexact.padic import PadicMatrix, pk_cell_reps
 from rsexact.ratfun import euler_normalize, series_coefficients
 from rsexact.simpletypes import l_factor, make_type
 
@@ -266,11 +266,18 @@ def test_criterion_07_shell_diagnostics(announce, battery_reports):
 def test_criterion_08_measure_consistency(announce):
     for q in (2, 3, 5):
         for n in (2, 3):
-            ctx = MeasureContext(q, n)
-            assert volume(ctx, ("G", 0)) == order_gl(q, n)
-            for m in (1, 2, 3):
-                assert volume(ctx, ("G", m)) == volume(ctx, ("P", m)) * volume(
-                    ctx, ("PK_quot", m)
+            # the (P cap K)\K/K^m cells of the pair's level carry the mass
+            # |GL_n(F_q)| / |P_n(F_q)| of (P cap K)\K, at depth zero and,
+            # for n = 2 and odd q, in the ramified family
+            families = [("depth-zero", {"theta": 1})]
+            if n == 2 and q > 2:
+                families.append(("ramified", {"sigma": 1}))
+            for family, index in families:
+                t1 = make_type(family, q, n=n, **index)
+                pair = RSPair(t1, make_type(**t1.dual_params()))
+                cells = len(pk_cell_reps(q, n, pair.level))
+                assert cells * pair.nu == Fraction(
+                    order_gl(q, n), order_gl(q, n - 1) * q ** (n - 1)
                 )
             # dg = dp dz dk: the Iwasawa factorization realizes the splitting
             g = PadicMatrix.diagonal(

@@ -22,7 +22,8 @@ import rsexact
 from rsexact import cli
 from rsexact.cli import ORACLE_KMAX, RunConfig, build_parser, config_from_args, main
 from rsexact.errors import TooLarge
-from rsexact.lmodular import pair_conductor
+from rsexact.integral import VerificationReport, verify_main_theorem
+from rsexact.lmodular import CorollaryReport, pair_conductor
 from rsexact.padic import PadicMatrix
 from rsexact.simpletypes import RAMIFIED, SimpleTypeData, make_type
 
@@ -644,6 +645,118 @@ class TestGL3Gate:
             capsys, "verify", "--family", "ramified", "--p", "3", "--n", "3",
             "--gl3", "--sigma", "1")
         assert code == 2
+
+    def test_window_at_n3_is_refused(self, capsys):
+        # GL_3 has no oracle, so a window would be echoed and ignored
+        code, out, err = run_cli(
+            capsys, "verify", "--q", "2", "--n", "3", "--gl3", "--theta", "1",
+            "--window", "3")
+        assert code == 2
+        assert err == "configuration error: --window supports n = 2 only\n"
+        assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# the one exit path: each command returns its failures, main notes and exits
+
+
+class RowsBuilt(Exception):
+    pass
+
+
+def _refuse_rows(*args, **kwargs):
+    raise RowsBuilt
+
+
+class TestExitPath:
+    def test_failing_bessel_table_exits_1_and_names_convolution(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "bessel_convolution_holds", lambda J, pairs: False)
+        code, out, err = run_cli(capsys, "bessel-table", "--q", "2", "--theta", "1")
+        assert code == 1
+        assert err == "verification failed: convolution\n"
+        assert json.loads(out)["checks"] == {
+            "identity": True, "duality": True, "convolution": False, "pairs_checked": 36}
+        code, out, err = run_cli(
+            capsys, "bessel-table", "--q", "2", "--theta", "1", "--format", "csv")
+        assert code == 1
+        assert err == "verification failed: convolution\n"
+        assert out.splitlines()[:4] == [
+            "# identity: pass", "# duality: pass", "# convolution: FAIL",
+            "# pairs_checked: 36"]
+
+    @pytest.mark.parametrize("argv", [
+        ["bessel-table", "--q", "3", "--theta", "1"],
+        ["bessel-table", "--family", "ramified", "--p", "3", "--sigma", "1"],
+        ["verify", "--q", "3", "--theta", "1"],
+        ["reduce", "--q", "3", "--theta", "1", "--ell", "5"],
+        ["oracle-check", "--q", "2", "--theta", "1"],
+    ])
+    def test_a_passing_run_prints_no_note(self, capsys, argv):
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert out.endswith("\n") and not out.endswith("\n\n")
+
+    def test_verify_note_lists_every_failed_check_then_the_oracle(self, capsys, monkeypatch):
+        real = cli.verify_main_theorem
+
+        def broken(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report.checks["row_law"] = report.checks["cell_mass"] = False
+            return report
+
+        monkeypatch.setattr(cli, "verify_main_theorem", broken)
+        code, out, err = run_cli(
+            capsys, "verify", "--q", "2", "--theta", "1", "--window", "0")
+        assert code == 1
+        assert err == "verification failed: row_law, cell_mass, oracle\n"
+        data = json.loads(out)
+        assert data["passed"] is False
+        assert [k for k, ok in data["checks"].items() if not ok] == ["row_law", "cell_mass"]
+
+    def test_verify_failures_are_the_report_verdict(self):
+        t1 = make_type("depth-zero", 2, theta=1)
+        report = verify_main_theorem(t1, make_type(**t1.dual_params()))
+        assert report.failures == [] and report.passed
+        report.checks["closed_form_identity"] = False
+        report.oracle = [{"match": True}, {"match": False}]
+        assert report.failures == ["closed_form_identity", "oracle"]
+        assert not report.passed
+
+    def test_reduce_note_names_the_corollary(self, capsys, monkeypatch):
+        monkeypatch.setattr(CorollaryReport, "match", property(lambda self: False))
+        code, out, err = run_cli(capsys, "reduce", "--q", "2", "--theta", "1", "--ell", "5")
+        assert code == 1
+        assert err == "verification failed: corollary\n"
+        assert json.loads(out)["match"] is False
+
+    def test_oracle_check_note_names_the_oracle(self, capsys):
+        code, out, err = run_cli(
+            capsys, "oracle-check", "--q", "2", "--theta", "1", "--window", "0")
+        assert code == 1
+        assert err == "verification failed: oracle\n"
+        assert json.loads(out)["all_match"] is False
+
+    def test_note_comes_before_a_failed_write(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "verify", "--q", "2", "--theta", "1", "--window", "0",
+            "--out", str(tmp_path / "missing" / "report.json"))
+        assert code == 2
+        assert err.startswith("verification failed: oracle\n"
+                              "configuration error: cannot write the report:")
+        assert out == ""
+
+    @pytest.mark.parametrize("argv,target", [
+        (["verify", "--q", "2", "--theta", "1"], (VerificationReport, "csv_rows")),
+        (["bessel-table", "--q", "2", "--theta", "1"], (cli, "_table_csv_rows")),
+    ])
+    def test_a_json_run_builds_no_csv_rows(self, capsys, monkeypatch, argv, target):
+        monkeypatch.setattr(*target, _refuse_rows)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["format"] == "json"
+        with pytest.raises(RowsBuilt):
+            main([*argv, "--format", "csv"])
 
 
 def test_cli_import_does_not_load_sympy():

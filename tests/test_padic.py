@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsexact.cyclo import CycNumber, cyc_embed_root
-from rsexact.errors import DepthExceeded, UnsupportedDescriptor
+from rsexact.errors import DepthExceeded
 from rsexact.matgroups import order_gl
 from rsexact.padic import (
-    MeasureContext,
     PadicMatrix,
     iwasawa_NAK,
     ng_cell_volume,
@@ -21,7 +20,6 @@ from rsexact.padic import (
     nk_cell_reps,
     pk_cell_reps,
     unimodular_rows,
-    volume,
     vp_int,
 )
 from rsexact.integral import RSPair, c_k_bruteforce
@@ -229,52 +227,22 @@ def test_pzk_ramified_uniformizer():
     assert k == PadicMatrix([[0, 1], [1, 0]])
 
 
-# -- volumes -------------------------------------------------------------
+# -- measures -------------------------------------------------------------
 
 
-def test_volume_table_frozen():
-    ctx = MeasureContext(3, 2)
-    assert volume(ctx, ("G", 0)) == order_gl(3, 2) == 48
-    assert volume(ctx, ("G", 1)) == 1
-    assert volume(ctx, ("G", 2)) == Fraction(1, 81)
-    assert volume(ctx, ("P", 0)) == 6
-    assert volume(ctx, ("P", 2)) == Fraction(1, 9)
-    assert volume(ctx, ("Z", 0)) == 2
-    assert volume(ctx, ("Z", 2)) == Fraction(1, 3)
-    assert volume(ctx, ("N", 0)) == 3
-    assert volume(ctx, ("N", 2)) == Fraction(1, 3)
-    assert volume(ctx, ("PK_quot", 1)) == 1
-    assert volume(ctx, ("PK_quot", 2)) == Fraction(1, 9)
-
-
-def test_volume_bad_descriptor():
-    ctx = MeasureContext(3, 2)
-    with pytest.raises(UnsupportedDescriptor):
-        volume(ctx, ("B", 1))
-    with pytest.raises(UnsupportedDescriptor):
-        volume(ctx, ("G", -1))
-    with pytest.raises(UnsupportedDescriptor):
-        volume(ctx, "K")
-    with pytest.raises(UnsupportedDescriptor):
-        volume(ctx, ("PK_quot", 0))
-
-
-@pytest.mark.parametrize("q", [2, 3, 5])
-@pytest.mark.parametrize("n", [2, 3])
-def test_volume_refinement_and_splitting(q, n):
-    ctx = MeasureContext(q, n)
-    for m in range(1, 4):
-        assert volume(ctx, ("G", m)) / volume(ctx, ("G", m + 1)) == q ** (n * n)
-        # G-volume of K^m splits as P-volume of P cap K^m times the cell mass
-        assert volume(ctx, ("G", m)) == volume(ctx, ("P", m)) * volume(
-            ctx, ("PK_quot", m)
-        )
-    # total quotient mass is independent of the level used to compute it
-    for m in (1, 2):
-        count = q ** ((m - 1) * n) * order_gl(q, n) // (order_gl(q, n - 1) * q ** (n - 1))
-        assert count * volume(ctx, ("PK_quot", m)) == Fraction(
-            order_gl(q, n), order_gl(q, n - 1) * q ** (n - 1)
-        )
+@pytest.mark.parametrize("family,p,n,index", [
+    (DEPTH_ZERO, 2, 2, 1), (DEPTH_ZERO, 3, 2, 1), (DEPTH_ZERO, 5, 2, 2),
+    (DEPTH_ZERO, 2, 3, 1), (DEPTH_ZERO, 3, 3, 1),
+    (RAMIFIED, 3, 2, 1), (RAMIFIED, 5, 2, 1),
+])
+def test_quotient_cells_add_up_to_the_mass_of_the_quotient(family, p, n, index):
+    # nu is the mass of one (P cap K)\K/K^m cell; the cells of every level
+    # add up to the mass |GL_n(F_q)| / |P_n(F_q)| of (P cap K)\K
+    key = "theta" if family == DEPTH_ZERO else "sigma"
+    t1 = make_type(family, p, n=n, **{key: index})
+    pair = RSPair(t1, make_type(**t1.dual_params()))
+    cells = len(pk_cell_reps(p, n, pair.level))
+    assert cells * pair.nu == Fraction(order_gl(p, n), order_gl(p, n - 1) * p ** (n - 1))
 
 
 # -- coset cells ---------------------------------------------------------
