@@ -74,7 +74,7 @@ from .integral import (
     verify_main_theorem,
 )
 from .lmodular import conductor, verify_corollary
-from .matgroups import FiniteMatrix, enumerate_group, order_gl
+from .matgroups import enumerate_group, identity, mat_inverse, order_gl
 from .padic import PadicMatrix, nk_cell_count
 from .simpletypes import (
     DEPTH_ZERO,
@@ -180,6 +180,12 @@ def _validate(cfg: RunConfig) -> None:
         raise ValueError("reduce needs --ell")
     if cfg.command == "oracle-check" and cfg.n != 2:
         raise ValueError("oracle-check supports n = 2 only")
+    if cfg.command in ("reduce", "bessel-table"):
+        # neither runs an oracle, so the oracle's flags would be ignored
+        if cfg.window is not None:
+            raise ValueError(f"--window applies only to runs with an oracle, not {cfg.command}")
+        if cfg.jobs != 1:
+            raise ValueError(f"--jobs applies only to runs with an oracle, not {cfg.command}")
     if cfg.window is not None and cfg.n != 2:
         raise ValueError("--window supports n = 2 only")
     if cfg.command in ("verify", "reduce"):
@@ -324,10 +330,6 @@ def _make_types(cfg: RunConfig):
 # -- bessel-table ---------------------------------------------------------
 
 
-def _matrix_ints(g: FiniteMatrix) -> list:
-    return [list(row) for row in g.ints]
-
-
 # Bessel terms, |GL_n(F_q)| * q^(n(n-1)/2), a full depth-zero table may cost;
 # a table is refused above it before any element is built
 BESSEL_TERM_LIMIT = 10**6
@@ -345,15 +347,14 @@ def _convolution_pairs(G: list, p: int, n: int) -> list:
 def _depth_zero_table(cfg: RunConfig, t1: SimpleTypeData):
     terms = order_gl(cfg.p, cfg.n) * cfg.p ** (cfg.n * (cfg.n - 1) // 2)
     _refuse_above(f"a GL_{cfg.n}(F_{cfg.p}) Bessel table", terms, "terms", BESSEL_TERM_LIMIT)
-    field = gf(cfg.p)
-    psi = AddChar(field, 1)
+    psi = AddChar(gf(cfg.p), 1)
     J = BesselFunction(t1.chi, psi)
     Jdual = BesselFunction(t1.chi.dual(), psi.inverse())
-    G = enumerate_group(field, cfg.n)
-    rows = [{"g": _matrix_ints(g), "value": str(J.value(g))} for g in G]
+    G = enumerate_group(cfg.p, cfg.n)
+    rows = [{"g": [list(row) for row in g], "value": str(J.value(g))} for g in G]
 
-    identity_ok = J.value(FiniteMatrix.identity(field, cfg.n)) == 1
-    duality_ok = all(Jdual.value(g) == J.value(g.inverse()) for g in G)
+    identity_ok = J.value(identity(cfg.n)) == 1
+    duality_ok = all(Jdual.value(g) == J.value(mat_inverse(g, cfg.p)) for g in G)
     pairs = _convolution_pairs(G, cfg.p, cfg.n)
     convolution_ok = bessel_convolution_holds(J, pairs)
     checks = {"identity": identity_ok, "duality": duality_ok, "convolution": convolution_ok}
@@ -526,9 +527,11 @@ def build_parser() -> argparse.ArgumentParser:
     g3.add_argument("--ideal", type=int, default=0,
                     help="index of the prime factor above ell")
     g3.add_argument("--window", type=int, default=None,
-                    help="oracle truncation window, n = 2 only (forces the oracle on)")
+                    help="oracle truncation window, n = 2 only (forces the oracle on); "
+                         "verify and oracle-check only")
     g3.add_argument("--jobs", type=int, default=1,
-                    help="parallel worker processes for oracle coefficients")
+                    help="parallel worker processes for oracle coefficients; "
+                         "verify and oracle-check only")
     g3.add_argument("--out", default=None, help="write the report to this file")
     g3.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -21,6 +21,9 @@ on m_3.  Pairs with the same key have the same verdict, and
 bessel_convolution_holds sums one pair per key: 104 sums for the 2 304
 pairs of GL_2(F_3).
 
+Elements of GL_n(F_q) are int rows with entries in [0, q), the
+convention of matgroups, with q the prime order of the base field.
+
 Correctness of the value tables is certified in the test-suite, by
 tests/reference.py::character_invariants, through structural invariants
 (irreducibility, vanishing of all Borel-induction pairings, unipotent-sum
@@ -38,10 +41,10 @@ from .cyclo import CYC
 from .errors import NotRegular
 from .finitefield import AddChar, MultChar, gf
 from .matgroups import (
-    FiniteMatrix,
     bruhat_cell,
     classify_conjugacy,
     enumerate_unitriangular,
+    mat_mul,
     mirabolic_reps,
 )
 
@@ -68,9 +71,10 @@ class CuspidalCharacter:
     def q(self) -> int:
         return self.base_field.order
 
-    def value(self, g: FiniteMatrix, scal=CYC):
-        kind, data = classify_conjugacy(g)
+    def value(self, g, scal=CYC):
+        """chi(g) for g the int rows of an element of GL_n(F_q)."""
         q = self.q
+        kind, data = classify_conjugacy(g, q)
         if self.n == 2:
             if kind == "central":
                 return scal.from_fraction(q - 1) * self.central_value(data, scal)
@@ -102,9 +106,10 @@ class CuspidalCharacter:
         return f"<CuspidalCharacter n={self.n} q={self.q} t={self.theta.t}>"
 
 
-def psi_of_unipotent(psi: AddChar, u: FiniteMatrix, scal=CYC):
-    """psi applied to the sum of the superdiagonal entries of u."""
-    return psi.value(sum(u.ints[i][i + 1] for i in range(u.n - 1)), scal)
+def psi_of_unipotent(psi: AddChar, u, scal=CYC):
+    """psi applied to the sum of the superdiagonal entries of u, given by its
+    int rows."""
+    return psi.value(sum(u[i][i + 1] for i in range(len(u) - 1)), scal)
 
 
 class BesselFunction:
@@ -141,7 +146,7 @@ class BesselFunction:
         self._cells = {}
         psi_inv = psi.inverse()
         self._terms = [(u, psi_of_unipotent(psi_inv, u, scal))
-                       for u in enumerate_unitriangular(chi.base_field, chi.n)]
+                       for u in enumerate_unitriangular(chi.q, chi.n)]
         self._inv_order = scal.from_fraction(Fraction(1, len(self._terms)))
 
     @property
@@ -152,8 +157,9 @@ class BesselFunction:
     def n(self):
         return self.chi.n
 
-    def value(self, g: FiniteMatrix):
-        return self.cell_value(*self.coordinates(g.ints))
+    def value(self, g):
+        """J(g) for g the int rows of an element of GL_n(F_q)."""
+        return self.cell_value(*self.coordinates(g))
 
     def coordinates(self, rows):
         """The Bruhat coordinates (m, x) of the matrix with int rows `rows`
@@ -170,17 +176,17 @@ class BesselFunction:
         m the int rows of a monomial matrix, x in [0, p)."""
         cell = self._cells.get(m)
         if cell is None:
-            j_m = self._cell_sum(FiniteMatrix._of(self.field, m))
+            j_m = self._cell_sum(m)
             cell = self._cells[m] = [j_m] + [None] * (self.field.p - 1)
         out = cell[x]
         if out is None:
             out = cell[x] = self.psi.value(x, self.scal) * cell[0]
         return out
 
-    def _cell_sum(self, m: FiniteMatrix):
+    def _cell_sum(self, m):
         """J(m) by its definition, the |N|-sum."""
-        scal = self.scal
-        return self._inv_order * scal.sum(psi_inv_u * self.chi.value(m * u, scal)
+        scal, p = self.scal, self.field.p
+        return self._inv_order * scal.sum(psi_inv_u * self.chi.value(mat_mul(m, u, p), scal)
                                           for u, psi_inv_u in self._terms)
 
     def __repr__(self):
@@ -206,19 +212,19 @@ def bessel_convolution_holds(J: BesselFunction, pairs) -> bool:
     kept, because few recur across keys once the pairs are sampled.
     """
     p = J.field.p
-    reps = mirabolic_reps(J.field, J.n)
+    reps = mirabolic_reps(p, J.n)
 
     @cache
     def left(g1):
-        return [J.coordinates((g1 * m_inv).ints) for _, m_inv in reps]
+        return [J.coordinates(mat_mul(g1, m_inv, p)) for _, m_inv in reps]
 
     @cache
     def right(g2):
-        return [J.coordinates((m * g2).ints) for m, _ in reps]
+        return [J.coordinates(mat_mul(m, g2, p)) for m, _ in reps]
 
     checked = set()
     for g1, g2 in pairs:
-        m3, x3 = J.coordinates((g1 * g2).ints)
+        m3, x3 = J.coordinates(mat_mul(g1, g2, p))
         terms = tuple(sorted((m1, m2, (x1 + x2 - x3) % p)
                              for (m1, x1), (m2, x2) in zip(left(g1), right(g2))))
         if (terms, m3) in checked:

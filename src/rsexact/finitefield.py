@@ -308,13 +308,6 @@ class FFElement:
         return f"<{self.field!r}: {self}>"
 
 
-def _prime(field: GF) -> int:
-    """The characteristic of a prime field; other fields are refused."""
-    if field.degree != 1:
-        raise ValueError(f"{field!r} is not a prime field")
-    return field.p
-
-
 _GF_CACHE: dict = {}
 
 
@@ -384,8 +377,10 @@ class AddChar:
     __slots__ = ("field", "a")
 
     def __init__(self, field: GF, a=1):
+        if field.degree != 1:
+            raise ValueError(f"{field!r} is not a prime field")
         self.field = field
-        self.a = a % _prime(field)
+        self.a = a % field.p
 
     def value(self, x: int, scal=CYC):
         p = self.field.p

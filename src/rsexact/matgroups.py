@@ -9,8 +9,11 @@ representatives the engine and the oracle integrate over, and at m = 1
 they are the N_2-orbits of GL_2(F_p) that mirabolic_reps embeds for the
 GL_3 Bessel convolution.
 
-A FiniteMatrix holds its entries as ints mod a prime p, so products,
-determinants, inverses and the enumerations are integer arithmetic.
+An element of GL_n(F_p) is its int rows: a tuple of row tuples with
+entries in [0, p), and p is passed beside it as an int.  p is prime: it
+comes from a field built by finitefield.gf or from a flag that
+cli._validate has checked.  Products, determinants, inverses and the
+enumerations are integer arithmetic on the rows.
 
 Eigenvalues in F_p are located by scanning the field for roots of the
 characteristic polynomial, once per polynomial, which avoids any
@@ -27,16 +30,14 @@ from functools import cache
 from math import comb
 
 from .errors import TooLarge
-from .finitefield import GF, _prime, gf
+from .finitefield import gf
 
 _ENUM_LIMIT = 10**8
 
 
 def small_det(r):
-    """Determinant of an n x n matrix, n <= 3, given by its rows over any
-    commutative ring."""
-    if len(r) == 1:
-        return r[0][0]
+    """Determinant of an n x n matrix, n in {2, 3}, given by its rows over
+    any commutative ring."""
     if len(r) == 2:
         return r[0][0] * r[1][1] - r[0][1] * r[1][0]
     if len(r) == 3:
@@ -45,7 +46,7 @@ def small_det(r):
             - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
             + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
         )
-    raise ValueError("only n <= 3 supported")
+    raise ValueError("only n in {2, 3} supported")
 
 
 def small_adjugate(r):
@@ -63,84 +64,25 @@ def small_adjugate(r):
     raise ValueError("only n in {2, 3} supported")
 
 
-class FiniteMatrix:
-    """Immutable, hashable n x n matrix over a prime field gf(p).
+def identity(n: int):
+    """The int rows of the n x n identity matrix."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
-    ``ints`` holds the entries as rows of ints in [0, p).
-    """
 
-    __slots__ = ("field", "ints")
+def mat_mul(a, b, p: int):
+    """The int rows of a * b mod p."""
+    cols = tuple(zip(*b))
+    mul = operator.mul
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in a)
 
-    def __init__(self, field: GF, rows):
-        """Rows of ints, any residues mod p."""
-        p = _prime(field)
-        self.field = field
-        self.ints = tuple(tuple(e % p for e in row) for row in rows)
 
-    @classmethod
-    def _of(cls, field: GF, ints) -> "FiniteMatrix":
-        """The matrix with rows `ints`, already tuples reduced mod p."""
-        m = object.__new__(cls)
-        m.field = field
-        m.ints = ints
-        return m
-
-    @classmethod
-    def identity(cls, field: GF, n: int) -> "FiniteMatrix":
-        return cls(field, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    @property
-    def n(self) -> int:
-        return len(self.ints)
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteMatrix):
-            return NotImplemented
-        return self.field is other.field and self.ints == other.ints
-
-    def __hash__(self):
-        return hash(self.ints)
-
-    def __mul__(self, other):
-        p = self.field.p
-        if isinstance(other, FiniteMatrix):
-            if other.field is not self.field:
-                raise ValueError("matrices over different fields")
-            cols = tuple(zip(*other.ints))
-            mul = operator.mul
-            return FiniteMatrix._of(self.field, tuple(
-                tuple(sum(map(mul, row, col)) % p for col in cols) for row in self.ints
-            ))
-        if isinstance(other, int):
-            return FiniteMatrix._of(
-                self.field, tuple(tuple(e * other % p for e in row) for row in self.ints)
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FiniteMatrix":
-        p = self.field.p
-        d = small_det(self.ints) % p
-        if not d:
-            raise ZeroDivisionError("singular matrix")
-        di = pow(d, -1, p)
-        return FiniteMatrix._of(
-            self.field,
-            tuple(tuple(e * di % p for e in row) for row in small_adjugate(self.ints)),
-        )
-
-    def is_scalar(self) -> bool:
-        z = self.ints[0][0]
-        return all(
-            e == (z if i == j else 0)
-            for i, row in enumerate(self.ints)
-            for j, e in enumerate(row)
-        )
-
-    def __repr__(self):
-        body = "; ".join(",".join(str(e) for e in row) for row in self.ints)
-        return f"[{body}]"
+def mat_inverse(a, p: int):
+    """The int rows of a^-1 mod p, for a in GL_n(F_p), n in {2, 3}."""
+    d = small_det(a) % p
+    if not d:
+        raise ZeroDivisionError("singular matrix")
+    di = pow(d, -1, p)
+    return tuple(tuple(e * di % p for e in row) for row in small_adjugate(a))
 
 
 def order_gl(q: int, n: int) -> int:
@@ -151,30 +93,28 @@ def order_gl(q: int, n: int) -> int:
 
 
 @cache
-def enumerate_group(field: GF, n: int):
-    """All of GL_n over the field, in deterministic order."""
-    if field.order ** (n * n) > _ENUM_LIMIT:
-        raise TooLarge(f"GL_{n}(F_{field.order}) enumeration exceeds the guard")
-    p = _prime(field)
+def enumerate_group(p: int, n: int):
+    """All of GL_n(F_p), n in {2, 3}, in deterministic order."""
+    if p ** (n * n) > _ENUM_LIMIT:
+        raise TooLarge(f"GL_{n}(F_{p}) enumeration exceeds the guard")
     out = []
     for entries in itertools.product(range(p), repeat=n * n):
         rows = tuple(entries[i * n : (i + 1) * n] for i in range(n))
         if small_det(rows) % p:
-            out.append(FiniteMatrix._of(field, rows))
+            out.append(rows)
     return out
 
 
 @cache
-def enumerate_unitriangular(field: GF, n: int):
-    """Upper unitriangular matrices, deterministic order."""
-    p = _prime(field)
+def enumerate_unitriangular(p: int, n: int):
+    """The upper unitriangular matrices of GL_n(F_p), deterministic order."""
     pos = [(i, j) for i in range(n) for j in range(i + 1, n)]
     out = []
     for vals in itertools.product(range(p), repeat=len(pos)):
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
         for (i, j), v in zip(pos, vals):
             rows[i][j] = v
-        out.append(FiniteMatrix._of(field, tuple(map(tuple, rows))))
+        out.append(tuple(map(tuple, rows)))
     return out
 
 
@@ -221,7 +161,7 @@ def _elliptic_roots(p: int, n: int) -> dict:
 
 
 @cache
-def _eigenvalue_pattern(field: GF, coeffs: tuple):
+def _eigenvalue_pattern(p: int, coeffs: tuple):
     """(kind, data) for the monic characteristic polynomial of an n x n
     matrix over the prime field, given by its int coefficients mod p, low
     to high: ("repeated", z) for (x - z)^n, ("split", roots) for two
@@ -229,7 +169,6 @@ def _eigenvalue_pattern(field: GF, coeffs: tuple):
     ("elliptic", roots) for an irreducible polynomial, its roots as
     elements of the degree-n extension; and ("other", None) for every
     remaining cubic."""
-    p = field.p
     n = len(coeffs) - 1
     roots = [x for x in range(p) if not _horner(coeffs, x) % p]
     if not roots:
@@ -243,8 +182,9 @@ def _eigenvalue_pattern(field: GF, coeffs: tuple):
     return ("other", None)
 
 
-def classify_conjugacy(g: FiniteMatrix):
-    """Conjugacy class label by eigenvalue pattern.
+def classify_conjugacy(r, p: int):
+    """Conjugacy class label by eigenvalue pattern of the element of
+    GL_n(F_p) with int rows r.
 
     n=2 kinds: ("central", z), ("unipotent", z) for non-scalar with double
     eigenvalue z, ("split", {a, b}), ("elliptic", {x, x^q}).
@@ -255,13 +195,10 @@ def classify_conjugacy(g: FiniteMatrix):
     gf(p, n).
 
     The pattern is read off the characteristic polynomial alone; only a
-    repeated eigenvalue z looks at g itself, through is_scalar and, for
-    n = 3, the 2 x 2 minors of g - z.
+    repeated eigenvalue z looks at the matrix itself: it is central when it
+    is z * Id, and for n = 3 the 2 x 2 minors of r - z tell u21 from u3.
     """
-    F = g.field
-    p = F.p
-    r = g.ints
-    n = g.n
+    n = len(r)
     if n not in (2, 3):
         raise ValueError("only n in {2, 3} supported")
     t1 = sum(r[i][i] for i in range(n))
@@ -272,10 +209,10 @@ def classify_conjugacy(g: FiniteMatrix):
         # the trace of the adjugate, summed from the principal 2 x 2 minors
         t2 = sum(r[i][i] * r[j][j] - r[i][j] * r[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
         coeffs = (-t3 % p, t2 % p, -t1 % p, 1)
-    kind, data = _eigenvalue_pattern(F, coeffs)
+    kind, data = _eigenvalue_pattern(p, coeffs)
     if kind != "repeated":
         return kind, data
-    if g.is_scalar():
+    if all(e == (data if i == j else 0) for i, row in enumerate(r) for j, e in enumerate(row)):
         return "central", data
     if n == 2:
         return "unipotent", data
@@ -303,17 +240,16 @@ def n_cell_rows(p: int, m: int) -> list:
 
 
 @cache
-def mirabolic_reps(field: GF, n: int):
-    """The pairs (m, m^-1) for m the representatives of N_{n-1}\\GL_{n-1}
-    embedded in the top-left block of GL_n, n in {2, 3}, in the order of
-    their int rows: diag(a, 1) for n = 2, and the blocks n_cell_rows(p, 1)
-    for n = 3."""
-    p = _prime(field)
+def mirabolic_reps(p: int, n: int):
+    """The pairs (m, m^-1), as int rows, for m the representatives of
+    N_{n-1}\\GL_{n-1}(F_p) embedded in the top-left block of GL_n, n in
+    {2, 3}, in the order of their int rows: diag(a, 1) for n = 2, and the
+    blocks n_cell_rows(p, 1) for n = 3."""
     if n == 2:
         blocks = [((a, 0), (0, 1)) for a in range(1, p)]
     else:
         blocks = [(r1 + (0,), r2 + (0,), (0, 0, 1)) for r1, r2 in sorted(n_cell_rows(p, 1))]
-    return tuple((m, m.inverse()) for m in (FiniteMatrix._of(field, b) for b in blocks))
+    return tuple((m, mat_inverse(m, p)) for m in blocks)
 
 
 def bruhat_cell(rows, p: int):

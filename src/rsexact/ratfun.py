@@ -68,9 +68,6 @@ class Laurent:
 
     __hash__ = None
 
-    def __add__(self, other):
-        return Laurent(self.scal, [*self._c.items(), *other._c.items()])
-
     def __mul__(self, other):
         b = other._c.items()
         terms = []
@@ -196,13 +193,9 @@ class RationalFunction:
     __hash__ = None
 
     def __mul__(self, other):
-        if isinstance(other, Laurent):
-            other = RationalFunction.from_laurent(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if self.den == Laurent.from_const(self.scal, self.scal.one()):

@@ -39,7 +39,6 @@ from .cuspchar import BesselFunction, CuspidalCharacter
 from .cyclo import CYC, CycNumber
 from .errors import EvenResidualCharacteristic, FamilyMismatch, NondegeneracyFailure
 from .finitefield import AddChar, MultChar, gf
-from .matgroups import FiniteMatrix
 from .padic import PadicMatrix, iwasawa_NAK, theta_at, theta_class, vp_int
 from .ratfun import EulerFactor, Laurent
 
@@ -288,8 +287,15 @@ def support_decompose(data: SimpleTypeData, g: PadicMatrix):
         # x = a / c and j_0 = w_E^{-1} n(-x) g' = [[c, d], [0, -det / (p c)]] / e
         x_num, x_den = a, c
         j0 = PadicMatrix.from_ints([[p * c * c, p * c * d], [0, -det]], p * c * e)
-    if not data.in_J(j0):
-        return None
+    # j_0 lies in J, so it is not tested again: its denominator D = d e
+    # (r = 0) or p c e (r = 1) has valuation 2s + r = v(det), as v(d) = s,
+    # resp. v(c) = s.  For r = 0 the entries det/D and d^2/D are units and
+    # c d/D = c/e is integral; for r = 1, p c^2/D = c/e and -det/D are units
+    # and p c d/D = d/e lies in pZ_p.  So j_0 is integral with upper-right
+    # entry in p and a unit determinant, and its diagonal difference
+    # (det - d^2)/D, resp. (p c^2 + det)/D, lies in pZ_p by the last residue
+    # test: j_0 is in A^x with equal diagonal residues, which is J.
+    # tests/test_simpletypes.py checks in_J on every decomposition returned.
     n_mat = PadicMatrix.from_ints([[x_den, x_num], [0, x_den]], x_den)
     return vdet - 2 * vden, n_mat, j0
 
@@ -335,7 +341,7 @@ class WhittakerFunction:
     def kernel(self, cls):
         """K on the kernel class cls of J."""
         if self.data.family == DEPTH_ZERO:
-            return self._bessel.value(FiniteMatrix(self._bessel.field, cls))
+            return self._bessel.value(cls)
         value = self._lam.get(cls)
         if value is None:
             value = self._lam[cls] = self.data.lam_on_class(cls, self.scal)

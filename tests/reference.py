@@ -26,9 +26,11 @@ from rsexact.cyclo import CYC, cyclotomic_poly
 from rsexact.errors import RSExactError
 from rsexact.integral import b_coefficient
 from rsexact.matgroups import (
-    FiniteMatrix,
     enumerate_group,
     enumerate_unitriangular,
+    identity,
+    mat_inverse,
+    mat_mul,
     mirabolic_reps,
 )
 from rsexact.padic import (
@@ -267,23 +269,28 @@ def c_k_point_walk(pair, k: int, window: int = 4):
     return scal.sum(shells) * scal.from_fraction(Fraction(p - 1))
 
 
-def n_orbit_rep(g: FiniteMatrix) -> FiniteMatrix:
-    """Lexicographically least element of (unitriangular N) * g."""
-    return min((u * g for u in enumerate_unitriangular(g.field, g.n)), key=lambda h: h.ints)
+def n_orbit_rep(g, p: int):
+    """Lexicographically least element of (unitriangular N) * g, for g the
+    int rows of an element of GL_n(F_p)."""
+    return min(mat_mul(u, g, p) for u in enumerate_unitriangular(p, len(g)))
 
 
-def n_coset_reps(field, k: int) -> list:
-    """The orbit minima of N_k on GL_k over the field, in the order of their
-    int rows, found by searching every orbit: the blocks of
-    matgroups.mirabolic_reps, in the same order."""
-    return sorted({n_orbit_rep(g) for g in enumerate_group(field, k)}, key=lambda h: h.ints)
+def n_coset_reps(p: int, k: int) -> list:
+    """The orbit minima of N_k on GL_k(F_p), k in {1, 2}, in the order of
+    their int rows, found by searching every orbit: the blocks of
+    matgroups.mirabolic_reps, in the same order.  N_1 is trivial, so for
+    k = 1 they are the units."""
+    if k == 1:
+        return [((a,),) for a in range(1, p)]
+    return sorted({n_orbit_rep(g, p) for g in enumerate_group(p, k)})
 
 
 def mirabolic_convolution(b1, b2, g1, g2):
     """sum over N\\M of J1(g1 m^{-1}) J2(m g2), M the mirabolic subgroup,
     every value read through BesselFunction.value."""
-    return b1.scal.sum(b1.value(g1 * m_inv) * b2.value(m * g2)
-                       for m, m_inv in mirabolic_reps(b1.field, b1.n))
+    p = b1.field.p
+    return b1.scal.sum(b1.value(mat_mul(g1, m_inv, p)) * b2.value(mat_mul(m, g2, p))
+                       for m, m_inv in mirabolic_reps(p, b1.n))
 
 
 def bessel_convolution_check(b1, b2, g1, g2) -> bool:
@@ -294,7 +301,7 @@ def bessel_convolution_check(b1, b2, g1, g2) -> bool:
     formula.  cuspchar.bessel_convolution_holds gives the verdict over many
     pairs at once.
     """
-    return mirabolic_convolution(b1, b2, g1, g2) == b1.value(g1 * g2)
+    return mirabolic_convolution(b1, b2, g1, g2) == b1.value(mat_mul(g1, g2, b1.field.p))
 
 
 def iwasawa_PZK(g: PadicMatrix, p: int):
@@ -314,16 +321,16 @@ def degree_value(chi: CuspidalCharacter) -> int:
     return math.prod(chi.q**i - 1 for i in range(1, chi.n))
 
 
-def n_right_coset_canonical(g: FiniteMatrix) -> FiniteMatrix:
-    """Canonical representative of g*N, N the upper unitriangular group.
+def n_right_coset_canonical(g, p: int):
+    """Canonical representative of g*N, N the upper unitriangular group, for
+    g the int rows of an element of GL_n(F_p).
 
     Right multiplication by N adds earlier columns into later ones; the
     unique coset member whose column j vanishes at the pivot rows of columns
     0..j-1 (pivot = bottom-most unclaimed nonzero row) is returned.
     """
-    n = g.n
-    p = g.field.p
-    cols = [list(col) for col in zip(*g.ints)]
+    n = len(g)
+    cols = [list(col) for col in zip(*g)]
     pivots: list[int] = []
     for j in range(n):
         for jj in range(j):
@@ -333,7 +340,7 @@ def n_right_coset_canonical(g: FiniteMatrix) -> FiniteMatrix:
                 cols[j] = [(a - c * b) % p for a, b in zip(cols[j], cols[jj])]
         pivot = next(i for i in range(n - 1, -1, -1) if i not in pivots and cols[j][i])
         pivots.append(pivot)
-    return FiniteMatrix._of(g.field, tuple(zip(*cols)))
+    return tuple(zip(*cols))
 
 
 def character_invariants(chi: CuspidalCharacter) -> dict:
@@ -353,21 +360,20 @@ def character_invariants(chi: CuspidalCharacter) -> dict:
 
     The GL_3 value table is accepted purely on the strength of this suite.
     """
-    F = chi.base_field
-    n = chi.n
-    G = enumerate_group(F, n)
+    p, n = chi.q, chi.n
+    G = enumerate_group(p, n)
     val = {g: chi.value(g) for g in G}
-    eye = FiniteMatrix.identity(F, n)
 
-    norm_one = CYC.sum(val[g] * val[g.inverse()] for g in G) == len(G)
-    degree_ok = val[eye] == degree_value(chi)
+    norm_one = CYC.sum(val[g] * val[mat_inverse(g, p)] for g in G) == len(G)
+    degree_ok = val[identity(n)] == degree_value(chi)
     sum_zero = CYC.sum(val.values()).is_zero()
 
     central_ok = True
     for z in range(1, chi.q):
         tz = chi.central_value(z)
         for g in G:
-            if not val[g * z] == tz * val[g]:
+            zg = tuple(tuple(e * z % p for e in row) for row in g)
+            if not val[zg] == tz * val[g]:
                 central_ok = False
                 break
         if not central_ok:
@@ -375,8 +381,8 @@ def character_invariants(chi: CuspidalCharacter) -> dict:
 
     cosets: dict = {}
     for g in G:
-        cosets.setdefault(n_right_coset_canonical(g), []).append(val[g])
-    n_size = len(enumerate_unitriangular(F, n))
+        cosets.setdefault(n_right_coset_canonical(g, p), []).append(val[g])
+    n_size = len(enumerate_unitriangular(p, n))
     cuspidal = len(cosets) == len(G) // n_size and all(
         CYC.sum(values).is_zero() for values in cosets.values()
     )

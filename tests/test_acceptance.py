@@ -26,7 +26,7 @@ from rsexact.integral import (
     verify_main_theorem,
 )
 from rsexact.lmodular import verify_corollary
-from rsexact.matgroups import FiniteMatrix, enumerate_group, order_gl
+from rsexact.matgroups import enumerate_group, identity, mat_inverse, order_gl
 from rsexact.padic import PadicMatrix, pk_cell_reps
 from rsexact.ratfun import euler_normalize, series_coefficients
 from rsexact.simpletypes import l_factor, make_type
@@ -209,9 +209,9 @@ def test_criterion_05_bessel_suite(announce):
         psi = AddChar(field, 1)
         J = BesselFunction(chi, psi)
         Jdual = BesselFunction(chi.dual(), psi.inverse())
-        G = enumerate_group(field, 2)
-        assert J.value(FiniteMatrix.identity(field, 2)) == 1
-        assert all(Jdual.value(g) == J.value(g.inverse()) for g in G)
+        G = enumerate_group(q, 2)
+        assert J.value(identity(2)) == 1
+        assert all(Jdual.value(g) == J.value(mat_inverse(g, q)) for g in G)
         if q == 2:
             pairs = [(g1, g2) for g1 in G for g2 in G]
             assert len(pairs) == 36
@@ -327,13 +327,11 @@ def test_criterion_09_l_modular_corollary(announce, capsys):
 
 def test_criterion_10_character_certification(announce):
     for q in (2, 3, 5):
-        field = gf(q)
-        eye = FiniteMatrix.identity(field, 2)
         for t in regular_thetas(q, 2):
             chi = cuspidal_character(MultChar(gf(q, 2), t))
             invariants = character_invariants(chi)
             assert all(invariants.values()), (q, t, invariants)
-            assert chi.value(eye) == q - 1
+            assert chi.value(identity(2)) == q - 1
     # the GL_3 characters pass the same exhaustive suite
     for t in regular_thetas(2, 3):
         chi = cuspidal_character(MultChar(gf(2, 3), t))

@@ -24,7 +24,6 @@ from rsexact.errors import DepthExceeded
 from rsexact.finitefield import AddChar, gf
 from rsexact.integral import RSPair, verify_main_theorem
 from rsexact.lmodular import pair_conductor, verify_corollary
-from rsexact.matgroups import FiniteMatrix
 from rsexact.padic import PadicMatrix
 from rsexact.residue import ResidueScalars
 from rsexact.simpletypes import (
@@ -98,8 +97,8 @@ def ref_bessel(W, j: PadicMatrix, scal):
     p = W.data.p
     psi = AddChar(gf(p), 1)
     J = BesselFunction(W.data.chi, psi.inverse() if W.dual else psi, scal)
-    return J.value(FiniteMatrix(gf(p), [
-        [e.numerator * pow(e.denominator, -1, p) for e in row] for row in j.rows]))
+    return J.value(tuple(
+        tuple(e.numerator * pow(e.denominator, -1, p) % p for e in row) for row in j.rows))
 
 
 def ref_pair_value(pair: RSPair, g: PadicMatrix):

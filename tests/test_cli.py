@@ -657,6 +657,40 @@ class TestGL3Gate:
 
 
 # ---------------------------------------------------------------------------
+# the oracle's flags on commands that run no oracle
+
+
+class TestOracleFlagsWithoutAnOracle:
+    COMMANDS = {
+        "reduce": ["reduce", "--q", "3", "--theta", "1", "--ell", "5"],
+        "bessel-table": ["bessel-table", "--q", "3", "--theta", "1"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_window_is_refused(self, capsys, command):
+        code, out, err = run_cli(capsys, *self.COMMANDS[command], "--window", "3")
+        assert code == 2
+        assert err == (f"configuration error: --window applies only to runs with an "
+                       f"oracle, not {command}\n")
+        assert out == ""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("jobs", ["2", "4"])
+    def test_jobs_other_than_one_is_refused(self, capsys, command, jobs):
+        code, out, err = run_cli(capsys, *self.COMMANDS[command], "--jobs", jobs)
+        assert code == 2
+        assert err == (f"configuration error: --jobs applies only to runs with an "
+                       f"oracle, not {command}\n")
+        assert out == ""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_jobs_one_is_accepted_and_echoed(self, capsys, command):
+        code, out, _ = run_cli(capsys, *self.COMMANDS[command], "--jobs", "1")
+        assert code == 0
+        assert json.loads(out)["config"]["jobs"] == 1
+
+
+# ---------------------------------------------------------------------------
 # the one exit path: each command returns its failures, main notes and exits
 
 

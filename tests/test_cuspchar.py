@@ -17,10 +17,12 @@ from rsexact.cuspchar import (
 from rsexact.errors import NotRegular
 from rsexact.finitefield import AddChar, MultChar, gf
 from rsexact.matgroups import (
-    FiniteMatrix,
     bruhat_cell,
     enumerate_group,
     enumerate_unitriangular,
+    identity,
+    mat_inverse,
+    mat_mul,
     mirabolic_reps,
     small_det,
 )
@@ -39,6 +41,14 @@ from reference import (
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
+
+
+def times(p, *factors):
+    """The int rows of the product of `factors` in GL_n(F_p)."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = mat_mul(out, f, p)
+    return out
 
 
 def _perm_sign(perm):
@@ -61,7 +71,7 @@ def _perm_sign(perm):
 def _s3_sign(g):
     """Sign of g in GL_2(F_2) = S_3 acting on the three nonzero row vectors."""
     vecs = [v for v in itertools.product(range(2), repeat=2) if any(v)]
-    (a, b), (c, d) = g.ints
+    (a, b), (c, d) = g
     perm = {}
     for v in vecs:
         perm[v] = ((v[0] * a + v[1] * c) % 2, (v[0] * b + v[1] * d) % 2)
@@ -90,7 +100,7 @@ def _borel_restriction_pairing(chi, ts):
             rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
             for (i, j), v in zip(pos, upper):
                 rows[i][j] = v
-            b = FiniteMatrix(F, rows)
+            b = tuple(map(tuple, rows))
             total = total + chi.value(b) * tval.conj(-1)
             count += 1
     return total * Fraction(1, count)
@@ -103,14 +113,14 @@ def _borel_restriction_pairing(chi, ts):
 
 def test_q2_character_is_s3_sign():
     chi = CuspidalCharacter(MultChar(gf(2, 2), 1))
-    for g in enumerate_group(gf(2), 2):
+    for g in enumerate_group(2, 2):
         assert chi.value(g) == _s3_sign(g)
 
 
 def test_q2_bessel_is_s3_sign():
     chi = CuspidalCharacter(MultChar(gf(2, 2), 1))
     J = BesselFunction(chi, AddChar(gf(2), 1))
-    for g in enumerate_group(gf(2), 2):
+    for g in enumerate_group(2, 2):
         assert J.value(g) == _s3_sign(g)
 
 
@@ -142,16 +152,16 @@ def test_distinct_orbits_are_orthogonal():
     F9 = gf(3, 2)
     chi1 = CuspidalCharacter(MultChar(F9, 1))
     chi2 = CuspidalCharacter(MultChar(F9, 2))
-    G = enumerate_group(gf(3), 2)
+    G = enumerate_group(3, 2)
     total = CycNumber.zero()
     for g in G:
-        total = total + chi1.value(g) * chi2.value(g.inverse())
+        total = total + chi1.value(g) * chi2.value(mat_inverse(g, 3))
     assert total.is_zero()
     # same orbit: t=3 is the Frobenius translate of t=1
     chi3 = CuspidalCharacter(MultChar(F9, 3))
     total = CycNumber.zero()
     for g in G:
-        total = total + chi1.value(g) * chi3.value(g.inverse())
+        total = total + chi1.value(g) * chi3.value(mat_inverse(g, 3))
     assert total == len(G)
 
 
@@ -168,8 +178,8 @@ def test_dual_character_is_inverse_composed():
     for q, n in ((2, 2), (3, 2), (2, 3)):
         chi = CuspidalCharacter(MultChar(gf(q, n), 1))
         chid = chi.dual()
-        for g in enumerate_group(gf(q), n):
-            assert chid.value(g) == chi.value(g.inverse())
+        for g in enumerate_group(q, n):
+            assert chid.value(g) == chi.value(mat_inverse(g, q))
 
 
 def test_degree_values():
@@ -190,9 +200,9 @@ def test_bessel_at_identity_unrolled():
     #      = (1/3)(2 - zeta3^2 - zeta3) = 1
     F3 = gf(3)
     chi = CuspidalCharacter(MultChar(gf(3, 2), 1))
-    u1 = FiniteMatrix(F3, [[1, 1], [0, 1]])
-    u2 = FiniteMatrix(F3, [[1, 2], [0, 1]])
-    eye = FiniteMatrix.identity(F3, 2)
+    u1 = ((1, 1), (0, 1))
+    u2 = ((1, 2), (0, 1))
+    eye = identity(2)
     by_hand = (
         chi.value(eye)
         + cyc_embed_root(3, -1) * chi.value(u1)
@@ -207,7 +217,7 @@ def test_bessel_at_identity_unrolled():
 def test_bessel_identity_value(q, n):
     chi = CuspidalCharacter(MultChar(gf(q, n), 1))
     J = BesselFunction(chi, AddChar(gf(q), 1))
-    assert J.value(FiniteMatrix.identity(gf(q), n)) == 1
+    assert J.value(identity(n)) == 1
 
 
 def test_bessel_equivariance():
@@ -215,14 +225,14 @@ def test_bessel_equivariance():
     chi = CuspidalCharacter(MultChar(gf(3, 2), 1))
     psi = AddChar(F3, 1)
     J = BesselFunction(chi, psi)
-    G = enumerate_group(F3, 2)
-    N = enumerate_unitriangular(F3, 2)
+    G = enumerate_group(3, 2)
+    N = enumerate_unitriangular(3, 2)
     rng = random.Random(17)
     for _ in range(6):
         g = rng.choice(G)
         for u in N:
             for v in N:
-                lhs = J.value(u * g * v)
+                lhs = J.value(times(3, u, g, v))
                 rhs = psi_of_unipotent(psi, u) * psi_of_unipotent(psi, v) * J.value(g)
                 assert lhs == rhs
 
@@ -232,23 +242,23 @@ def test_bessel_equivariance_n3():
     chi = CuspidalCharacter(MultChar(gf(2, 3), 1))
     psi = AddChar(F2, 1)
     J = BesselFunction(chi, psi)
-    G = enumerate_group(F2, 3)
-    N = enumerate_unitriangular(F2, 3)
+    G = enumerate_group(2, 3)
+    N = enumerate_unitriangular(2, 3)
     rng = random.Random(18)
     for _ in range(3):
         g = rng.choice(G)
         for u in N:
-            assert J.value(u * g) == psi_of_unipotent(psi, u) * J.value(g)
-            assert J.value(g * u) == J.value(g) * psi_of_unipotent(psi, u)
+            assert J.value(times(2, u, g)) == psi_of_unipotent(psi, u) * J.value(g)
+            assert J.value(times(2, g, u)) == J.value(g) * psi_of_unipotent(psi, u)
 
 
 def bessel_by_definition(chi, psi, g):
     """|N|^-1 sum over all u in N of psi(u)^-1 chi(g u)."""
-    N = enumerate_unitriangular(chi.base_field, chi.n)
+    N = enumerate_unitriangular(chi.q, chi.n)
     total = CycNumber.zero()
     for u in N:
-        arg = sum(u.ints[i][i + 1] for i in range(chi.n - 1))
-        total = total + psi.inverse().value(arg) * chi.value(g * u)
+        arg = sum(u[i][i + 1] for i in range(chi.n - 1))
+        total = total + psi.inverse().value(arg) * chi.value(times(chi.q, g, u))
     return total * Fraction(1, len(N))
 
 
@@ -270,7 +280,7 @@ def assert_same_bessel_values(chi, points):
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3)])
 def test_bessel_matches_the_definition_everywhere(q, n):
     chi = CuspidalCharacter(MultChar(gf(q, n), 1))
-    for J in assert_same_bessel_values(chi, enumerate_group(gf(q), n)):
+    for J in assert_same_bessel_values(chi, enumerate_group(q, n)):
         # the |N|-sum ran once per monomial matrix
         assert len(J._cells) == factorial(n) * (q - 1) ** n
 
@@ -278,16 +288,15 @@ def test_bessel_matches_the_definition_everywhere(q, n):
 def test_bessel_matches_the_definition_on_every_gl3_f3_cell():
     # a seeded sample of GL_3(F_3) (11 232 elements): two points u_1 m u_2
     # in each of the 48 cells, for every monomial m
-    F = gf(3)
     chi = CuspidalCharacter(MultChar(gf(3, 3), 1))
-    N = enumerate_unitriangular(F, 3)
+    N = enumerate_unitriangular(3, 3)
     rng = random.Random(48)
     points = []
     for perm in itertools.permutations(range(3)):
         for diag in itertools.product((1, 2), repeat=3):
-            m = FiniteMatrix(F, [[diag[i] if j == perm[i] else 0 for j in range(3)]
-                                 for i in range(3)])
-            points += [rng.choice(N) * m * rng.choice(N) for _ in range(2)]
+            m = tuple(tuple(diag[i] if j == perm[i] else 0 for j in range(3))
+                      for i in range(3))
+            points += [times(3, rng.choice(N), m, rng.choice(N)) for _ in range(2)]
     for J in assert_same_bessel_values(chi, points):
         assert len(J._cells) == 48
 
@@ -297,17 +306,17 @@ def test_bessel_two_sided_law_on_random_triples(q, n, trials):
     # J(u_1 g u_2) = psi(u_1) psi(u_2) J(g), stated without the decomposition
     F = gf(q)
     chi = CuspidalCharacter(MultChar(gf(q, n), 1))
-    N = enumerate_unitriangular(F, n)
+    N = enumerate_unitriangular(q, n)
     rng = random.Random(100 * q + n)
     for psi in (AddChar(F, 1), AddChar(F, -1)):
         J = BesselFunction(chi, psi)
         done = 0
         while done < trials:
-            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-            if not small_det(rows) % q:
+            g = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+            if not small_det(g) % q:
                 continue
-            g, u1, u2 = FiniteMatrix(F, rows), rng.choice(N), rng.choice(N)
-            assert J.value(u1 * g * u2) == (
+            u1, u2 = rng.choice(N), rng.choice(N)
+            assert J.value(times(q, u1, g, u2)) == (
                 psi_of_unipotent(psi, u1) * psi_of_unipotent(psi, u2) * J.value(g))
             done += 1
 
@@ -326,8 +335,8 @@ def test_bessel_memo_and_term_table_per_scalar_context(monkeypatch):
     monkeypatch.setattr(cuspchar, "psi_of_unipotent", counted)
     J, J_res = BesselFunction(chi, psi), BesselFunction(chi, psi, res)
     # psi(u)^-1 is computed once per unitriangular u, at construction
-    assert len(psi_calls) == 2 * len(enumerate_unitriangular(F3, 2))
-    G = enumerate_group(F3, 2)
+    assert len(psi_calls) == 2 * len(enumerate_unitriangular(3, 2))
+    G = enumerate_group(3, 2)
     for i, g in enumerate(G):
         if i % 2:
             exact, reduced = J.value(g), J_res.value(g)
@@ -336,18 +345,20 @@ def test_bessel_memo_and_term_table_per_scalar_context(monkeypatch):
         assert reduced == res.embed_cyc(exact)
         assert J_res.value(g) is reduced and J.value(g) is exact
     assert len(J._memo) == len(J_res._memo) == len(G)
-    assert len(psi_calls) == 2 * len(enumerate_unitriangular(F3, 2))
+    assert len(psi_calls) == 2 * len(enumerate_unitriangular(3, 2))
 
 
-def test_bessel_memo_shared_by_reduced_and_int_matrices():
-    # a depth-zero test vector reads its Bessel kernel off the class of j mod p
+def test_bessel_memo_shared_by_kernel_classes_and_reduced_matrices():
+    # a depth-zero test vector reads its Bessel kernel off the class of j mod
+    # p, the int rows the group layer uses for the matrix j mod p
     t = make_type(DEPTH_ZERO, 3, theta=1)
     W = WhittakerFunction(t)
     cls = t.kernel_class(PadicMatrix([[Fraction(1, 2), -1], [3, 7]]))
     assert cls == ((2, 2), (0, 1))
     value = W.kernel(cls)
     assert len(W._bessel._memo) == 1
-    assert W._bessel.value(FiniteMatrix(gf(3), [[-1, 2], [3, 7]])) is value
+    reduced = tuple(tuple(e % 3 for e in row) for row in [[-1, 2], [3, 7]])
+    assert W._bessel.value(reduced) is value
     assert len(W._bessel._memo) == 1
 
 
@@ -355,7 +366,7 @@ def test_convolution_random_q3_q5():
     for q, trials in ((3, 60), (5, 25)):
         chi = CuspidalCharacter(MultChar(gf(q, 2), 1))
         J = BesselFunction(chi, AddChar(gf(q), 1))
-        G = enumerate_group(gf(q), 2)
+        G = enumerate_group(q, 2)
         rng = random.Random(q)
         for _ in range(trials):
             g1, g2 = rng.choice(G), rng.choice(G)
@@ -365,16 +376,16 @@ def test_convolution_random_q3_q5():
 def test_convolution_n3():
     chi = CuspidalCharacter(MultChar(gf(2, 3), 1))
     J = BesselFunction(chi, AddChar(gf(2), 1))
-    G = enumerate_group(gf(2), 3)
+    G = enumerate_group(2, 3)
     rng = random.Random(19)
     for _ in range(10):
         g1, g2 = rng.choice(G), rng.choice(G)
         assert bessel_convolution_check(J, J, g1, g2)
 
 
-def _monomials(F, n):
-    """The int rows of every monomial matrix in GL_n(F)."""
-    units = range(1, F.order)
+def _monomials(q, n):
+    """The int rows of every monomial matrix in GL_n(F_q)."""
+    units = range(1, q)
     return [tuple(tuple(diag[i] if j == perm[i] else 0 for j in range(n)) for i in range(n))
             for perm in itertools.permutations(range(n))
             for diag in itertools.product(units, repeat=n)]
@@ -386,7 +397,7 @@ def _cli_bessel(q, n, scal=CYC):
     F = gf(q)
     chi = CuspidalCharacter(MultChar(gf(q, n), 1))
     J = BesselFunction(chi, AddChar(F, 1), scal)
-    G = enumerate_group(F, n)
+    G = enumerate_group(q, n)
     for g in G:
         J.value(g)
     return J, _convolution_pairs(G, q, n)
@@ -412,10 +423,10 @@ def test_convolution_check_reads_the_memoized_coordinates(monkeypatch):
 
     fresh = BesselFunction(J.chi, J.psi)
     assert bessel_convolution_holds(fresh, pairs)
-    reps = mirabolic_reps(J.field, 2)
-    matrices = {(g1 * g2).ints for g1, g2 in pairs}
-    matrices |= {(g1 * m_inv).ints for g1, _ in pairs for _, m_inv in reps}
-    matrices |= {(m * g2).ints for _, g2 in pairs for m, _ in reps}
+    reps = mirabolic_reps(3, 2)
+    matrices = {times(3, g1, g2) for g1, g2 in pairs}
+    matrices |= {times(3, g1, m_inv) for g1, _ in pairs for _, m_inv in reps}
+    matrices |= {times(3, m, g2) for _, g2 in pairs for m, _ in reps}
     assert len(calls) == len(set(calls)) == len(matrices)
     assert set(calls) == matrices
 
@@ -438,7 +449,7 @@ class _CellMutant(BesselFunction):
 
     def _cell_sum(self, m):
         out = super()._cell_sum(m)
-        if m.ints == self.target:
+        if m == self.target:
             out = out + self.scal.root_of_unity(self.field.order, 1)
         return out
 
@@ -447,8 +458,8 @@ class _CellMutant(BesselFunction):
 def test_both_convolution_checks_refuse_every_cell_mutant(q, n, n_cells):
     F = gf(q)
     chi = CuspidalCharacter(MultChar(gf(q, n), 1))
-    pairs = _convolution_pairs(enumerate_group(F, n), q, n)
-    targets = _monomials(F, n)
+    pairs = _convolution_pairs(enumerate_group(q, n), q, n)
+    targets = _monomials(q, n)
     assert len(targets) == n_cells
     for target in targets:
         J = _CellMutant(chi, AddChar(F, 1), target)
@@ -486,10 +497,9 @@ def test_bessel_value_is_psi_times_the_cell_value(q, n):
     chi = CuspidalCharacter(MultChar(gf(q, n), 1))
     psi = AddChar(F, 1)
     J = BesselFunction(chi, psi)
-    by_cell = {m: bessel_by_definition(chi, psi, FiniteMatrix._of(F, m))
-               for m in _monomials(F, n)}
-    for g in enumerate_group(F, n):
-        m, x = bruhat_cell(g.ints, q)
+    by_cell = {m: bessel_by_definition(chi, psi, m) for m in _monomials(q, n)}
+    for g in enumerate_group(q, n):
+        m, x = bruhat_cell(g, q)
         want = psi.value(x) * by_cell[m]
         assert J.value(g) == want and J.cell_value(m, x) is J.value(g), g
 
@@ -501,8 +511,8 @@ def test_dual_kernel_identity():
         psi = AddChar(gf(q), 1)
         J1 = BesselFunction(chi, psi)
         J2 = BesselFunction(chi.dual(), psi.inverse())
-        for g in enumerate_group(gf(q), 2):
-            assert J2.value(g) == J1.value(g.inverse())
+        for g in enumerate_group(q, 2):
+            assert J2.value(g) == J1.value(mat_inverse(g, q))
 
 
 def test_unit_sum_of_dual_pair_is_one():
@@ -513,11 +523,11 @@ def test_unit_sum_of_dual_pair_is_one():
     psi = AddChar(F3, 1)
     J1 = BesselFunction(chi, psi)
     J2 = BesselFunction(chi.dual(), psi.inverse())
-    for k in enumerate_group(F3, 2):
+    for k in enumerate_group(3, 2):
         total = CycNumber.zero()
         for a in range(1, 3):
-            d = FiniteMatrix(F3, [[a, 0], [0, 1]])
-            total = total + J1.value(d * k) * J2.value(d * k)
+            dk = times(3, ((a, 0), (0, 1)), k)
+            total = total + J1.value(dk) * J2.value(dk)
         assert total == 1
 
 
@@ -526,14 +536,14 @@ def test_mirabolic_convolution_matches_direct_sum():
     F3 = gf(3)
     chi = CuspidalCharacter(MultChar(gf(3, 2), 1))
     J = BesselFunction(chi, AddChar(F3, 1))
-    G = enumerate_group(F3, 2)
+    G = enumerate_group(3, 2)
     rng = random.Random(21)
     for _ in range(10):
         g1, g2 = rng.choice(G), rng.choice(G)
         direct = CycNumber.zero()
         for a in range(1, 3):
-            d = FiniteMatrix(F3, [[a, 0], [0, 1]])
-            direct = direct + J.value(g1 * d.inverse()) * J.value(d * g2)
+            d = ((a, 0), (0, 1))
+            direct = direct + J.value(times(3, g1, mat_inverse(d, 3))) * J.value(times(3, d, g2))
         assert direct == mirabolic_convolution(J, J, g1, g2)
 
 

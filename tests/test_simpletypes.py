@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rsexact.cuspchar import BesselFunction
 from rsexact.cyclo import CycNumber, CycScalars, cyc_embed_root
@@ -14,7 +16,6 @@ from rsexact.errors import (
     NotRegular,
 )
 from rsexact.finitefield import AddChar, gf
-from rsexact.matgroups import FiniteMatrix
 from rsexact.padic import PadicMatrix
 from rsexact.simpletypes import (
     DEPTH_ZERO,
@@ -273,6 +274,60 @@ def test_ramified_support_roundtrip():
         assert nm * wp * jj == g
 
 
+def _uniformizer_power(data, i: int) -> PadicMatrix:
+    w = data.uniformizer()
+    out = PadicMatrix.identity(data.n)
+    for _ in range(abs(i)):
+        out = out * (w if i > 0 else w.inverse())
+    return out
+
+
+@st.composite
+def support_points(draw):
+    """(type, g, on_support): an n = 2 type of either family and a point g of
+    GL_2(Q_p), either built as n(x) w_E^i j with j in J, so on the support,
+    or with arbitrary entries over a denominator p^k u."""
+    p = draw(st.sampled_from((3, 5, 7, 11)))
+    if draw(st.booleans()):
+        data = make_type(RAMIFIED, p, sigma=1)
+    else:
+        data = make_type(DEPTH_ZERO, p, theta=1)
+    ints = st.integers(-p**3, p**3)
+    if draw(st.booleans()):
+        k, u = draw(st.integers(0, 3)), draw(st.sampled_from((1, 2, 4)))
+        rows = [[draw(ints) for _ in range(2)] for _ in range(2)]
+        assume(rows[0][0] * rows[1][1] != rows[0][1] * rows[1][0])
+        return data, PadicMatrix.from_ints(rows, p**k * u), False
+    r = draw(st.integers(1, p - 1))
+    a, b, c, d = (draw(ints) for _ in range(4))
+    if data.family == RAMIFIED:
+        j = PadicMatrix.from_ints([[r + p * a, p * b], [c, r + p * d]])
+    else:
+        j = PadicMatrix.from_ints([[r + p * a, p * b], [c, 1 + p * d]])
+    x = Fraction(draw(ints), p ** draw(st.integers(0, 3)))
+    i = draw(st.integers(-3, 3))
+    g = upper_unipotent({(0, 1): x}, 2) * _uniformizer_power(data, i) * j
+    return data, g, True
+
+
+@given(support_points())
+@settings(max_examples=300, deadline=None)
+def test_every_support_decomposition_lands_in_J(point):
+    # support_decompose does not test j_0 against J itself: its residue
+    # tests imply membership, and this property holds them to that
+    data, g, on_support = point
+    dec = support_decompose(data, g)
+    if on_support:
+        assert dec is not None, g
+    if dec is None:
+        return
+    i, n_mat, j0 = dec
+    assert data.in_J(j0), (g, j0)
+    (one, _), (zero, one_) = n_mat.rows
+    assert one == one_ == 1 and zero == 0, n_mat
+    assert n_mat * _uniformizer_power(data, i) * j0 == g
+
+
 def test_ramified_support_vanishing():
     t = make_type(RAMIFIED, 3, sigma=1)
     assert support_decompose(t, PadicMatrix.diagonal([3, 1])) is None
@@ -355,7 +410,7 @@ def test_dual_whittaker_uses_inverse_psi():
     # the dual finite kernel is the Bessel function against psi-bar inverse
     chi = t.chi
     ref = BesselFunction(chi, AddChar(gf(3), 1).inverse())
-    assert W2.value(k) == ref.value(FiniteMatrix(gf(3), [[1, 1], [1, 2]]))
+    assert W2.value(k) == ref.value(((1, 1), (1, 2)))
 
 
 def test_ramified_orientation_gate():

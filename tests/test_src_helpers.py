@@ -78,12 +78,13 @@ def test_fields_are_built_only_by_gf():
 
 
 def test_group_layer_is_int_only():
-    """Prime-field values are ints in the group layer; FFElements there only
-    come back as the elliptic eigenvalues, from the degree-n field itself.
-    PadicMatrix shares the names rows, entry and det, so the unused-definition
-    test cannot see a returning FFElement boundary."""
+    """Prime-field values are ints in the group layer and a matrix is its int
+    rows, with p passed as an int; FFElements there only come back as the
+    elliptic eigenvalues, from the degree-n field itself.  PadicMatrix shares
+    the names rows, entry and det, so the unused-definition test cannot see a
+    returning FFElement boundary, nor a GF taken as an argument."""
     names = {ident for ident, _ in _identifiers()["matgroups"]}
-    assert "FFElement" not in names
+    assert not names & {"FFElement", "GF"}
 
 
 def test_char0_context_is_built_only_in_cyclo():
