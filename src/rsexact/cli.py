@@ -276,14 +276,16 @@ def _check_reduce_degree(cfg: RunConfig) -> None:
         )
 
 
-# pair points, (kmax + 1) * (window + 1) * |(N cap K)\K/K^m|, the brute-force
-# oracle may visit
+# pair points the brute-force oracle may visit, estimated as
+# (kmax + 1) * (window + 1) * |(N cap K)\K/K^m|; the oracle walks at most
+# one support shell per coefficient, (kmax + 1) * |(N cap K)\K/K^m| points,
+# and the estimate stays an upper bound that does not rest on that law
 ORACLE_POINT_LIMIT = 10**6
 
 
 def _check_oracle_size(cfg: RunConfig) -> None:
-    """Refuse an oracle run whose point count, estimated before any type is
-    built, exceeds ORACLE_POINT_LIMIT."""
+    """Refuse an oracle run whose point count, bounded above before any type
+    is built (the ORACLE_POINT_LIMIT comment), exceeds ORACLE_POINT_LIMIT."""
     window = cfg.window if cfg.window is not None else DEFAULT_WINDOW
     level = RAMIFICATION_INDEX[cfg.family]
     points = (ORACLE_KMAX + 1) * (window + 1) * nk_cell_count(cfg.p, level)

@@ -32,9 +32,13 @@ n z^i (k_0 kbar) through RSPair.pair_value.  The ramified support is not
 right-K-invariant, and there each point is decomposed (RSPair.point_value).
 
 An independent brute-force oracle sums W_1 W_2 Phi directly over canonical
-N\\G cells (valuation vectors in a window times (N cap K)\\K/K^m), carrying
-the explicit factor (q - 1) that relates the canonical normalization to the
-center-times-quotient route above.  Diagnostics check the per-cell laws in
+N\\G cells p^v kbar, kbar in (N cap K)\\K/K^m, carrying the explicit factor
+(q - 1) that relates the canonical normalization to the
+center-times-quotient route above.  By the Iwasawa decomposition only one
+valuation vector v of each determinant valuation k meets the support
+(SimpleTypeData.support_shell), so the oracle walks that one shell per
+coefficient, point by point, when it lies in the window; it uses none of
+the engine's unit classes or support hits.  Diagnostics check the per-cell laws in
 one pass over the cell log (the slice pattern and row law of the b_k, and
 the cell-mass identity behind the level constant u), the J^1-averages F_i,
 and the shell constancy that pins down mu.
@@ -324,22 +328,22 @@ def c_k_bruteforce(pair: RSPair, k: int, window: int = DEFAULT_WINDOW):
     Sums W_1 W_2 Phi(e_n g) over g = diag(p^v1, p^v2) kbar with
     v1 + v2 = k, |v_i| <= window, kbar in (N cap K)\\K/K^m, weighting each
     cell by its canonical volume and the overall factor (q - 1) that aligns
-    the canonical normalization with the center-times-quotient route.  Each
-    point is built once, by ng_shell from the cached representatives, and
-    decomposed once.
+    the canonical normalization with the center-times-quotient route.
+    Phi(e_2 g) = 0 unless v2 >= 0, and W_1 W_2 = 0 off the one shell
+    SimpleTypeData.support_shell(k), so only that shell is walked, when it
+    lies in the window with v2 >= 0; every other shell of the window would
+    add an exact zero at modulus 1, which leaves the raw sum as it is.
+    Each point is built once, by ng_shell from the cached representatives,
+    and decomposed once.
     """
     if pair.n != 2:
         raise ValueError("the brute-force oracle is implemented for n = 2")
     scal, p, m = pair.scal, pair.p, pair.level
     shells = []
-    for v1 in range(-window, window + 1):
-        v2 = k - v1
-        if abs(v2) > window:
-            continue
-        if v2 < 0:
-            continue  # Phi(e_2 g) = 0 unless the bottom row is integral
-        vol = scal.from_fraction(ng_cell_volume(p, 2, m, (v1, v2)))
-        shells.append(vol * _support_sum(pair, ng_shell(p, m, (v1, v2))))
+    v = pair.type1.support_shell(k)
+    if v is not None and v[1] >= 0 and max(map(abs, v)) <= window:
+        vol = scal.from_fraction(ng_cell_volume(p, 2, m, v))
+        shells.append(vol * _support_sum(pair, ng_shell(p, m, v)))
     return scal.sum(shells) * scal.from_fraction(Fraction(p - 1))
 
 
@@ -545,10 +549,26 @@ def j1_average_report(pair: RSPair, cell_log) -> dict:
 
 def shell_constancy_report(pair: RSPair, I: RationalFunction, shells: int = SHELLS) -> dict:
     """Shell constancy: c_i q^{i n/e} kappa^{-i} is one constant mu_raw, and
-    mu = mu_raw / (q^{n/e} - 1) is a power of q.  Here c_i is the
-    coefficient of X^{i n/e} of I divided by (q - 1) and by the canonical
-    cell volume q^{i n/e}; the two q-powers cancel, so the normalized
-    sequence is just coeff * kappa^{-i} / (q - 1)."""
+    mu = mu_raw / (q^{n/e} - 1) is the predicted vol(J^1) (and so a power
+    of q).  Here c_i is the coefficient of X^{i n/e} of I divided by
+    (q - 1) and by the canonical cell volume q^{i n/e}; the two q-powers
+    cancel, so the normalized sequence is just coeff * kappa^{-i} / (q - 1).
+
+    The prediction is mu = vol(J^1) in the normalization vol(K^1) = 1: 1 at
+    depth zero, where J^1 = K^1, and [1 + P_A : 1 + p M_2(Z_p)] = q in the
+    ramified family.  For a dual pair omega_1 omega_2 is trivial on the
+    units, so Z_omega has constant term q - 1 and mu (q^{n/e} - 1) is the
+    constant term T_0 = sum over the cells of nu_m b_0(kbar).  By the
+    per-cell laws (unit_shell_values, row_law) b_0 is 1 on the cells that
+    meet (P cap K) J and 0 on the others.  Such a cell is a bottom row of
+    e_n J mod p^m, so with nu_m = q^n q^{-mn} their mass is q^n times the
+    measure of e_n J in Z_p^n, vol(Z_p^n) = 1: e_n K, the primitive rows,
+    of measure 1 - q^{-n} at depth zero, and Z_p x Z_p^x, of measure
+    1 - 1/p, in the ramified family.  That gives T_0 = q^n - 1 and mu = 1
+    at depth zero, and T_0 = p (p - 1) and mu = p ramified.  The check
+    compares mu with vol_J1 rather than with the engine's own u, so a
+    global error in a volume such as nu_m fails it.
+    """
     scal = pair.scal
     step = pair.n_over_e
     series = series_coefficients(I, shells * step)
@@ -575,6 +595,7 @@ def shell_constancy_report(pair: RSPair, I: RationalFunction, shells: int = SHEL
         "shell_constant": constant_ok,
         "mu": mu,
         "mu_is_q_power": q_power_ok,
+        "mu_predicted": mu == pair.type1.vol_J1,
     }
 
 
@@ -695,24 +716,19 @@ def verify_main_theorem(type1: SimpleTypeData, type2: SimpleTypeData, *,
     support = cell_support_report(pair, cell_log)
     averages = j1_average_report(pair, cell_log)
     shells = shell_constancy_report(pair, I)
-    mu = shells["mu"]
-    expected = None
-    identity_ok = False
-    if mu is not None:
-        expected = expected_main_factor(pair, mu)
-        identity_ok = I == expected
+    expected = expected_main_factor(pair, pair.type1.vol_J1)
     checks = {
-        "closed_form_identity": identity_ok,
+        "closed_form_identity": I == expected,
         "unit_shell_values": averages["values"],
         "slice_pattern": support["slice_pattern"],
         "row_law": support["row_law"],
         "j1_average": averages["honest"] and averages["translation_law"],
         "shell_constancy": shells["off_slice_vanishing"] and shells["shell_constant"]
-        and shells["mu_is_q_power"],
+        and shells["mu_is_q_power"] and shells["mu_predicted"],
         "cell_mass": support["cell_mass"],
     }
     return VerificationReport(
         pair=pair, applicable=True, I=I, T=T, cell_log=cell_log,
-        expected=expected, mu=mu, u=support["u"], lambda_vol=averages["lambda_vol"],
+        expected=expected, mu=shells["mu"], u=support["u"], lambda_vol=averages["lambda_vol"],
         checks=checks,
     )

@@ -90,6 +90,24 @@ class SimpleTypeData:
             return PadicMatrix.diagonal([p] * self.n)
         return PadicMatrix.from_ints([[0, p], [1, 0]])
 
+    def support_shell(self, k: int) -> tuple | None:
+        """The valuation vector v of the one N\\G shell N p^v K of
+        determinant valuation k that meets the support N <w_E> J, or None
+        when no shell of that determinant does.
+
+        Iwasawa: G is the disjoint union of the N p^v K over v in Z^n, with
+        v unique for each g.  J lies in K, so n w_E^i j_0 lies in the shell
+        of w_E^i, and det w_E^i has valuation i n/e, so k fixes i.  Depth
+        zero: w_E^i = p^i Id is the shell (k/n,)*n when n | k, and no shell
+        otherwise.  Ramified: w_E^{2j} = p^j Id and
+        w_E^{2j+1} = p^j diag(p, 1) [[0, 1], [1, 0]], with the antidiagonal
+        in K, so the shell is (ceil(k/2), floor(k/2)) for every k.
+        """
+        if self.family == DEPTH_ZERO:
+            i, r = divmod(k, self.n)
+            return None if r else (i,) * self.n
+        return (k - k // 2, k // 2)
+
     @cached_property
     def chi(self) -> CuspidalCharacter:
         """The cuspidal character chi_theta (depth zero)."""

@@ -253,8 +253,9 @@ def nk_cell_reps_fractions(p: int, m: int) -> list:
 
 
 def c_k_point_walk(pair, k: int, window: int = 4):
-    """integral.c_k_bruteforce with every point diag(p^v1, p^v2) kbar made
-    by two row scalings of a freshly built representative."""
+    """integral.c_k_bruteforce over every shell of the window, not only the
+    support shell, with every point diag(p^v1, p^v2) kbar made by two row
+    scalings of a freshly built representative."""
     scal, p, m = pair.scal, pair.p, pair.level
     reps = nk_cell_reps_fractions(p, m)
     shells = []

@@ -110,6 +110,7 @@ def test_criterion_01_depth_zero_main_theorem(announce):
             assert pair.applicable
             I = rankin_selberg_I(pair)
             mu = closed_form_mu(pair, I)
+            assert mu == pair.type1.vol_J1
             assert _is_q_power(mu, q)
             assert I == expected_main_factor(pair, mu)
             assert time.monotonic() - start < 10.0
@@ -132,6 +133,7 @@ def test_criterion_02_depth_zero_twisted(announce):
                 assert pair.kappa == c
                 I = rankin_selberg_I(pair)
                 mu = closed_form_mu(pair, I)
+                assert mu == pair.type1.vol_J1
                 assert _is_q_power(mu, q)
                 # denominator is exactly 1 - A1 A2 X^2 ...
                 assert I == expected_main_factor(pair, mu)
@@ -161,6 +163,7 @@ def test_criterion_03_ramified_main_theorem(announce):
             assert pair.applicable
             I = rankin_selberg_I(pair)
             mu = closed_form_mu(pair, I)
+            assert mu == pair.type1.vol_J1
             assert _is_q_power(mu, p)
             assert I == expected_main_factor(pair, mu)
             assert time.monotonic() - start < 60.0
@@ -174,6 +177,7 @@ def test_criterion_03_ramified_main_theorem(announce):
         assert pair.kappa == c
         I = rankin_selberg_I(pair)
         mu = closed_form_mu(pair, I)
+        assert mu == pair.type1.vol_J1
         assert I == expected_main_factor(pair, mu)
         factor, _, shift = euler_normalize(I)
         assert factor == l_factor(t1, t2) and shift == 0

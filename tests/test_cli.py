@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ import rsexact
 from rsexact import cli
 from rsexact.cli import ORACLE_KMAX, RunConfig, build_parser, config_from_args, main
 from rsexact.errors import TooLarge
-from rsexact.integral import VerificationReport, verify_main_theorem
+from rsexact.integral import RSPair, VerificationReport, verify_main_theorem
 from rsexact.lmodular import CorollaryReport, pair_conductor
 from rsexact.padic import PadicMatrix
 from rsexact.simpletypes import RAMIFIED, SimpleTypeData, make_type
@@ -209,6 +210,29 @@ class TestVerifyCommand:
         assert out == ""
         data = json.loads(target.read_text())
         assert data["euler_factor"] == "1/(1 - X^2)"
+
+    @pytest.mark.parametrize("scale", ["p", "1/p"])
+    @pytest.mark.parametrize("argv", [
+        ["--q", "5", "--theta", "1"],
+        ["--family", "ramified", "--p", "5", "--sigma", "1"],
+        ["--q", "2", "--n", "3", "--gl3", "--theta", "1"],
+    ], ids=["depth-zero-q5", "ramified-p5", "gl3-q2"])
+    def test_a_global_q_power_error_fails_without_the_oracle(
+            self, capsys, monkeypatch, argv, scale):
+        # none of these runs an oracle; mu is checked against its predicted
+        # value vol(J^1), not against the engine's own fit
+        real_init = RSPair.__init__
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            self.nu *= self.p if scale == "p" else Fraction(1, self.p)
+
+        monkeypatch.setattr(RSPair, "__init__", init)
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        assert "oracle" not in json.loads(out)
+        failed = err.removeprefix("verification failed: ").strip().split(", ")
+        assert {"closed_form_identity", "shell_constancy"} <= set(failed), err
 
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_unwritable_out_is_config_error(self, capsys, tmp_path, where):

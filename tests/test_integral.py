@@ -24,6 +24,7 @@ from rsexact import integral
 from rsexact.cyclo import CycScalars, cyc_embed_root
 from rsexact.errors import DepthExceeded, FamilyMismatch
 from rsexact.integral import (
+    DEFAULT_WINDOW,
     GL3_WINDOW,
     RSPair,
     _embed_gl2,
@@ -41,7 +42,7 @@ from rsexact.integral import (
 )
 from rsexact.lmodular import pair_conductor
 from rsexact.matgroups import enumerate_group
-from rsexact.padic import PadicMatrix, ng_cell_volume, nk_cell_reps, pk_cell_reps
+from rsexact.padic import PadicMatrix, ng_cell_volume, ng_shell, nk_cell_reps, pk_cell_reps
 from rsexact.ratfun import Laurent, RationalFunction, series_coefficients
 from rsexact.residue import ResidueScalars
 from rsexact.simpletypes import (
@@ -804,19 +805,60 @@ class TestPickledPair:
                 assert c_k_bruteforce(copy, k, 3) == c_k_bruteforce(pair, k, 3)
 
 
-@pytest.mark.parametrize("name", ["ramified", "ramified non-dual", "depth-zero"])
+@pytest.mark.parametrize("name", ["ramified", "ramified non-dual", "depth-zero",
+                                  "ramified p = 5"])
 def test_oracle_matches_the_point_walk_in_raw_form(name):
     """c_k_bruteforce builds each point with ng_shell from cached
-    representatives; the raw terms must be the row-scaling walk's."""
+    representatives and walks only the support shell; the raw terms must be
+    the row-scaling walk's over every shell of the window."""
+    window = 4
     if name == "ramified":
         pair = ram_pair(3, 1, 1)
     elif name == "ramified non-dual":
         pair = ram_pair(3, 1, 0)
+    elif name == "ramified p = 5":
+        pair, window = ram_pair(5, 1, 3), 2
     else:
         pair = dz_pair(3, 1, 5)
     for k in range(7):
-        got, want = c_k_bruteforce(pair, k), c_k_point_walk(pair, k)
+        got, want = c_k_bruteforce(pair, k, window), c_k_point_walk(pair, k, window)
         assert (got._N, got._c, got._d) == (want._N, want._c, want._d), k
+
+
+@pytest.mark.parametrize("family, p, window", [
+    (DEPTH_ZERO, 2, DEFAULT_WINDOW), (DEPTH_ZERO, 3, DEFAULT_WINDOW),
+    (RAMIFIED, 3, 4), (RAMIFIED, 5, 2)])
+def test_only_the_support_shell_meets_the_support(family, p, window):
+    """Every point of every window shell other than support_shell(k) is
+    off the support, and the support shell has a point on it."""
+    t = (make_type(family, p, theta=1) if family == DEPTH_ZERO
+         else make_type(family, p, sigma=1))
+    for v1 in range(-window, window + 1):
+        for v2 in range(-window, window + 1):
+            hits = sum(support_decompose(t, g) is not None
+                       for g in ng_shell(p, t.level, (v1, v2)))
+            if (v1, v2) == t.support_shell(v1 + v2):
+                assert hits, (v1, v2)
+            else:
+                assert not hits, (v1, v2)
+
+
+@pytest.mark.parametrize("name, calls", [("ramified", 3024), ("depth-zero", 64)])
+def test_oracle_decomposes_only_support_shell_points(name, calls, monkeypatch):
+    # k = 0..6 meet the shells (i, i) and (i + 1, i): 7 shells of the 432
+    # (N cap K)\K/K^2 cells at ramified p = 3, and 4 shells of the 16
+    # (N cap K)\K/K^1 cells at depth-zero q = 3
+    pair = ram_pair(3, 1, 1) if name == "ramified" else dz_pair(3, 1, 5)
+    count = Counter()
+
+    def counted(data, g):
+        count["calls"] += 1
+        return support_decompose(data, g)
+
+    monkeypatch.setattr(integral, "support_decompose", counted)
+    for k in range(7):
+        c_k_bruteforce(pair, k)
+    assert count["calls"] == calls
 
 
 def test_oracle_check_reuses_engine_integral_and_mapper():

@@ -16,7 +16,7 @@ from rsexact.errors import (
     NotRegular,
 )
 from rsexact.finitefield import AddChar, gf
-from rsexact.padic import PadicMatrix
+from rsexact.padic import PadicMatrix, iwasawa_NAK, vp_int
 from rsexact.simpletypes import (
     DEPTH_ZERO,
     RAMIFIED,
@@ -327,6 +327,19 @@ def test_every_support_decomposition_lands_in_J(point):
     assert one == one_ == 1 and zero == 0, n_mat
     assert n_mat * _uniformizer_power(data, i) * j0 == g
 
+
+
+@given(support_points())
+@settings(max_examples=300, deadline=None)
+def test_support_lies_in_the_predicted_shell(point):
+    # the Iwasawa valuation vector of every point on the support is the one
+    # shell support_shell names for its determinant valuation
+    data, g, _ = point
+    if support_decompose(data, g) is None:
+        return
+    det = g.det()
+    k = vp_int(det.numerator, data.p) - vp_int(det.denominator, data.p)
+    assert iwasawa_NAK(g, data.p)[1] == data.support_shell(k), g
 
 def test_ramified_support_vanishing():
     t = make_type(RAMIFIED, 3, sigma=1)
